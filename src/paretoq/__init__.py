@@ -45,6 +45,7 @@ from .momdp import (
     Experience,
     Momdp,
     TabularPolicy,
+    accrued_key,
     dst_corridor,
     enumerate_deterministic_policies,
     ensure_objective,

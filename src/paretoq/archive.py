@@ -93,13 +93,19 @@ class ArchiveEntry:
 
 
 class ParetoArchive:
-    """Mutually non-dominated store of evaluations with opaque payloads."""
+    """Mutually non-dominated store of evaluations with opaque payloads.
+
+    Treat ``entries`` as read-only: acceptance checks read the evaluations
+    as one cached matrix, which every insert drops (evictions happen only
+    inside an insert).
+    """
 
     def __init__(self, capacity: int | None = None):
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be positive when set")
         self.capacity = capacity
         self.entries: list[ArchiveEntry] = []
+        self._mat: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -113,10 +119,21 @@ class ParetoArchive:
         return np.array([e.eval for e in self.entries])
 
     def would_accept(self, eval_) -> bool:
-        """Acceptance check without mutating (and without snapshot cost)."""
+        """Acceptance check without mutating (and without snapshot cost).
+
+        An entry rejects ``eval_`` when it equals or dominates it, that is
+        when it is >= in every objective (evaluations are finite).
+        """
         vec = ensure_objective(eval_)
-        return not any(np.array_equal(e.eval, vec) or dominates(e.eval, vec)
-                       for e in self.entries)
+        if not self.entries:
+            return True
+        if self._mat is None:
+            self._mat = self.evals()
+        if vec.shape[0] != self._mat.shape[1]:
+            raise ValueError(
+                f"objective vectors have mismatched lengths {vec.shape[0]} "
+                f"vs {self._mat.shape[1]}")
+        return not (self._mat >= vec).all(axis=1).any()
 
     def insert(self, eval_, payload, subproblem: int = -1, step: int = 0) -> bool:
         """Insert if non-dominated and new; evict entries it dominates.
@@ -133,6 +150,7 @@ class ParetoArchive:
         while self.capacity is not None and len(self.entries) > self.capacity:
             victim = int(np.argmin(crowding_distance(self.evals())))
             del self.entries[victim]
+        self._mat = None  # rebuilt by the next check, after any eviction
         return True
 
     def csv_rows(self):

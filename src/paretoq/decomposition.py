@@ -110,10 +110,27 @@ class Scalarization:
         self.reference = reference
 
     def score(self, f, lam) -> float:
-        """Scalar score of ``f`` under weights ``lam``; larger is better."""
+        """Scalar score of ``f`` under weights ``lam``; larger is better.
+
+        Equals ``-scalarize_tch(f, lam, reference)`` bit for bit. Tchebycheff
+        is computed in Python floats, which is exact here: it takes products
+        and a max, no sum. A NaN product (a zero weight against a reference
+        still at its ``-inf`` sentinel) goes to ``scalarize_tch`` itself, so
+        that the NaN returned is numpy's. The weighted sum keeps ``np.dot``,
+        whose rounding a Python sum need not repeat.
+        """
         if self.kind == WEIGHTED_SUM:
             return scalarize_ws(f, lam)
-        return -scalarize_tch(f, lam, self.reference)
+        f = np.asarray(f, dtype=float)
+        lam = np.asarray(lam, dtype=float)
+        z = self.reference.values
+        if not (f.shape == lam.shape == z.shape):
+            raise ValueError("length mismatch between vector, weights and reference point")
+        terms = [w * abs(x - r) for x, w, r in zip(f.tolist(), lam.tolist(), z.tolist())]
+        for t in terms:
+            if t != t:
+                return -scalarize_tch(f, lam, self.reference)
+        return -max(terms)
 
 
 def generate_weights_uniform(m: int, n: int):

@@ -25,11 +25,10 @@ import numpy as np
 
 from .archive import crowding_distance
 from .decomposition import Scalarization
-from .momdp import GREEDY, Experience, TabularPolicy
+from .momdp import GREEDY, Experience, TabularPolicy, accrued_key
 
 FIFO = "fifo"
 DIVERSE_CROWDING = "diverse-crowding"
-SHARING_MODES = ("per-policy", "neighborhood", "global")
 
 
 class _EpisodeSlot:
@@ -55,16 +54,13 @@ class ExperienceBuffer:
     evictions rebuild the caches (they only happen once capacity is hit).
     """
 
-    def __init__(self, capacity: int, replacement: str = FIFO, sharing: str = "per-policy"):
+    def __init__(self, capacity: int, replacement: str = FIFO):
         if capacity < 1:
             raise ValueError("buffer capacity must be positive")
         if replacement not in (FIFO, DIVERSE_CROWDING):
             raise ValueError(f"unknown replacement policy {replacement!r}")
-        if sharing not in SHARING_MODES:
-            raise ValueError(f"unknown sharing mode {sharing!r}")
         self.capacity = int(capacity)
         self.replacement = replacement
-        self.sharing = sharing
         self._slots: list[_EpisodeSlot] = []
         self._size = 0
         self._flat: list[Experience] = []
@@ -237,17 +233,19 @@ class QTableEsr:
         self.table: dict[tuple, np.ndarray] = {}
         self.visits: dict[tuple, np.ndarray] = {}
 
-    @staticmethod
-    def key(state, accrued) -> tuple:
-        return (state, tuple(float(x) for x in accrued))
+    key = staticmethod(accrued_key)
 
     def row(self, state, accrued) -> np.ndarray:
-        key = self.key(state, accrued)
+        return self._entry(accrued_key(state, accrued))[0]
+
+    def _entry(self, key):
+        """``(values, visit counts)`` of ``key``, created at zero on first use."""
         row = self.table.get(key)
         if row is None:
             row = self.table[key] = np.zeros(self.n_actions)
-            self.visits[key] = np.zeros(self.n_actions, dtype=np.int64)
-        return row
+            visits = self.visits[key] = np.zeros(self.n_actions, dtype=np.int64)
+            return row, visits
+        return row, self.visits[key]
 
 
 def update_scalarized_q(q: QTableScalar, e: Experience, g: Scalarization, lam) -> QTableScalar:
@@ -299,9 +297,9 @@ def update_esr_mc(q: QTableEsr, episode, g: Scalarization, lam) -> QTableEsr:
     total = episode[-1].accrued + episode[-1].reward
     target = g.score(total, lam)
     for e in episode:
-        row = q.row(e.state, e.accrued)
+        row, visits = q._entry(accrued_key(e.state, e.accrued))
         row[e.action] += q.alpha * (target - row[e.action])
-        q.visits[q.key(e.state, e.accrued)][e.action] += 1
+        visits[e.action] += 1
     return q
 
 
@@ -311,11 +309,15 @@ def greedy_policy(q, lam=None) -> TabularPolicy:
     Vector and envelope tables need the weight vector that scalarizes their
     entries; ESR tables yield a policy keyed on (state, accrued reward).
     States the table never visited fall back to a zero row, i.e. action 0.
+
+    For scalar and ESR tables the policy is a live view: its preferences are
+    the learner's own table, not a copy, so updating the table afterwards
+    changes the policy's actions. Take :func:`clone_table` first to keep a
+    frozen policy. Vector and envelope policies are scalarized snapshots.
     """
     default = np.zeros(q.n_actions)
     if isinstance(q, QTableScalar):
-        prefs = {s: row.copy() for s, row in q.table.items()}
-        return TabularPolicy(GREEDY, prefs, default_row=default)
+        return TabularPolicy(GREEDY, q.table, default_row=default)
     if isinstance(q, QTableVector):
         lam = np.asarray(lam, dtype=float)
         prefs = {s: block @ lam for s, block in q.table.items()}
@@ -326,8 +328,7 @@ def greedy_policy(q, lam=None) -> TabularPolicy:
         prefs = {s: block[l_idx] @ lam for s, block in q.table.items()}
         return TabularPolicy(GREEDY, prefs, default_row=default)
     if isinstance(q, QTableEsr):
-        prefs = {key: row.copy() for key, row in q.table.items()}
-        return TabularPolicy(GREEDY, prefs, augmented=True, default_row=default)
+        return TabularPolicy(GREEDY, q.table, augmented=True, default_row=default)
     raise TypeError(f"unknown table kind {type(q).__name__}")
 
 
@@ -445,8 +446,8 @@ def deserialize_table(text: str):
             q.block(int(s_txt))[int(w_txt), action] = values
         else:
             s_txt, acc_txt = key_txt.split("|c")
-            acc = tuple(float(x) for x in acc_txt.split(",")) if acc_txt else ()
-            row = q.row(int(s_txt), acc)
+            acc = [float(x) for x in acc_txt.split(",")] if acc_txt else []
+            row, visits = q._entry(accrued_key(int(s_txt), acc))
             row[action] = values[0]
-            q.visits[(int(s_txt), acc)][action] = int(fields[3])
+            visits[action] = int(fields[3])
     return q

@@ -36,9 +36,21 @@ def ensure_objective(values, m: int | None = None) -> np.ndarray:
         raise ValueError(f"objective vector must be 1-D, got shape {vec.shape}")
     if m is not None and vec.shape[0] != m:
         raise ValueError(f"objective vector has length {vec.shape[0]}, expected {m}")
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise ValueError(f"objective vector contains non-finite entries: {vec}")
     return vec
+
+
+def accrued_key(state, accrued) -> tuple:
+    """Hashable key ``(state, accrued)`` of an accrued-reward-augmented state.
+
+    ``accrued`` becomes a tuple of Python floats, so an array and a sequence
+    of equal values give equal keys. Every table and policy keyed on the
+    accrued reward builds its keys here.
+    """
+    if not isinstance(accrued, np.ndarray) or accrued.dtype.kind != "f":
+        accrued = np.asarray(accrued, dtype=float)
+    return (state, tuple(accrued.tolist()))
 
 
 @dataclass(eq=False)
@@ -107,10 +119,12 @@ class Momdp:
         self.hv_reference_default = (
             None if hv_reference_default is None
             else ensure_objective(hv_reference_default, self.n_objectives))
+        self._support = np.flatnonzero(self.initial_dist)
+        self._cdf = np.cumsum(self.initial_dist)
         self.deterministic = self._is_deterministic()
 
     def _is_deterministic(self) -> bool:
-        if np.count_nonzero(self.initial_dist) != 1:
+        if self._support.size != 1:
             return False
         return all(len(self._transitions[s][a]) == 1
                    for s in range(self.n_states) for a in range(self.n_actions))
@@ -120,12 +134,11 @@ class Momdp:
         return self._transitions[state][action]
 
     def initial_state(self, rng: np.random.Generator | None = None) -> int:
-        support = np.flatnonzero(self.initial_dist)
-        if support.size == 1:
-            return int(support[0])
+        if self._support.size == 1:
+            return int(self._support[0])
         # inverse-CDF draw; a single uniform keeps stream usage predictable
         u = rng.random()
-        return int(np.searchsorted(np.cumsum(self.initial_dist), u, side="right"))
+        return int(np.searchsorted(self._cdf, u, side="right"))
 
     def step(self, state: int, action: int, rng: np.random.Generator | None = None):
         """Sample one transition; returns ``(next_state, reward, terminal)``.
@@ -156,10 +169,13 @@ class TabularPolicy:
 
     ``preferences`` maps a state key to an array of one real per action;
     greedy selection takes the argmax with ties broken to the lowest action
-    index. For accrued-reward-augmented policies the key is
-    ``(state, tuple(accrued))``. ``default_row`` backs states absent from the
-    table (learners hand out zero rows so a fresh policy is defined
-    everywhere); without it, visiting an unknown state is an error.
+    index (``ndarray.argmax``, which skips the dispatch cost of ``np.argmax``
+    on these short rows). For accrued-reward-augmented policies the key is
+    :func:`accrued_key` of ``(state, accrued)``. ``default_row`` backs states
+    absent from the table (learners hand out zero rows so a fresh policy is
+    defined everywhere); without it, visiting an unknown state is an error.
+    The policy reads ``preferences`` on every call and never writes to it,
+    so it may be a learner's live table.
     """
 
     kind: str = GREEDY
@@ -171,7 +187,7 @@ class TabularPolicy:
     def key(self, state, accrued=None):
         if not self.augmented:
             return state
-        return (state, tuple(float(x) for x in accrued))
+        return accrued_key(state, accrued)
 
     def row(self, state, accrued=None) -> np.ndarray:
         prefs = self.preferences.get(self.key(state, accrued))
@@ -186,11 +202,11 @@ class TabularPolicy:
     def action(self, state, accrued=None, rng: np.random.Generator | None = None) -> int:
         prefs = self.row(state, accrued)
         if self.kind == GREEDY:
-            return int(np.argmax(prefs))
+            return int(np.asarray(prefs).argmax())
         if self.kind == EPSILON_GREEDY:
             if rng.random() < self.epsilon:
                 return int(rng.integers(len(prefs)))
-            return int(np.argmax(prefs))
+            return int(np.asarray(prefs).argmax())
         if self.kind == SOFTMAX:
             shifted = np.exp(prefs - np.max(prefs))
             probs = shifted / shifted.sum()
@@ -223,10 +239,12 @@ def rollout(env: Momdp, policy: TabularPolicy, rng_seed=0):
 
 def evaluate_policy(env: Momdp, policy: TabularPolicy, episodes: int,
                     gamma: float, rng_seed=0) -> np.ndarray:
-    """Average discounted vector return over ``episodes`` rollouts.
+    """Average discounted vector return over ``episodes`` episodes.
 
     Exact (zero variance) for a deterministic environment and policy, in
-    which case a single rollout is performed since all episodes coincide.
+    which case a single episode is walked since all episodes coincide. Each
+    episode draws from the generator exactly as :func:`rollout` does, but
+    sums its discounted return as it goes instead of recording a trace.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
@@ -234,14 +252,28 @@ def evaluate_policy(env: Momdp, policy: TabularPolicy, episodes: int,
     runs = 1 if (env.deterministic and policy.kind == GREEDY) else episodes
     total = np.zeros(env.n_objectives)
     for _ in range(runs):
-        trace, _ = rollout(env, policy, rng)
-        value = np.zeros(env.n_objectives)
-        discount = 1.0
-        for exp in trace:
-            value += discount * exp.reward
-            discount *= gamma
-        total += value
+        total += _discounted_return(env, policy, gamma, rng)
     return total / runs
+
+
+def _discounted_return(env: Momdp, policy: TabularPolicy, gamma: float,
+                       rng: np.random.Generator) -> np.ndarray:
+    """One episode's discounted vector return, under rollout's draw pattern."""
+    state = env.initial_state(rng)
+    # only an augmented policy reads the accrued reward
+    accrued = np.zeros(env.n_objectives) if policy.augmented else None
+    value = np.zeros(env.n_objectives)
+    discount = 1.0
+    for _ in range(env.max_episode_steps):
+        action = policy.action(state, accrued, rng)
+        state, reward, terminal = env.step(state, action, rng)
+        value += discount * reward
+        if terminal:
+            break
+        discount *= gamma
+        if accrued is not None:
+            accrued = accrued + reward
+    return value
 
 
 def enumerate_deterministic_policies(env: Momdp, gamma: float):

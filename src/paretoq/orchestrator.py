@@ -114,6 +114,11 @@ class RunConfig:
             (self.buffer_replacement in (FIFO, DIVERSE_CROWDING),
              f"buffer_replacement must be one of {FIFO!r}, {DIVERSE_CROWDING!r}"),
             (self.learner in LEARNERS, f"learner must be one of {LEARNERS}"),
+            # the Monte-Carlo target is the undiscounted episodic return, while
+            # the archive scores discounted evaluations
+            (self.learner != "esr-mc" or self.gamma == 1.0,
+             "learner 'esr-mc' requires gamma = 1 (its target is the undiscounted "
+             "episodic return)"),
             (self.eum_weights >= 2, "eum_weights must be >= 2"),
             (self.checkpoint_stride >= 1, "checkpoint_stride must be >= 1"),
             (self.seed >= 0, "seed must be >= 0"),
@@ -219,14 +224,10 @@ def initialize(config: RunConfig, streams: RunStreams | None = None) -> RunState
         reference if config.scalarization == TCHEBYCHEFF else None)
 
     if config.cooperation == "shared-buffer":
-        shared = ExperienceBuffer(config.buffer_capacity, config.buffer_replacement,
-                                  sharing="global")
-        buffers = [shared] * n
+        buffers = [ExperienceBuffer(config.buffer_capacity, config.buffer_replacement)] * n
     else:
-        sharing = ("neighborhood" if config.cooperation == "shared-buffer-neighborhood"
-                   else "per-policy")
-        buffers = [ExperienceBuffer(config.buffer_capacity, config.buffer_replacement,
-                                    sharing=sharing) for _ in range(n)]
+        buffers = [ExperienceBuffer(config.buffer_capacity, config.buffer_replacement)
+                   for _ in range(n)]
 
     subproblems = [
         Subproblem(index=i, weight=weights[i], reference=reference,

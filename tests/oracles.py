@@ -55,6 +55,28 @@ def brute_force_non_dominated_matrix(points):
     return keep
 
 
+def rollout_discounted_mean(env: Momdp, policy, episodes: int, gamma: float, rng):
+    """Mean discounted return of recorded rollouts, summed over each trace.
+
+    Walks as many episodes as ``evaluate_policy`` does (one for a greedy
+    policy on a deterministic env) and draws from ``rng`` through
+    ``rollout``, whose draw pattern ``evaluate_policy`` must repeat.
+    """
+    from paretoq.momdp import GREEDY, rollout
+
+    runs = 1 if (env.deterministic and policy.kind == GREEDY) else episodes
+    total = np.zeros(env.n_objectives)
+    for _ in range(runs):
+        trace, _ = rollout(env, policy, rng)
+        value = np.zeros(env.n_objectives)
+        discount = 1.0
+        for exp in trace:
+            value += discount * exp.reward
+            discount *= gamma
+        total += value
+    return total / runs
+
+
 def all_transition_experiences(env: Momdp):
     """One Experience per (state, action) pair of a deterministic env."""
     from paretoq.momdp import Experience

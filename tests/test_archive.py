@@ -160,3 +160,23 @@ class TestParetoArchive:
             vec = rng.integers(0, 5, size=2).astype(float)
             expected = archive.would_accept(vec)
             assert archive.insert(vec, None) == expected
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("capacity", [None, 3])
+    def test_would_accept_matches_the_pairwise_oracle(self, m, capacity):
+        # a candidate is accepted iff the oracle keeps it after the entries
+        rng = np.random.default_rng(17 + m)
+        archive = ParetoArchive(capacity=capacity)
+        for _ in range(400):
+            vec = rng.integers(0, 4, size=m).astype(float)
+            entries = [e.eval for e in archive]
+            expected = len(entries) in brute_force_non_dominated(entries + [vec])
+            assert archive.would_accept(vec) == expected
+            archive.insert(vec, None)
+
+    def test_would_accept_rejects_a_vector_of_the_wrong_length(self):
+        archive = ParetoArchive()
+        archive.insert((1.0, 2.0), None)
+        for bad in [(1.0,), (1.0, 2.0, 3.0)]:
+            with pytest.raises(ValueError, match="mismatched lengths"):
+                archive.would_accept(bad)

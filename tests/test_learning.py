@@ -25,7 +25,7 @@ from paretoq import (
     update_scalarized_q,
     update_vector_q,
 )
-from paretoq.momdp import Experience
+from paretoq.momdp import Experience, accrued_key
 
 from oracles import all_transition_experiences, value_iteration_scalar
 
@@ -316,6 +316,27 @@ class TestGreedyPolicy:
         assert policy.action(0, (0.0, 0.0)) == 0
         assert policy.action(0, (1.0, 0.0)) == 1
 
+    def test_scalar_and_esr_policies_are_live_views(self):
+        q = QTableScalar(2)
+        q.row(0)[:] = [1.0, 0.0]
+        policy = greedy_policy(q)
+        assert policy.action(0) == 0
+        q.row(0)[1] = 2.0
+        assert policy.action(0) == 1
+        q.row(1)[1] = 1.0  # a row created after the policy is seen too
+        assert policy.action(1) == 1
+
+        esr = QTableEsr(2, 2)
+        esr_policy = greedy_policy(esr)
+        assert esr_policy.action(0, np.array([1.0, -1.0])) == 0
+        esr.row(0, (1.0, -1.0))[1] = 1.0
+        assert esr_policy.action(0, np.array([1.0, -1.0])) == 1
+
+    def test_policy_reads_do_not_grow_the_table(self):
+        esr = QTableEsr(2, 2)
+        greedy_policy(esr).action(3, np.array([0.0, 0.0]))
+        assert esr.table == {} and esr.visits == {}
+
 
 class TestTransfer:
     def test_copy_then_update_leaves_the_source_alone(self):
@@ -366,3 +387,27 @@ class TestSerialization:
             assert set(back.table) == set(table.table)
             for key in table.table:
                 np.testing.assert_array_equal(back.table[key], table.table[key])
+
+    def test_esr_roundtrip_keeps_accrued_keys_and_visits(self):
+        q = QTableEsr(2, 2, alpha=0.5)
+        # 0.1 + 0.2 needs all 17 significant digits to round-trip
+        episode = [
+            exp(state=0, action=1, reward=(0.1, -1), next_state=1, terminal=False),
+            exp(state=1, action=0, reward=(0.2, -0.0), next_state=2, terminal=False,
+                accrued=(0.1, -1)),
+            exp(state=2, action=1, reward=(3, 0), accrued=(0.1 + 0.2, -1)),
+        ]
+        update_esr_mc(q, episode, WS, (0.5, 0.5))
+        update_esr_mc(q, episode, WS, (0.5, 0.5))
+        text = serialize_table(q)
+        back = deserialize_table(text)
+        assert serialize_table(back) == text
+        expected_keys = {accrued_key(e.state, e.accrued) for e in episode}
+        assert set(back.table) == set(q.table) == expected_keys
+        for key in q.table:
+            np.testing.assert_array_equal(back.table[key], q.table[key])
+            np.testing.assert_array_equal(back.visits[key], q.visits[key])
+            assert back.visits[key].dtype == np.int64
+        # the deserialized table answers lookups by array, as training does
+        accrued = np.array([0.1, -1.0]) + [0.2, 0.0]
+        assert back.row(2, accrued)[1] == q.table[(2, (0.1 + 0.2, -1.0))][1]

@@ -67,6 +67,12 @@ class TestInitialize:
         with pytest.raises(ValueError, match="unknown environment id"):
             initialize(small_config(env="nope"))
 
+    def test_esr_learner_rejects_discounting(self):
+        with pytest.raises(ValueError, match="learner 'esr-mc' requires gamma = 1"):
+            small_config(learner="esr-mc", scalarization="tchebycheff", gamma=0.9).validate()
+        small_config(learner="esr-mc", scalarization="tchebycheff", gamma=1.0).validate()
+        small_config(learner="scalarized-q", gamma=0.9).validate()
+
 
 class TestRunLoop:
     def test_zero_steps_leaves_only_the_initial_checkpoint(self):
