@@ -45,7 +45,6 @@ from .momdp import (
     Experience,
     Momdp,
     TabularPolicy,
-    accrued_key,
     dst_corridor,
     enumerate_deterministic_policies,
     ensure_objective,

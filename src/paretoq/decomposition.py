@@ -46,13 +46,25 @@ def scalarize_tch(f, lam, z) -> float:
 
     ``max_i lam_i * |f_i - z_i|``, where ``z`` is a utopian point at least
     as good as anything attainable.
+
+    The terms are Python floats, which repeat ``np.max(lam * np.abs(f - z))``
+    bit for bit: products and a max, no sum. A NaN term (a zero weight
+    against a reference still at its ``-inf`` sentinel) leaves the max to
+    numpy, whose result carries a NaN sign bit that depends on where the NaN
+    stands, which Python's ``max`` would not repeat.
     """
     f = np.asarray(f, dtype=float)
     lam = np.asarray(lam, dtype=float)
     z_vals = z.values if isinstance(z, ReferencePoint) else np.asarray(z, dtype=float)
     if not (f.shape == lam.shape == z_vals.shape):
         raise ValueError("length mismatch between vector, weights and reference point")
-    return float(np.max(lam * np.abs(f - z_vals)))
+    if f.ndim != 1:
+        raise ValueError(f"objective vector must be 1-D, got shape {f.shape}")
+    terms = [w * abs(x - r) for x, w, r in zip(f.tolist(), lam.tolist(), z_vals.tolist())]
+    for t in terms:
+        if t != t:
+            return float(np.max(terms))
+    return max(terms)
 
 
 class ReferencePoint:
@@ -110,27 +122,10 @@ class Scalarization:
         self.reference = reference
 
     def score(self, f, lam) -> float:
-        """Scalar score of ``f`` under weights ``lam``; larger is better.
-
-        Equals ``-scalarize_tch(f, lam, reference)`` bit for bit. Tchebycheff
-        is computed in Python floats, which is exact here: it takes products
-        and a max, no sum. A NaN product (a zero weight against a reference
-        still at its ``-inf`` sentinel) goes to ``scalarize_tch`` itself, so
-        that the NaN returned is numpy's. The weighted sum keeps ``np.dot``,
-        whose rounding a Python sum need not repeat.
-        """
+        """Scalar score of ``f`` under weights ``lam``; larger is better."""
         if self.kind == WEIGHTED_SUM:
             return scalarize_ws(f, lam)
-        f = np.asarray(f, dtype=float)
-        lam = np.asarray(lam, dtype=float)
-        z = self.reference.values
-        if not (f.shape == lam.shape == z.shape):
-            raise ValueError("length mismatch between vector, weights and reference point")
-        terms = [w * abs(x - r) for x, w, r in zip(f.tolist(), lam.tolist(), z.tolist())]
-        for t in terms:
-            if t != t:
-                return -scalarize_tch(f, lam, self.reference)
-        return -max(terms)
+        return -scalarize_tch(f, lam, self.reference)
 
 
 def generate_weights_uniform(m: int, n: int):

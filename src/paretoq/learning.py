@@ -233,8 +233,6 @@ class QTableEsr:
         self.table: dict[tuple, np.ndarray] = {}
         self.visits: dict[tuple, np.ndarray] = {}
 
-    key = staticmethod(accrued_key)
-
     def row(self, state, accrued) -> np.ndarray:
         return self._entry(accrued_key(state, accrued))[0]
 

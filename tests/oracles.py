@@ -77,6 +77,12 @@ def rollout_discounted_mean(env: Momdp, policy, episodes: int, gamma: float, rng
     return total / runs
 
 
+def tchebycheff_numpy(f, lam, z) -> float:
+    """``max_i lam_i * |f_i - z_i|`` as one numpy expression."""
+    f, lam, z = (np.asarray(v, dtype=float) for v in (f, lam, z))
+    return float(np.max(lam * np.abs(f - z)))
+
+
 def all_transition_experiences(env: Momdp):
     """One Experience per (state, action) pair of a deterministic env."""
     from paretoq.momdp import Experience

@@ -3,8 +3,8 @@
 ``evaluate_policy`` sums returns without recording a trace; here it must
 reproduce the mean over recorded rollouts exactly, consume the same random
 draws, and on deterministic envs agree with exact dynamic programming.
-``Scalarization.score`` computes Tchebycheff in Python floats and must
-repeat ``scalarize_tch`` bit for bit.
+``scalarize_tch`` computes Tchebycheff in Python floats and must repeat the
+numpy formula bit for bit, NaN included.
 """
 
 import struct
@@ -12,10 +12,9 @@ import struct
 import numpy as np
 import pytest
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st
 
-from paretoq import (  # noqa: E402
+from paretoq import (
     Momdp,
     QTableEsr,
     QTableScalar,
@@ -30,7 +29,7 @@ from paretoq import (  # noqa: E402
     update_esr_mc,
 )
 
-from oracles import rollout_discounted_mean  # noqa: E402
+from oracles import rollout_discounted_mean, tchebycheff_numpy
 
 WS = Scalarization("weighted-sum")
 
@@ -109,6 +108,26 @@ def test_evaluation_repeats_recorded_rollouts_and_their_draws(env, policy_seed, 
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
+def test_evaluation_repeats_recorded_rollouts_on_a_fixed_stochastic_env():
+    # two start states, one branching action per state, rewards that make
+    # the accrued reward (and so the ESR policy's keys) differ by branch
+    r = lambda *v: np.array(v, dtype=float)  # noqa: E731
+    transitions = [
+        [[(0.25, 1, r(1, 0), False), (0.75, 2, r(0, 2), False)], [(1.0, 2, r(-1, 1), False)]],
+        [[(1.0, 2, r(2, -1), False)], [(0.5, 0, r(0, 1), False), (0.5, 2, r(1, 1), True)]],
+        [[(1.0, 2, r(0, 0), True)], [(0.6, 1, r(3, 0), False), (0.4, 2, r(0, 3), True)]],
+    ]
+    env = Momdp(3, 2, 2, transitions, [0.5, 0.0, 0.5], max_episode_steps=6)
+    assert not env.deterministic
+    policy = _esr_policy(env, 11)
+    policy.kind, policy.epsilon = "epsilon-greedy", 0.3
+    rng, oracle_rng = np.random.default_rng(2024), np.random.default_rng(2024)
+    value = evaluate_policy(env, policy, 25, 0.9, rng)
+    expected = rollout_discounted_mean(env, policy, 25, 0.9, oracle_rng)
+    np.testing.assert_array_equal(value, expected)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 @settings(max_examples=40, deadline=None)
 @given(env=small_momdps(deterministic=True), gamma=st.sampled_from([1.0, 0.9, 0.0]))
 def test_evaluation_matches_dynamic_programming_on_deterministic_envs(env, gamma):
@@ -128,22 +147,26 @@ def test_tchebycheff_score_is_bitwise_scalarize_tch_at_the_sentinel(lam):
     g = Scalarization("tchebycheff", z)
     f = np.array([3.0, -2.0])
     with np.errstate(invalid="ignore"):
-        expected = -scalarize_tch(f, lam, z)
-        got = g.score(f, lam)
-    assert _bits(got) == _bits(expected)
-    assert np.isnan(got) == (0.0 in lam)
+        expected = tchebycheff_numpy(f, lam, z.values)
+    assert _bits(scalarize_tch(f, lam, z)) == _bits(expected)
+    assert _bits(g.score(f, lam)) == _bits(-expected)
+    assert np.isnan(expected) == (0.0 in lam)
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), m=st.integers(1, 4))
-def test_tchebycheff_score_is_bitwise_scalarize_tch(data, m):
+def test_scalarize_tch_is_bitwise_the_numpy_formula(data, m):
     finite = st.floats(-1e6, 1e6, allow_nan=False)
     f = np.array(data.draw(st.lists(finite, min_size=m, max_size=m)))
-    z = ReferencePoint(values=data.draw(st.lists(finite, min_size=m, max_size=m)), mode="fixed")
+    z = np.array(data.draw(st.lists(finite, min_size=m, max_size=m)))
     raw = np.array(data.draw(st.lists(st.floats(0, 1), min_size=m, max_size=m)))
     lam = raw / raw.sum() if raw.sum() > 0 else np.full(m, 1.0 / m)
-    g = Scalarization("tchebycheff", z)
-    assert _bits(g.score(f, lam)) == _bits(-scalarize_tch(f, lam, z))
+    assert _bits(scalarize_tch(f, lam, z)) == _bits(tchebycheff_numpy(f, lam, z))
+
+
+def test_scalarize_tch_rejects_vectors_that_are_not_1d():
+    with pytest.raises(ValueError, match="1-D"):
+        scalarize_tch([[1.0, 2.0]], [[0.5, 0.5]], [[3.0, 3.0]])
 
 
 def test_tchebycheff_score_keeps_its_length_check():
