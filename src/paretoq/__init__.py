@@ -20,7 +20,6 @@ from .decomposition import (
     scalarize_tch,
     scalarize_ws,
     select_subproblem,
-    update_reference_point,
 )
 from .harness import ExperimentSpec, OutputBundle, parse_config, run_experiment
 from .learning import (
@@ -29,8 +28,6 @@ from .learning import (
     QTableEsr,
     QTableScalar,
     QTableVector,
-    buffer_push,
-    buffer_sample,
     deserialize_table,
     greedy_policy,
     serialize_table,

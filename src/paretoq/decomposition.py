@@ -106,10 +106,6 @@ class ReferencePoint:
         return self
 
 
-def update_reference_point(z: ReferencePoint, observed) -> ReferencePoint:
-    return z.update(observed)
-
-
 class Scalarization:
     """Uniform maximize-this-score adapter over both scalarization kinds."""
 

@@ -2,8 +2,9 @@
 
 Reads a flat key-value config file (INI sections group the keys by module,
 but every key name is unique, documented below), expands it into one
-training run per seed, optionally executes seeds in parallel, and writes a
-bundle of CSV outputs:
+training run per seed, optionally runs the seeds in worker processes
+(``--parallel``; see :func:`run_experiment`), and writes a bundle of CSV
+outputs:
 
 * ``metrics.csv`` -- columns ``seed, step, hypervolume, igd, sparsity, eum,
   archive_size``; one row per checkpoint, sorted by (seed, step). ``igd``
@@ -29,7 +30,6 @@ import dataclasses
 import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .orchestrator import RunConfig, RunReport, run
@@ -226,44 +226,65 @@ def _write_csv(path: str, header, rows):
             fh.write(",".join(row) + "\n")
 
 
+def _run_seed(config: RunConfig) -> RunReport | str:
+    """One run's report, or the traceback text if the run raised.
+
+    ``run`` is looked up in this module when the call is made, so a
+    replacement of ``paretoq.harness.run`` reaches forked workers too.
+    """
+    try:
+        return run(config)
+    except Exception:  # noqa: BLE001 - reported per seed by the caller
+        return traceback.format_exc()
+
+
+def _process_pool(workers: int):
+    """A pool of ``workers`` processes, forked where the platform has
+    ``fork`` and spawned elsewhere.
+
+    multiprocessing is imported here rather than with the module: it adds
+    about 1.5 MB to every process that imports paretoq, fan-out or not.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    methods = multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+    return ProcessPoolExecutor(max_workers=workers, mp_context=context)
+
+
 def run_experiment(spec: ExperimentSpec, parallel: int = 1, quiet: bool = True) -> OutputBundle:
     """Execute one run per seed and write the output bundle.
 
-    Runs share nothing, so sequential and parallel execution produce
-    identical bundles; rerunning an identical spec rewrites identical bytes.
-    A failing run writes ``seed_<n>/error.log`` and aborts the experiment.
+    With ``parallel > 1`` the seeds run in up to ``parallel`` worker
+    processes (no more than there are seeds), started with ``fork`` where
+    the platform has it and ``spawn`` elsewhere. Under ``spawn`` the workers
+    import paretoq afresh, so an env registered at runtime must be
+    registered by an import the workers make as well. Runs share nothing,
+    so sequential and parallel execution produce identical bundles;
+    rerunning an identical spec rewrites identical bytes. A failing run
+    writes ``seed_<n>/error.log`` and aborts the experiment.
     """
+    if parallel < 1:
+        raise ValueError(f"parallel must be >= 1, got {parallel}")
     spec.validate()
     os.makedirs(spec.out_dir, exist_ok=True)
 
-    def _one(seed: int) -> RunReport:
-        return run(dataclasses.replace(spec.template, seed=seed))
+    configs = [dataclasses.replace(spec.template, seed=seed) for seed in spec.seeds]
+    workers = min(parallel, len(configs))
+    if workers > 1:
+        with _process_pool(workers) as pool:
+            outcomes = list(pool.map(_run_seed, configs))
+    else:
+        outcomes = [_run_seed(config) for config in configs]
 
     seed_dirs = {}
     reports: dict[int, RunReport] = {}
     failures: dict[int, str] = {}
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            futures = {seed: pool.submit(_one, seed) for seed in spec.seeds}
-        outcomes = [(seed, futures[seed]) for seed in spec.seeds]
-    else:
-        outcomes = []
-        for seed in spec.seeds:
-            try:
-                result = _one(seed)
-            except Exception:  # noqa: BLE001 - report and abort below
-                result = traceback.format_exc()
-            outcomes.append((seed, result))
-
-    for seed, outcome in outcomes:
+    for seed, outcome in zip(spec.seeds, outcomes):
         seed_dir = os.path.join(spec.out_dir, f"seed_{seed}")
         os.makedirs(seed_dir, exist_ok=True)
         seed_dirs[seed] = seed_dir
-        if parallel > 1:
-            try:
-                outcome = outcome.result()
-            except Exception:  # noqa: BLE001
-                outcome = traceback.format_exc()
         if isinstance(outcome, str):
             failures[seed] = outcome
             with open(os.path.join(seed_dir, "error.log"), "w", encoding="utf-8") as fh:
@@ -316,18 +337,20 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", default=None,
                         help="override the seed list, comma separated")
     parser.add_argument("--parallel", type=int, default=1,
-                        help="maximum concurrent runs (default 1)")
+                        help="maximum worker processes running seeds at once (default 1)")
     parser.add_argument("--quiet", action="store_true", help="suppress the run summary")
     args = parser.parse_args(argv)
 
     try:
+        if args.parallel < 1:
+            raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
         spec = parse_config(args.config)
         spec = apply_overrides(spec, out_dir=args.out_dir, seeds=args.seeds)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
-        bundle = run_experiment(spec, parallel=max(1, args.parallel), quiet=args.quiet)
+        bundle = run_experiment(spec, parallel=args.parallel, quiet=args.quiet)
     except ExperimentError as exc:
         print(f"experiment failed: {exc}", file=sys.stderr)
         return 2

@@ -52,6 +52,12 @@ class ExperienceBuffer:
     Flat-sequence and complete-episode views are cached incrementally so
     pushing and uniform sampling stay cheap even with many small episodes;
     evictions rebuild the caches (they only happen once capacity is hit).
+
+    A buffer pickles as columns: one array per :class:`Experience` field,
+    plus each episode slot's length and ``trimmed`` flag. An unpickled
+    buffer keeps the columns and rebuilds its experiences, slots and caches
+    on first access, so a report that crosses a process boundary costs
+    little unless its buffers are read.
     """
 
     def __init__(self, capacity: int, replacement: str = FIFO):
@@ -65,15 +71,61 @@ class ExperienceBuffer:
         self._size = 0
         self._flat: list[Experience] = []
         self._complete: list[list[Experience]] = []
+        # the state of an unpickled buffer until it is first read (see _thaw)
+        self._columns: dict | None = None
+
+    def __getstate__(self) -> dict:
+        if self._columns is not None:   # unpickled and never read
+            return dict(self.__dict__)
+        flat = self._flat
+        m = len(flat[0].reward) if flat else 0
+        return {
+            "capacity": self.capacity, "replacement": self.replacement, "_size": self._size,
+            "_columns": {
+                "lengths": np.array([len(slot.steps) for slot in self._slots], dtype=np.int64),
+                "trimmed": np.array([slot.trimmed for slot in self._slots], dtype=bool),
+                "state": np.array([e.state for e in flat], dtype=np.int64),
+                "action": np.array([e.action for e in flat], dtype=np.int64),
+                "reward": np.array([e.reward for e in flat], dtype=float).reshape(len(flat), m),
+                "next_state": np.array([e.next_state for e in flat], dtype=np.int64),
+                "terminal": np.array([e.terminal for e in flat], dtype=bool),
+                "accrued": np.array([e.accrued for e in flat], dtype=float).reshape(len(flat), m),
+            },
+        }
+
+    def _thaw(self):
+        """Rebuild the experiences, slots and caches of an unpickled buffer."""
+        cols, self._columns = self._columns, None
+        flat = [Experience(*fields) for fields in zip(
+            cols["state"].tolist(), cols["action"].tolist(), cols["reward"],
+            cols["next_state"].tolist(), cols["terminal"].tolist(), cols["accrued"])]
+        self._slots = []
+        start = 0
+        for length, trimmed in zip(cols["lengths"].tolist(), cols["trimmed"].tolist()):
+            slot = _EpisodeSlot(flat[start:start + length])
+            slot.trimmed = trimmed
+            self._slots.append(slot)
+            start += length
+        self._rebuild_caches()
 
     def __len__(self) -> int:
         return self._size
 
+    def __getitem__(self, index: int) -> Experience:
+        """The ``index``-th experience in :meth:`experiences` order."""
+        if self._columns is not None:
+            self._thaw()
+        return self._flat[index]
+
     def experiences(self):
+        if self._columns is not None:
+            self._thaw()
         yield from self._flat
 
     def complete_episodes(self):
         """Complete (untrimmed, terminated) episodes; treat as read-only."""
+        if self._columns is not None:
+            self._thaw()
         return self._complete
 
     def _rebuild_caches(self):
@@ -85,6 +137,8 @@ class ExperienceBuffer:
         experiences = list(experiences)
         if not experiences:
             return self
+        if self._columns is not None:
+            self._thaw()
         slot = _EpisodeSlot(experiences)
         self._slots.append(slot)
         self._size += len(experiences)
@@ -116,6 +170,8 @@ class ExperienceBuffer:
             return []
         if self._size == 0:
             raise ValueError("empty buffer")
+        if self._columns is not None:
+            self._thaw()
         idx = rng.integers(0, len(self._flat), size=int(batch))
         return [self._flat[i] for i in idx]
 
@@ -123,18 +179,12 @@ class ExperienceBuffer:
         """``count`` complete episodes drawn uniformly with replacement."""
         if count == 0:
             return []
+        if self._columns is not None:
+            self._thaw()
         if not self._complete:
             raise ValueError("empty buffer")
         idx = rng.integers(0, len(self._complete), size=int(count))
         return [self._complete[i] for i in idx]
-
-
-def buffer_push(buf: ExperienceBuffer, experiences) -> ExperienceBuffer:
-    return buf.push(experiences)
-
-
-def buffer_sample(buf: ExperienceBuffer, batch: int, rng_seed=0):
-    return buf.sample(batch, np.random.default_rng(rng_seed))
 
 
 class QTableScalar:
@@ -272,8 +322,12 @@ def update_vector_q(q: QTableVector, e: Experience, lam) -> QTableVector:
 def update_envelope_q(q: QTableEnvelope, e: Experience, lam) -> QTableEnvelope:
     """TD step whose bootstrap maximizes ``lam @ q`` over next actions and
     the whole weight set; ties resolve to the lowest (action, weight) pair."""
+    return _update_envelope_row(q, e, lam, q.weight_index(lam))
+
+
+def _update_envelope_row(q: QTableEnvelope, e: Experience, lam, l_idx: int) -> QTableEnvelope:
+    """:func:`update_envelope_q` of the row ``l_idx`` that ``lam`` resolved to."""
     lam = np.asarray(lam, dtype=float)
-    l_idx = q.weight_index(lam)
     if e.terminal:
         target = e.reward
     else:

@@ -16,6 +16,8 @@ runs with equal configs produce identical reports on any platform.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -42,10 +44,10 @@ from .learning import (
     QTableEsr,
     QTableScalar,
     QTableVector,
+    _update_envelope_row,
     greedy_policy,
     serialize_table,
     transfer_policy,
-    update_envelope_q,
     update_esr_mc,
     update_scalarized_q,
     update_vector_q,
@@ -347,25 +349,40 @@ def _sample_episode(env: Momdp, policy, epsilon_fn, step0: int, rng_env, rng_exp
             return trace
 
 
+class _Chain:
+    """Read-only view of several sequences end to end, built without copying.
+
+    Index ``i`` reads what the concatenated list would hold at ``i``.
+    """
+
+    def __init__(self, parts):
+        self.parts = parts
+        self.ends = list(itertools.accumulate(len(part) for part in parts))
+
+    def __len__(self) -> int:
+        return self.ends[-1] if self.ends else 0
+
+    def __getitem__(self, index: int):
+        k = bisect.bisect_right(self.ends, index)
+        return self.parts[k][index - self.ends[k] + len(self.parts[k])]
+
+
 def _sample_visible(visible_buffers, batch: int, rng):
     if len(visible_buffers) == 1:
         if len(visible_buffers[0]) == 0:
             return []
         return visible_buffers[0].sample(batch, rng)
-    flat = [e for buf in visible_buffers for e in buf.experiences()]
-    if not flat:
+    flat = _Chain(visible_buffers)
+    if not len(flat):
         return []
     idx = rng.integers(0, len(flat), size=int(batch))
-    return [flat[i] for i in idx]
+    return [flat[i] for i in idx.tolist()]
 
 
 def _visible_episodes(visible_buffers):
     if len(visible_buffers) == 1:
         return visible_buffers[0].complete_episodes()
-    episodes = []
-    for buf in visible_buffers:
-        episodes.extend(buf.complete_episodes())
-    return episodes
+    return _Chain([buf.complete_episodes() for buf in visible_buffers])
 
 
 def _improve_all(state: RunState):
@@ -385,6 +402,10 @@ def _improve_all(state: RunState):
                 pick = int(state.streams.buffer.integers(0, len(episodes)))
                 update_esr_mc(sp.learner, episodes[pick], state.scalarization, sp.weight)
             continue
+        if isinstance(sp.learner, QTableEnvelope):
+            # the weight set only changes in _adapt, so each weight's row
+            # (its first match, as weight_index finds it) is resolved once
+            rows = [(w, sp.learner.weight_index(w)) for w in sp.learner.weights]
         for _ in range(cfg.update_passes):
             batch = _sample_visible(sp.visible_buffers, cfg.batch_size, state.streams.buffer)
             if not batch:
@@ -395,8 +416,8 @@ def _improve_all(state: RunState):
                 elif isinstance(sp.learner, QTableVector):
                     update_vector_q(sp.learner, e, sp.weight)
                 else:
-                    for w in sp.learner.weights:
-                        update_envelope_q(sp.learner, e, w)
+                    for w, l_idx in rows:
+                        _update_envelope_row(sp.learner, e, w, l_idx)
 
 
 def _adapt(state: RunState):

@@ -11,7 +11,6 @@ from paretoq import (
     scalarize_tch,
     scalarize_ws,
     select_subproblem,
-    update_reference_point,
 )
 from paretoq.decomposition import nearest_objective_neighbor
 
@@ -177,7 +176,7 @@ class TestReferencePoint:
     def test_first_observation_sets_max_plus_margin(self):
         z = ReferencePoint(m=2, tau=0.5)
         assert not z.initialized
-        update_reference_point(z, [(1, -1), (10, -5)])
+        z.update([(1, -1), (10, -5)])
         np.testing.assert_allclose(z.values, [10.5, -0.5])
 
     def test_no_observations_change_nothing(self):

@@ -154,6 +154,55 @@ class TestRunExperiment:
             assert os.path.exists(os.path.join(out, f"seed_{seed}", "metrics.csv"))
             assert os.path.exists(os.path.join(out, f"seed_{seed}", "pf.csv"))
 
+    def test_workers_capped_at_the_seed_count(self, tmp_path, monkeypatch):
+        import paretoq.harness as harness
+
+        started = []
+        real_pool = harness._process_pool
+
+        def recording_pool(workers):
+            started.append(workers)
+            return real_pool(workers)
+
+        monkeypatch.setattr(harness, "_process_pool", recording_pool)
+        _, out_par = self.run_small(tmp_path, out_name="par", parallel=8)
+        assert started == [2]  # two seeds
+        _, out_seq = self.run_small(tmp_path, out_name="seq")
+        assert started == [2]
+        assert read_bundle_bytes(out_par) == read_bundle_bytes(out_seq)
+
+    def test_parallel_below_one_is_rejected(self, tmp_path):
+        spec = parse_config(write(tmp_path, SMALL.format(out=tmp_path / "zero")))
+        with pytest.raises(ValueError, match="parallel must be >= 1"):
+            run_experiment(spec, parallel=0)
+        assert not (tmp_path / "zero").exists()
+
+    def test_runtime_registered_env_runs_the_same_in_workers(self, tmp_path):
+        def two_exits():
+            transitions = [[[(1.0, 0, np.array([1.0, 0.0]), True)],
+                            [(1.0, 0, np.array([0.0, 1.0]), True)]]]
+            return Momdp(1, 2, 2, transitions, np.ones(1), 1, name="two-exits",
+                         hv_reference_default=(-1.0, -1.0))
+
+        register_env("two-exits-test-env", two_exits)
+        cfg = """
+[run]
+env = two-exits-test-env
+population_size = 2
+total_steps = 40
+steps_per_iteration = 4
+eval_episodes = 1
+[experiment]
+seeds = 4, 2
+out_dir = {out}
+"""
+        seq = run_experiment(parse_config(write(tmp_path, cfg.format(out=tmp_path / "seq"),
+                                                "seq.cfg")))
+        par = run_experiment(parse_config(write(tmp_path, cfg.format(out=tmp_path / "par"),
+                                                "par.cfg")), parallel=2)
+        assert read_bundle_bytes(par.out_dir) == read_bundle_bytes(seq.out_dir)
+        assert len(read_bundle_bytes(par.out_dir)) == 6
+
     def test_igd_blank_when_enumeration_is_intractable(self, tmp_path):
         def wide_env():
             n = 21  # 2^21 policies: past the enumeration guard
@@ -204,6 +253,29 @@ class TestMain:
         assert main(["--config", path]) == 2
         log = out / "seed_1" / "error.log"
         assert log.exists() and "sabotaged" in log.read_text()
+
+    def test_runtime_error_in_worker_processes_exit_code_and_log(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        import paretoq.harness as harness
+
+        def boom(config):
+            raise RuntimeError("sabotaged")
+
+        monkeypatch.setattr(harness, "run", boom)  # forked workers inherit the patch
+        out = tmp_path / "broken"
+        path = write(tmp_path, SMALL.format(out=out))
+        assert main(["--config", path, "--parallel", "2"]) == 2
+        for seed in (1, 3):
+            log = out / f"seed_{seed}" / "error.log"
+            assert log.exists() and "sabotaged" in log.read_text()
+        assert "experiment failed" in capsys.readouterr().err
+
+    def test_parallel_below_one_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "zero"
+        path = write(tmp_path, SMALL.format(out=out))
+        assert main(["--config", path, "--parallel", "0"]) == 1
+        assert "--parallel must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_overrides_applied_and_recorded(self, tmp_path):
         out = tmp_path / "base"

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,6 @@ from paretoq import (
     QTableVector,
     ReferencePoint,
     Scalarization,
-    buffer_push,
-    buffer_sample,
     deserialize_table,
     dst_corridor,
     evaluate_policy,
@@ -50,7 +50,7 @@ class TestBuffer:
         buf = ExperienceBuffer(capacity=2)
         e1, e2, e3 = exp(action=0), exp(action=1), exp(state=1)
         for e in (e1, e2, e3):
-            buffer_push(buf, [e])
+            buf.push([e])
         assert list(buf.experiences()) == [e2, e3]
 
     def test_everything_fits_below_capacity(self):
@@ -82,16 +82,16 @@ class TestBuffer:
         buf = ExperienceBuffer(capacity=4)
         only = exp()
         buf.push([only])
-        assert buffer_sample(buf, 3, rng_seed=0) == [only, only, only]
+        assert buf.sample(3, np.random.default_rng(0)) == [only, only, only]
 
     def test_sample_zero_batch(self):
         buf = ExperienceBuffer(capacity=4)
         buf.push([exp()])
-        assert buffer_sample(buf, 0, rng_seed=0) == []
+        assert buf.sample(0, np.random.default_rng(0)) == []
 
     def test_sample_empty_buffer_is_an_error(self):
         with pytest.raises(ValueError, match="empty buffer"):
-            buffer_sample(ExperienceBuffer(capacity=4), 1, rng_seed=0)
+            ExperienceBuffer(capacity=4).sample(1, np.random.default_rng(0))
 
     def test_sampling_is_uniform(self):
         buf = ExperienceBuffer(capacity=16)
@@ -110,6 +110,74 @@ class TestBuffer:
         complete = buf.complete_episodes()
         assert len(complete) == 1
         assert [e.state for e in complete[0]] == [2, 3]
+
+
+def fields(e):
+    return (e.state, e.action, e.reward.tolist(), e.next_state, e.terminal, e.accrued.tolist())
+
+
+def episode(first_state, length, reward):
+    """``length`` steps ending in a terminal one; accrued sums the rewards."""
+    steps = []
+    for t in range(length):
+        steps.append(exp(state=first_state + t, action=t % 2, reward=reward,
+                         next_state=first_state + t + 1, terminal=t == length - 1,
+                         accrued=np.multiply(reward, t)))
+    return steps
+
+
+class TestBufferPickle:
+    def fifo_with_trimmed_slots(self):
+        buf = ExperienceBuffer(capacity=7)
+        buf.push(episode(0, 3, (1.0, 0.0)))
+        buf.push([exp(state=10, terminal=False), exp(state=11, terminal=False)])  # fragment
+        buf.push(episode(20, 4, (0.0, 1.0)))  # overflows: the first episode is trimmed
+        assert [slot.trimmed for slot in buf._slots] == [True, False, False]
+        return buf
+
+    def crowding(self):
+        buf = ExperienceBuffer(capacity=6, replacement="diverse-crowding")
+        for k, reward in enumerate([(0.0, 2.0), (1.0, 1.0), (2.0, 0.0), (0.5, 1.5)]):
+            buf.push(episode(10 * k, 2, reward))
+        assert len(buf._slots) == 3
+        return buf
+
+    def assert_same(self, a, b):
+        assert len(a) == len(b)
+        assert [fields(e) for e in a.experiences()] == [fields(e) for e in b.experiences()]
+        assert [[fields(e) for e in ep] for ep in a.complete_episodes()] == \
+               [[fields(e) for e in ep] for ep in b.complete_episodes()]
+        assert [fields(e) for e in a.sample(20, np.random.default_rng(4))] == \
+               [fields(e) for e in b.sample(20, np.random.default_rng(4))]
+        assert [[fields(e) for e in ep] for ep in a.sample_episodes(5, np.random.default_rng(5))] == \
+               [[fields(e) for e in ep] for ep in b.sample_episodes(5, np.random.default_rng(5))]
+
+    @pytest.mark.parametrize("make", ["fifo_with_trimmed_slots", "crowding"])
+    def test_round_trip_reads_and_pushes_like_the_original(self, make):
+        original = getattr(self, make)()
+        restored = pickle.loads(pickle.dumps(original))
+        self.assert_same(original, restored)
+        for buf in (original, restored):
+            buf.push(episode(40, 3, (1.5, 0.5)))
+        self.assert_same(original, restored)
+
+    def test_unpickled_buffer_rebuilds_only_when_read(self):
+        restored = pickle.loads(pickle.dumps(self.fifo_with_trimmed_slots()))
+        assert "_flat" not in vars(restored) and len(restored) == 7
+        again = pickle.loads(pickle.dumps(restored))  # re-pickles its columns as they are
+        assert "_flat" not in vars(again)
+        self.assert_same(again, self.fifo_with_trimmed_slots())
+
+    def test_push_as_the_first_access(self):
+        restored = pickle.loads(pickle.dumps(self.fifo_with_trimmed_slots()))
+        restored.push(episode(40, 3, (1.5, 0.5)))
+        self.assert_same(restored, self.fifo_with_trimmed_slots().push(episode(40, 3, (1.5, 0.5))))
+
+    def test_empty_buffer_round_trip(self):
+        restored = pickle.loads(pickle.dumps(ExperienceBuffer(capacity=3)))
+        assert len(restored) == 0 and list(restored.experiences()) == []
+        restored.push([exp(state=1)])
+        assert [e.state for e in restored.experiences()] == [1]
 
 
 class TestScalarizedUpdate:

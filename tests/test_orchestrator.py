@@ -1,9 +1,11 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
 from paretoq import (
+    ExperienceBuffer,
     QTableEsr,
     RunConfig,
     cooperate,
@@ -11,11 +13,14 @@ from paretoq import (
     evaluate_population,
     initialize,
     run,
+    serialize_table,
+    update_envelope_q,
     update_scalarized_q,
 )
+from paretoq import orchestrator
 from paretoq.decomposition import Scalarization
 from paretoq.momdp import Experience
-from paretoq.orchestrator import _adapt
+from paretoq.orchestrator import _adapt, _sample_visible, _visible_episodes
 
 
 def small_config(**kw):
@@ -186,6 +191,73 @@ class TestCooperate:
         marker = fresh.learner
         cooperate(state.subproblems, state.neighborhood, "transfer")
         assert fresh.learner is marker
+
+
+class TestVisibleBuffers:
+    def buffers(self):
+        bufs = [ExperienceBuffer(capacity=50) for _ in range(4)]
+        for k, length in enumerate([3, 0, 5, 2]):  # one buffer stays empty
+            for t in range(length):
+                bufs[k].push([Experience(10 * k + t, t % 2, np.zeros(2), 0, t % 2 == 0,
+                                         np.zeros(2))])
+        return bufs
+
+    def test_sampling_picks_what_the_concatenated_list_picks(self):
+        bufs = self.buffers()
+        flat = [e for buf in bufs for e in buf.experiences()]
+        rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(20):
+            expected = [flat[i] for i in rng_b.integers(0, len(flat), size=7)]
+            assert _sample_visible(bufs, 7, rng_a) == expected
+        assert rng_a.random() == rng_b.random()
+
+    def test_episodes_index_like_the_concatenated_list(self):
+        bufs = self.buffers()
+        expected = [ep for buf in bufs for ep in buf.complete_episodes()]
+        chained = _visible_episodes(bufs)
+        assert len(chained) == len(expected) == 6
+        assert [chained[i] for i in range(len(chained))] == expected
+
+    def test_all_empty_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        assert _sample_visible([ExperienceBuffer(4), ExperienceBuffer(4)], 5, rng) == []
+        assert rng.bit_generator.state == state
+        assert len(_visible_episodes([ExperienceBuffer(4), ExperienceBuffer(4)])) == 0
+
+
+class TestEnvelopeImprovement:
+    def test_rows_resolved_once_match_a_lookup_per_update(self, monkeypatch):
+        def improved(per_update_lookup):
+            state = initialize(small_config(learner="envelope-q", population_size=3))
+            for sp in state.subproblems:  # a duplicate weight updates its first match
+                sp.learner.weights.append(sp.learner.weights[1].copy())
+            env = dst_corridor()
+            for s in range(4):
+                for a in range(env.n_actions):
+                    ns, r, term = env.step(s, a)
+                    state.subproblems[0].buffer.push(
+                        [Experience(s, a, r, ns, term, np.zeros(2))])
+            if per_update_lookup:
+                monkeypatch.setattr(orchestrator, "_update_envelope_row",
+                                    lambda q, e, lam, l_idx: update_envelope_q(q, e, lam))
+            orchestrator._improve_all(state)
+            monkeypatch.undo()
+            return [serialize_table(sp.learner) for sp in state.subproblems]
+
+        assert improved(per_update_lookup=False) == improved(per_update_lookup=True)
+
+
+class TestReportPickle:
+    def test_shared_buffer_stays_one_object(self):
+        report = run(small_config(cooperation="shared-buffer", total_steps=120))
+        restored = pickle.loads(pickle.dumps(report))
+        shared = restored.subproblems[0].buffer
+        assert all(sp.buffer is shared for sp in restored.subproblems)
+        assert all(sp.visible_buffers == [shared] for sp in restored.subproblems)
+        assert len(shared) == len(report.subproblems[0].buffer) > 0
+        assert [e.state for e in shared.experiences()] == \
+               [e.state for e in report.subproblems[0].buffer.experiences()]
 
 
 class TestAdaptation:
