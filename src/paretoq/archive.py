@@ -79,8 +79,7 @@ def crowding_distance(front) -> np.ndarray:
         dist[order[0]] = dist[order[-1]] = np.inf
         if span == 0:
             continue
-        for pos in range(1, n - 1):
-            dist[order[pos]] += (pts[order[pos + 1], j] - pts[order[pos - 1], j]) / span
+        dist[order[1:-1]] += (pts[order[2:], j] - pts[order[:-2], j]) / span
     return dist
 
 

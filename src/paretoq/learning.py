@@ -333,7 +333,7 @@ def _update_envelope_row(q: QTableEnvelope, e: Experience, lam, l_idx: int) -> Q
     else:
         nxt = q.block(e.next_state)                     # (L, A, m)
         scores = np.einsum("lam,m->al", nxt, lam)       # action-major for ties
-        flat_best = int(np.argmax(scores))
+        flat_best = int(scores.argmax())
         a_best, l_best = divmod(flat_best, len(q.weights))
         target = e.reward + q.gamma * nxt[l_best, a_best]
     block = q.block(e.state)

@@ -15,6 +15,10 @@ import warnings
 
 import numpy as np
 
+# rows of Monte-Carlo draws made and tested at a time: a (2**15, m) block
+# and its masks stay in cache, where 10**6 rows at once did not
+SAMPLE_BLOCK = 2**15
+
 
 def _validated_front(points, name: str = "front") -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -62,7 +66,7 @@ def hypervolume(front, z_ref, samples: int = 10**6,
             next_x = pts[i + 1, 0] if i + 1 < len(pts) else z[0]
             hv += (x - next_x) * (y - z[1])
         return float(hv)
-    return hypervolume_monte_carlo(front, z_ref, samples, rng)[0]
+    return hypervolume_monte_carlo(pts, z, samples, rng)[0]
 
 
 def hypervolume_monte_carlo(front, z_ref, samples: int = 10**6,
@@ -82,17 +86,23 @@ def hypervolume_monte_carlo(front, z_ref, samples: int = 10**6,
     if volume == 0.0:
         return 0.0, 0.0
     samples = int(samples)
+    span = upper - z
+    block = np.empty((max(1, min(samples, SAMPLE_BLOCK)), pts.shape[1]))
     hits = 0
-    chunk = max(1, min(samples, 10**8 // max(1, len(pts))))
-    remaining = samples
-    while remaining > 0:
-        take = min(chunk, remaining)
-        draws = z + rng.random((take, pts.shape[1])) * (upper - z)
-        inside = np.ones((take, len(pts)), dtype=bool)
-        for j in range(pts.shape[1]):
-            inside &= draws[:, j, None] <= pts[None, :, j]
-        hits += int(np.any(inside, axis=1).sum())
-        remaining -= take
+    for start in range(0, samples, len(block)):
+        draws = block[:samples - start]
+        # the draws of one (samples, m) call, in order: z + u * (upper - z)
+        rng.random(out=draws)
+        draws *= span
+        draws += z
+        # a draw is a hit when it lies below some point in every objective
+        hit = np.zeros(len(draws), dtype=bool)
+        for point in pts:
+            inside = draws[:, 0] <= point[0]
+            for j in range(1, len(point)):
+                inside &= draws[:, j] <= point[j]
+            hit |= inside
+        hits += int(np.count_nonzero(hit))
     frac = hits / samples
     estimate = volume * frac
     std_error = volume * float(np.sqrt(frac * (1.0 - frac) / samples))

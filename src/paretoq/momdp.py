@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ENUMERATION_LIMIT = 10**6
+# policies evaluated together by the enumeration oracle; bounds its memory
+POLICY_BLOCK = 4096
 
 
 def ensure_objective(values, m: int | None = None) -> np.ndarray:
@@ -281,7 +283,9 @@ def enumerate_deterministic_policies(env: Momdp, gamma: float):
 
     Values come from exact finite-horizon dynamic programming over the
     horizon ``env.max_episode_steps`` with truncation treated as
-    termination, not from sampling. Guarded against combinatorial blowup:
+    termination, not from sampling. Policies come in ``itertools.product``
+    order and are evaluated together, :data:`POLICY_BLOCK` at a time, which
+    bounds memory. Guarded against combinatorial blowup:
     ``n_actions ** n_states`` may not exceed 10**6.
     """
     count = env.n_actions ** env.n_states
@@ -289,31 +293,70 @@ def enumerate_deterministic_policies(env: Momdp, gamma: float):
         raise ValueError(
             f"oracle too large: {env.n_actions}^{env.n_states} = {count} "
             f"deterministic policies exceeds the {ENUMERATION_LIMIT} bound")
+    table = _OutcomeTable(env)
+    one_hot = np.eye(env.n_actions)
+    assignments = itertools.product(range(env.n_actions), repeat=env.n_states)
     results = []
-    for assignment in itertools.product(range(env.n_actions), repeat=env.n_states):
-        value = _exact_policy_value(env, assignment, gamma)
-        prefs = {s: _one_hot(env.n_actions, a) for s, a in enumerate(assignment)}
-        results.append((TabularPolicy(kind=GREEDY, preferences=prefs), value))
+    while block := list(itertools.islice(assignments, POLICY_BLOCK)):
+        actions = np.array(block, dtype=np.intp)
+        values = table.policy_values(actions, gamma)
+        for prefs, u in zip(one_hot[actions], values):
+            policy = TabularPolicy(kind=GREEDY, preferences=dict(enumerate(prefs)))
+            results.append((policy, env.initial_dist @ u))
     return results
 
 
-def _one_hot(n: int, idx: int) -> np.ndarray:
-    row = np.zeros(n)
-    row[idx] = 1.0
-    return row
+class _OutcomeTable:
+    """Outcome lists of an env as ``(outcome, [objective,] state, action)`` arrays.
 
+    Each ``(s, a)`` list is padded to the longest one with probability-0
+    terminal outcomes of zero reward. Adding their ``0.0`` changes no sum,
+    because a sum that starts from ``+0.0`` never reads ``-0.0``.
+    """
 
-def _exact_policy_value(env: Momdp, assignment, gamma: float) -> np.ndarray:
-    horizon = env.max_episode_steps
-    # u[s] holds the value-to-go with t steps remaining, built backwards
-    u = np.zeros((env.n_states, env.n_objectives))
-    for _ in range(horizon):
-        nxt = np.zeros_like(u)
+    def __init__(self, env: Momdp):
+        self.horizon = env.max_episode_steps
+        shape = (max(len(env.outcomes(s, a)) for s in range(env.n_states)
+                     for a in range(env.n_actions)), env.n_states, env.n_actions)
+        self.prob = np.zeros(shape)
+        self.next_state = np.zeros(shape, dtype=np.intp)
+        self.reward = np.zeros((shape[0], env.n_objectives) + shape[1:])
+        self.terminal = np.ones(shape, dtype=bool)
         for s in range(env.n_states):
-            for p, ns, r, term in env.outcomes(s, assignment[s]):
-                nxt[s] += p * (r if term else r + gamma * u[ns])
-        u = nxt
-    return env.initial_dist @ u
+            for a in range(env.n_actions):
+                for k, (p, ns, r, term) in enumerate(env.outcomes(s, a)):
+                    self.prob[k, s, a], self.next_state[k, s, a] = p, ns
+                    self.reward[k, :, s, a], self.terminal[k, s, a] = r, term
+
+    def policy_values(self, actions: np.ndarray, gamma: float) -> np.ndarray:
+        """Value-to-go ``(policy, state, objective)`` of each row of actions.
+
+        Every entry is summed over outcomes in list order from zero, the
+        float sequence of a per-state loop, so each policy's values are
+        bit-identical to evaluating it alone.
+        """
+        n_policies, n_states = actions.shape
+        m = self.reward.shape[1]
+        states = np.arange(n_states)
+        n_outcomes = len(self.prob)
+        # one column per (policy, state) pair, objectives along the rows
+        prob = self.prob[:, states, actions].reshape(n_outcomes, 1, -1)
+        reward = self.reward[:, :, states, actions].reshape(n_outcomes, m, -1)
+        terminal = self.terminal[:, states, actions].reshape(n_outcomes, 1, -1)
+        # the column of u that each outcome bootstraps from
+        source = (self.next_state[:, states, actions]
+                  + n_states * np.arange(n_policies)[:, None]).reshape(n_outcomes, -1)
+        u = np.zeros((m, n_policies * n_states))
+        for _ in range(self.horizon):
+            nxt = np.zeros_like(u)
+            for k in range(n_outcomes):
+                # nxt += p * (r if terminal else r + gamma * u[next_state]);
+                # boot + r has the bits of r + boot, as IEEE addition commutes
+                boot = gamma * np.take(u, source[k], axis=1)
+                boot += reward[k]
+                nxt += prob[k] * np.where(terminal[k], reward[k], boot)
+            u = nxt
+        return np.ascontiguousarray(u.T).reshape(n_policies, n_states, m)
 
 
 def mixture_value(values, probabilities) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 Everything here recomputes expected results through a different route than
 the code under test: plain O(n^2) dominance loops, synchronous value
-iteration over the full transition table, and a hand-rolled single-objective
-Q-learning loop that mirrors the training schedule step for step.
+iteration over the full transition table, per-policy dynamic programming,
+per-point loops for crowding distance and Monte-Carlo hypervolume, and a
+hand-rolled single-objective Q-learning loop that mirrors the training
+schedule step for step.
 """
 
 from __future__ import annotations
@@ -53,6 +55,69 @@ def brute_force_non_dominated_matrix(points):
             continue
         keep.append(j)
     return keep
+
+
+def exact_policy_value(env: Momdp, assignment, gamma: float) -> np.ndarray:
+    """Finite-horizon value of one deterministic policy, one state at a time.
+
+    ``assignment[s]`` is the action taken in state ``s``; truncation at
+    ``env.max_episode_steps`` counts as termination.
+    """
+    horizon = env.max_episode_steps
+    # u[s] holds the value-to-go with t steps remaining, built backwards
+    u = np.zeros((env.n_states, env.n_objectives))
+    for _ in range(horizon):
+        nxt = np.zeros_like(u)
+        for s in range(env.n_states):
+            for p, ns, r, term in env.outcomes(s, assignment[s]):
+                nxt[s] += p * (r if term else r + gamma * u[ns])
+        u = nxt
+    return env.initial_dist @ u
+
+
+def crowding_distance_loop(front) -> np.ndarray:
+    """NSGA-II crowding distance with a Python loop over sorted positions."""
+    pts = np.atleast_2d(np.asarray(front, dtype=float))
+    n, m = pts.shape
+    if n <= 2:
+        return np.full(n, np.inf)
+    dist = np.zeros(n)
+    for j in range(m):
+        order = np.argsort(pts[:, j], kind="stable")
+        span = pts[order[-1], j] - pts[order[0], j]
+        dist[order[0]] = dist[order[-1]] = np.inf
+        if span == 0:
+            continue
+        for pos in range(1, n - 1):
+            dist[order[pos]] += (pts[order[pos + 1], j] - pts[order[pos - 1], j]) / span
+    return dist
+
+
+def hypervolume_monte_carlo_chunked(pts, z, samples: int, rng):
+    """``(estimate, std_error)`` from draws made as whole ``(take, m)`` chunks.
+
+    ``pts`` is a non-dominated front strictly above ``z``. Each chunk draws
+    ``z + u * (upper - z)`` and tests all points against it through one
+    ``(take, len(pts))`` mask.
+    """
+    pts, z = np.asarray(pts, dtype=float), np.asarray(z, dtype=float)
+    upper = pts.max(axis=0)
+    volume = float(np.prod(upper - z))
+    hits = 0
+    chunk = max(1, min(samples, 10**8 // max(1, len(pts))))
+    remaining = samples
+    while remaining > 0:
+        take = min(chunk, remaining)
+        draws = z + rng.random((take, pts.shape[1])) * (upper - z)
+        inside = np.ones((take, len(pts)), dtype=bool)
+        for j in range(pts.shape[1]):
+            inside &= draws[:, j, None] <= pts[None, :, j]
+        hits += int(np.any(inside, axis=1).sum())
+        remaining -= take
+    frac = hits / samples
+    estimate = volume * frac
+    std_error = volume * float(np.sqrt(frac * (1.0 - frac) / samples))
+    return estimate, std_error
 
 
 def rollout_discounted_mean(env: Momdp, policy, episodes: int, gamma: float, rng):

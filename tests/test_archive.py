@@ -3,7 +3,7 @@ import pytest
 
 from paretoq import ParetoArchive, crowding_distance, dominates, prune
 
-from oracles import brute_force_non_dominated
+from oracles import brute_force_non_dominated, crowding_distance_loop
 
 
 class TestDominates:
@@ -86,6 +86,19 @@ class TestCrowdingDistance:
         d = crowding_distance([(0, 0), (0, 0), (0, 0)])
         assert np.isinf(d[0]) and np.isinf(d[2])
         assert d[1] == 0.0
+
+    def test_matches_the_position_loop_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        for trial in range(300):
+            n, m = int(rng.integers(1, 25)), int(rng.integers(1, 5))
+            if trial % 3 == 0:    # integer fronts: ties within a column
+                pts = rng.integers(0, 4, size=(n, m))
+            else:
+                pts = rng.uniform(-5, 5, size=(n, m))
+            if trial % 5 == 0:    # a column of span zero
+                pts[:, int(rng.integers(m))] = 2
+            got = crowding_distance(pts)
+            assert got.tobytes() == crowding_distance_loop(pts).tobytes()
 
 
 class TestParetoArchive:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,9 @@ from paretoq import (
     igd,
     sparsity,
 )
+from paretoq.metrics import SAMPLE_BLOCK
+
+from oracles import brute_force_non_dominated, hypervolume_monte_carlo_chunked
 
 DST_FRONT = [(1, -1), (2, -2), (3, -3), (5, -4), (10, -5)]
 
@@ -74,6 +79,36 @@ class TestHypervolume:
         base = hypervolume(pts, (-1, -1))
         moved = hypervolume(pts + shift, np.array([-1, -1]) + shift)
         assert moved == pytest.approx(base, rel=1e-12)
+
+    def test_dominated_front_warns_once_in_three_objectives(self):
+        front = [(3, 3, 3), (1, 1, 1), (2, 4, 1)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = hypervolume(front, (0, 0, 0), samples=10_000,
+                                rng=np.random.default_rng(3))
+        assert [w.category for w in caught] == [UserWarning]
+        expected, _ = hypervolume_monte_carlo_chunked(
+            [(3, 3, 3), (2, 4, 1)], (0, 0, 0), 10_000, np.random.default_rng(3))
+        assert value == expected
+
+
+class TestMonteCarloBlocks:
+    """Block-wise draws repeat the whole-chunk estimator bit for bit."""
+
+    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("samples", [1, 1000, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 100_007])
+    def test_matches_chunked_draws(self, samples, m):
+        rng = np.random.default_rng(samples * 10 + m)
+        for size in (1, 2, 5, 10):
+            pts = rng.uniform(-3, 3, size=(size, m))
+            pts = pts[brute_force_non_dominated(pts)]
+            z = pts.min(axis=0) - rng.uniform(0.1, 2.0, size=m)
+            seed = int(rng.integers(2**32))
+            got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = hypervolume_monte_carlo(pts, z, samples=samples, rng=got_rng)
+            ref = hypervolume_monte_carlo_chunked(pts, z, samples, ref_rng)
+            assert np.array(got).tobytes() == np.array(ref).tobytes()
+            assert got_rng.random() == ref_rng.random()
 
 
 class TestIgd:

@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paretoq import (
     TabularPolicy,
@@ -12,7 +15,9 @@ from paretoq import (
     rollout,
     tiny_tree,
 )
-from paretoq.momdp import Momdp
+from paretoq.momdp import POLICY_BLOCK, Momdp
+
+from oracles import exact_policy_value
 
 ADVANCE, DESCEND = 0, 1
 
@@ -142,6 +147,74 @@ class TestEnumeration:
         for x, y in [(2.0, -2.0), (3.0, -3.0), (5.0, -4.0)]:
             chord_y = lo[1] + slope * (x - lo[0])
             assert y < chord_y
+
+
+@st.composite
+def random_momdps(draw):
+    """Up to 4 states, 3 actions, 3 objectives and 3 outcomes per pair."""
+    n_states = draw(st.integers(1, 4))
+    n_actions = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    reward = st.lists(st.floats(-10, 10, allow_subnormal=False), min_size=m, max_size=m)
+    state = st.integers(0, n_states - 1)
+
+    def distribution(size):
+        weights = draw(st.lists(st.integers(1, 9), min_size=size, max_size=size))
+        return np.array(weights, dtype=float) / sum(weights)
+
+    transitions = []
+    for _ in range(n_states):
+        row = []
+        for _ in range(n_actions):
+            probs = distribution(draw(st.integers(1, 3)))
+            row.append([(p, draw(state), draw(reward), draw(st.booleans())) for p in probs])
+        transitions.append(row)
+    return Momdp(n_states, n_actions, m, transitions, distribution(n_states),
+                 max_episode_steps=draw(st.integers(1, 6)))
+
+
+class TestEnumerationAgainstPerPolicyDp:
+    """The batched oracle repeats per-policy DP byte for byte, in product order."""
+
+    @staticmethod
+    def assert_matches_oracle(env, gamma):
+        pairs = enumerate_deterministic_policies(env, gamma)
+        assignments = list(itertools.product(range(env.n_actions), repeat=env.n_states))
+        assert len(pairs) == len(assignments)
+        for (policy, value), assignment in zip(pairs, assignments):
+            assert policy.kind == "greedy-deterministic"
+            assert sorted(policy.preferences) == list(range(env.n_states))
+            for s, a in enumerate(assignment):
+                expected_row = np.zeros(env.n_actions)
+                expected_row[a] = 1.0
+                assert policy.preferences[s].tobytes() == expected_row.tobytes()
+            assert value.shape == (env.n_objectives,)
+            assert value.tobytes() == exact_policy_value(env, assignment, gamma).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(env=random_momdps(), gamma=st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    def test_random_momdps(self, env, gamma):
+        self.assert_matches_oracle(env, gamma)
+
+    def test_more_policies_than_a_block(self):
+        # 3^8 = 6561 policies: one full block and a partial one
+        rng = np.random.default_rng(5)
+        n_states = 8
+        transitions = [
+            [[(0.3, int(rng.integers(n_states)), rng.normal(size=2), False),
+              (0.7, int(rng.integers(n_states)), rng.normal(size=2), bool(rng.random() < 0.3))]
+             for _ in range(3)]
+            for _ in range(n_states)]
+        mu0 = np.full(n_states, 1.0 / n_states)
+        env = Momdp(n_states, 3, 2, transitions, mu0, max_episode_steps=3)
+        assert POLICY_BLOCK < 3**n_states < 2 * POLICY_BLOCK
+        self.assert_matches_oracle(env, 0.9)
+
+    def test_policies_do_not_share_rows(self):
+        pairs = enumerate_deterministic_policies(tiny_tree(), 1.0)
+        pairs[0][0].preferences[0][:] = 7.0
+        assert pairs[1][0].preferences[0].tolist() == [1.0, 0.0]
+        assert pairs[0][0].preferences[1].tolist() == [1.0, 0.0]
 
 
 class TestMixtureValue:
