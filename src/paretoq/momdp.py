@@ -300,6 +300,8 @@ def enumerate_deterministic_policies(env: Momdp, gamma: float):
     while block := list(itertools.islice(assignments, POLICY_BLOCK)):
         actions = np.array(block, dtype=np.intp)
         values = table.policy_values(actions, gamma)
+        # one product per contiguous (state, objective) block: numpy sums a
+        # batched or strided product in another order
         for prefs, u in zip(one_hot[actions], values):
             policy = TabularPolicy(kind=GREEDY, preferences=dict(enumerate(prefs)))
             results.append((policy, env.initial_dist @ u))
