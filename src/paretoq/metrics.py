@@ -16,7 +16,8 @@ import warnings
 import numpy as np
 
 # rows of Monte-Carlo draws made and tested at a time: a (2**15, m) block
-# and its masks stay in cache, where 10**6 rows at once did not
+# and its masks fit in cache, while 10**6 rows and their temporaries take
+# tens of MB
 SAMPLE_BLOCK = 2**15
 
 
