@@ -31,7 +31,6 @@ from .learning import (
     deserialize_table,
     greedy_policy,
     serialize_table,
-    transfer_policy,
     update_envelope_q,
     update_esr_mc,
     update_scalarized_q,

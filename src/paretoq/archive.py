@@ -151,17 +151,3 @@ class ParetoArchive:
             del self.entries[victim]
         self._mat = None  # rebuilt by the next check, after any eviction
         return True
-
-    def csv_rows(self):
-        """Rows ``(obj_0, ..., obj_{m-1}, subproblem, step)`` per entry."""
-        for e in self.entries:
-            yield tuple(e.eval) + (e.subproblem, e.step)
-
-    def write_csv(self, path) -> None:
-        m = self.entries[0].eval.shape[0] if self.entries else 0
-        header = [f"obj_{j}" for j in range(m)] + ["subproblem", "step"]
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in self.csv_rows():
-                objs = [f"{v:.9g}" for v in row[:-2]]
-                fh.write(",".join(objs + [str(row[-2]), str(row[-1])]) + "\n")

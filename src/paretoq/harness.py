@@ -278,6 +278,10 @@ def run_experiment(spec: ExperimentSpec, parallel: int = 1, quiet: bool = True) 
     else:
         outcomes = [_run_seed(config) for config in configs]
 
+    # every run steps the same env, so one pf header fits every seed
+    m = max((len(o.archive.entries[0].eval) for o in outcomes
+             if not isinstance(o, str) and len(o.archive)), default=0)
+    pf_header = ["seed"] + [f"obj_{j}" for j in range(m)] + ["subproblem", "step_found"]
     seed_dirs = {}
     reports: dict[int, RunReport] = {}
     failures: dict[int, str] = {}
@@ -293,8 +297,6 @@ def run_experiment(spec: ExperimentSpec, parallel: int = 1, quiet: bool = True) 
         reports[seed] = outcome
         _write_csv(os.path.join(seed_dir, "metrics.csv"), METRICS_HEADER,
                    _metrics_rows(seed, outcome))
-        m = outcome.archive.evals().shape[1] if len(outcome.archive) else 0
-        pf_header = ["seed"] + [f"obj_{j}" for j in range(m)] + ["subproblem", "step_found"]
         _write_csv(os.path.join(seed_dir, "pf.csv"), pf_header, _pf_rows(seed, outcome))
 
     if failures:
@@ -307,9 +309,6 @@ def run_experiment(spec: ExperimentSpec, parallel: int = 1, quiet: bool = True) 
     merged_metrics = [row for seed in order for row in _metrics_rows(seed, reports[seed])]
     _write_csv(metrics_path, METRICS_HEADER, merged_metrics)
 
-    m = max((reports[s].archive.evals().shape[1] if len(reports[s].archive) else 0)
-            for s in order)
-    pf_header = ["seed"] + [f"obj_{j}" for j in range(m)] + ["subproblem", "step_found"]
     pf_path = os.path.join(spec.out_dir, "pf.csv")
     _write_csv(pf_path, pf_header,
                (row for seed in order for row in _pf_rows(seed, reports[seed])))

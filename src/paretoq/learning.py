@@ -187,10 +187,13 @@ class ExperienceBuffer:
         return [self._complete[i] for i in idx]
 
 
-class QTableScalar:
-    """State x action table of scalars for scalarized Q-learning."""
+class _Table:
+    """Hyper-parameters, rows created at zero on first use, and the text
+    rows of scalar and vector tables. Each kind overrides what differs: its
+    row shape, the preferences its greedy policy reads (the live table by
+    default), its header lines after ``actions=`` and its text rows."""
 
-    kind = "scalar"
+    _augmented = False  # whether greedy policies key on (state, accrued reward)
 
     def __init__(self, n_actions: int, alpha: float = 0.1, gamma: float = 1.0):
         if not 0.0 < alpha <= 1.0:
@@ -198,54 +201,83 @@ class QTableScalar:
         self.n_actions = int(n_actions)
         self.alpha = float(alpha)
         self.gamma = float(gamma)
-        self.table: dict[int, np.ndarray] = {}
+        self.table: dict = {}
 
-    def row(self, state) -> np.ndarray:
+    def _shape(self) -> tuple:
+        return (self.n_actions,)
+
+    def _get(self, state) -> np.ndarray:
+        """The row of ``state``, created at zero on first use."""
         row = self.table.get(state)
         if row is None:
-            row = self.table[state] = np.zeros(self.n_actions)
+            row = self.table[state] = np.zeros(self._shape())
         return row
 
+    def _preferences(self, lam) -> dict:
+        return self.table
 
-class QTableVector:
+    def _meta(self) -> list:
+        return [f"objectives={self.n_objectives}"]
+
+    @classmethod
+    def _header_args(cls, meta) -> tuple:
+        return (int(meta["objectives"]),)
+
+    def _row_lines(self, state) -> list:
+        row = self.table[state]
+        return [f"{state}\t{a}\t{_fmt_vec(row[a])}" for a in range(self.n_actions)]
+
+    def _read_row(self, fields):
+        state, action, values = fields
+        _read_values(self._get(int(state)), action, values)
+
+
+class QTableScalar(_Table):
+    """State x action table of scalars for scalarized Q-learning."""
+
+    kind = "scalar"
+    row = _Table._get
+
+    def _meta(self) -> list:
+        return []
+
+    @classmethod
+    def _header_args(cls, meta) -> tuple:
+        return ()
+
+
+class QTableVector(_Table):
     """State x action table of objective vectors."""
 
     kind = "vector"
+    block = _Table._get
 
     def __init__(self, n_actions: int, n_objectives: int,
                  alpha: float = 0.1, gamma: float = 1.0):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self.n_actions = int(n_actions)
+        super().__init__(n_actions, alpha, gamma)
         self.n_objectives = int(n_objectives)
-        self.alpha = float(alpha)
-        self.gamma = float(gamma)
-        self.table: dict[int, np.ndarray] = {}
 
-    def block(self, state) -> np.ndarray:
-        block = self.table.get(state)
-        if block is None:
-            block = self.table[state] = np.zeros((self.n_actions, self.n_objectives))
-        return block
+    def _shape(self) -> tuple:
+        return (self.n_actions, self.n_objectives)
+
+    def _preferences(self, lam) -> dict:
+        lam = np.asarray(lam, dtype=float)
+        return {s: block @ lam for s, block in self.table.items()}
 
 
-class QTableEnvelope:
+class QTableEnvelope(_Table):
     """Vector table indexed by state, a finite weight set, and action."""
 
     kind = "envelope"
+    block = _Table._get
 
     def __init__(self, n_actions: int, n_objectives: int, weights,
                  alpha: float = 0.1, gamma: float = 1.0):
         if not weights:
             raise ValueError("envelope tables need a non-empty weight set")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self.n_actions = int(n_actions)
+        super().__init__(n_actions, alpha, gamma)
         self.n_objectives = int(n_objectives)
         self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.alpha = float(alpha)
-        self.gamma = float(gamma)
-        self.table: dict[int, np.ndarray] = {}
 
     def weight_index(self, lam) -> int:
         lam = np.asarray(lam, dtype=float)
@@ -254,15 +286,39 @@ class QTableEnvelope:
                 return i
         raise ValueError(f"weight vector {lam} is not in the envelope weight set")
 
-    def block(self, state) -> np.ndarray:
-        block = self.table.get(state)
-        if block is None:
-            block = self.table[state] = np.zeros(
-                (len(self.weights), self.n_actions, self.n_objectives))
-        return block
+    def _shape(self) -> tuple:
+        # read per row: the weight set may grow after construction
+        return (len(self.weights), self.n_actions, self.n_objectives)
+
+    def _preferences(self, lam) -> dict:
+        l_idx = self.weight_index(lam)
+        lam = np.asarray(lam, dtype=float)
+        return {s: block[l_idx] @ lam for s, block in self.table.items()}
+
+    def _meta(self) -> list:
+        return super()._meta() + ["weights=" + ";".join(_fmt_vec(w) for w in self.weights)]
+
+    @classmethod
+    def _header_args(cls, meta) -> tuple:
+        weights = [np.array([float(x) for x in w.split(",")])
+                   for w in meta["weights"].split(";")]
+        return (int(meta["objectives"]), weights)
+
+    def _row_lines(self, state) -> list:
+        block = self.table[state]
+        return [f"{state}|w{l}\t{a}\t{_fmt_vec(block[l, a])}"
+                for l in range(len(self.weights)) for a in range(self.n_actions)]
+
+    def _read_row(self, fields):
+        key, action, values = fields
+        state, l_txt = key.split("|w")
+        l_idx = int(l_txt)
+        if not 0 <= l_idx < len(self.weights):
+            raise ValueError(f"weight row {l_idx} outside [0, {len(self.weights)})")
+        _read_values(self._get(int(state))[l_idx], action, values)
 
 
-class QTableEsr:
+class QTableEsr(_Table):
     """Scalar table over (state, accrued reward) augmented keys.
 
     On integer-reward environments the accrued vectors are exact, so no
@@ -271,16 +327,12 @@ class QTableEsr:
     """
 
     kind = "esr"
+    _augmented = True
 
     def __init__(self, n_actions: int, n_objectives: int,
                  alpha: float = 0.1, gamma: float = 1.0):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self.n_actions = int(n_actions)
+        super().__init__(n_actions, alpha, gamma)
         self.n_objectives = int(n_objectives)
-        self.alpha = float(alpha)
-        self.gamma = float(gamma)
-        self.table: dict[tuple, np.ndarray] = {}
         self.visits: dict[tuple, np.ndarray] = {}
 
     def row(self, state, accrued) -> np.ndarray:
@@ -291,9 +343,22 @@ class QTableEsr:
         row = self.table.get(key)
         if row is None:
             row = self.table[key] = np.zeros(self.n_actions)
-            visits = self.visits[key] = np.zeros(self.n_actions, dtype=np.int64)
-            return row, visits
+            self.visits[key] = np.zeros(self.n_actions, dtype=np.int64)
         return row, self.visits[key]
+
+    def _row_lines(self, key) -> list:
+        state, accrued = key
+        prefix = f"{state}|c{_fmt_vec(accrued) if accrued else ''}"
+        row, visits = self.table[key], self.visits[key]
+        return [f"{prefix}\t{a}\t{_fmt_vec(row[a])}\t{visits[a]}"
+                for a in range(self.n_actions)]
+
+    def _read_row(self, fields):
+        key, action, values, visits = fields
+        state, accrued = key.split("|c")
+        accrued = [float(x) for x in accrued.split(",")] if accrued else []
+        row, counts = self._entry(accrued_key(int(state), accrued))
+        counts[_read_values(row, action, values)] = int(visits)
 
 
 def update_scalarized_q(q: QTableScalar, e: Experience, g: Scalarization, lam) -> QTableScalar:
@@ -364,62 +429,21 @@ def greedy_policy(q, lam=None) -> TabularPolicy:
 
     For scalar and ESR tables the policy is a live view: its preferences are
     the learner's own table, not a copy, so updating the table afterwards
-    changes the policy's actions. Take :func:`clone_table` first to keep a
+    changes the policy's actions. Take ``copy.deepcopy(q)`` first to keep a
     frozen policy. Vector and envelope policies are scalarized snapshots.
     """
-    default = np.zeros(q.n_actions)
-    if isinstance(q, QTableScalar):
-        return TabularPolicy(GREEDY, q.table, default_row=default)
-    if isinstance(q, QTableVector):
-        lam = np.asarray(lam, dtype=float)
-        prefs = {s: block @ lam for s, block in q.table.items()}
-        return TabularPolicy(GREEDY, prefs, default_row=default)
-    if isinstance(q, QTableEnvelope):
-        l_idx = q.weight_index(lam)
-        lam = np.asarray(lam, dtype=float)
-        prefs = {s: block[l_idx] @ lam for s, block in q.table.items()}
-        return TabularPolicy(GREEDY, prefs, default_row=default)
-    if isinstance(q, QTableEsr):
-        return TabularPolicy(GREEDY, q.table, augmented=True, default_row=default)
-    raise TypeError(f"unknown table kind {type(q).__name__}")
-
-
-def transfer_policy(source, destination):
-    """Value-copy of ``source`` compatible with ``destination``'s kind.
-
-    The returned table shares nothing with the source: updating either side
-    afterwards leaves the other untouched.
-    """
-    if type(source) is not type(destination):
-        raise TypeError(
-            f"kind mismatch: cannot transfer {type(source).__name__} into "
-            f"{type(destination).__name__}")
-    return clone_table(source)
-
-
-def clone_table(q):
-    if isinstance(q, QTableScalar):
-        out = QTableScalar(q.n_actions, q.alpha, q.gamma)
-    elif isinstance(q, QTableVector):
-        out = QTableVector(q.n_actions, q.n_objectives, q.alpha, q.gamma)
-    elif isinstance(q, QTableEnvelope):
-        out = QTableEnvelope(q.n_actions, q.n_objectives,
-                             [w.copy() for w in q.weights], q.alpha, q.gamma)
-    elif isinstance(q, QTableEsr):
-        out = QTableEsr(q.n_actions, q.n_objectives, q.alpha, q.gamma)
-        out.visits = {k: v.copy() for k, v in q.visits.items()}
-    else:
-        raise TypeError(f"unknown table kind {type(q).__name__}")
-    out.table = {k: v.copy() for k, v in q.table.items()}
-    return out
+    return TabularPolicy(GREEDY, q._preferences(lam), augmented=q._augmented,
+                         default_row=np.zeros(q.n_actions))
 
 
 # --- flat text serialization -------------------------------------------------
 #
 # Line format, tab separated:  <state-key>  <action>  <comma-joined values>
-# State keys: plain state id; "s|w<i>" for envelope weight rows; "s|c0,c1"
-# for accrued-augmented keys. Floats are rendered with repr round-tripping.
+# (ESR rows add a fourth field, the visit counts). State keys: plain state
+# id; "s|w<i>" for envelope weight rows; "s|c0,c1" for accrued-augmented
+# keys. Floats are rendered with repr round-tripping.
 
+_VERSION = "paretoq-qtable-v1"
 _FMT = "%.17g"
 
 
@@ -427,79 +451,61 @@ def _fmt_vec(values) -> str:
     return ",".join(_FMT % v for v in np.atleast_1d(values))
 
 
+def _read_values(row, action_txt, values_txt) -> int:
+    """Set ``row[action]`` from text checked against ``row``; return the action."""
+    action = int(action_txt)
+    if not 0 <= action < len(row):
+        raise ValueError(f"action {action} outside [0, {len(row)})")
+    values = np.array([float(x) for x in values_txt.split(",")])
+    width = np.size(row[action])
+    if values.size != width:
+        raise ValueError(f"expected {width} values, got {values.size}")
+    row[action] = values.reshape(np.shape(row[action]))
+    return action
+
+
 def serialize_table(q) -> str:
-    lines = [f"paretoq-qtable-v1 kind={q.kind}",
-             f"actions={q.n_actions} alpha={_FMT % q.alpha} gamma={_FMT % q.gamma}"]
-    if q.kind != "scalar":
-        lines.append(f"objectives={q.n_objectives}")
-    if q.kind == "envelope":
-        lines.append("weights=" + ";".join(_fmt_vec(w) for w in q.weights))
-    if q.kind == "scalar":
-        for s in sorted(q.table):
-            for a in range(q.n_actions):
-                lines.append(f"{s}\t{a}\t{_fmt_vec(q.table[s][a])}")
-    elif q.kind == "vector":
-        for s in sorted(q.table):
-            for a in range(q.n_actions):
-                lines.append(f"{s}\t{a}\t{_fmt_vec(q.table[s][a])}")
-    elif q.kind == "envelope":
-        for s in sorted(q.table):
-            for l in range(len(q.weights)):
-                for a in range(q.n_actions):
-                    lines.append(f"{s}|w{l}\t{a}\t{_fmt_vec(q.table[s][l, a])}")
-    elif q.kind == "esr":
-        for s, acc in sorted(q.table):
-            key = (s, acc)
-            acc_txt = _fmt_vec(acc) if acc else ""
-            for a in range(q.n_actions):
-                lines.append(f"{s}|c{acc_txt}\t{a}\t{_fmt_vec(q.table[key][a])}"
-                             f"\t{q.visits[key][a]}")
+    lines = [f"{_VERSION} kind={q.kind}",
+             f"actions={q.n_actions} alpha={_FMT % q.alpha} gamma={_FMT % q.gamma}",
+             *q._meta()]
+    for key in sorted(q.table):
+        lines.extend(q._row_lines(key))
     return "\n".join(lines) + "\n"
 
 
-def deserialize_table(text: str):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = dict(part.split("=", 1) for part in lines[0].split()[1:])
-    meta = dict(part.split("=", 1) for part in lines[1].split())
-    kind = head["kind"]
-    n_actions = int(meta["actions"])
-    alpha = float(meta["alpha"])
-    gamma = float(meta["gamma"])
-    body = 2
-    n_obj = None
-    if kind != "scalar":
-        n_obj = int(lines[body].split("=", 1)[1])
-        body += 1
-    if kind == "scalar":
-        q = QTableScalar(n_actions, alpha, gamma)
-    elif kind == "vector":
-        q = QTableVector(n_actions, n_obj, alpha, gamma)
-    elif kind == "envelope":
-        weight_txt = lines[body].split("=", 1)[1]
-        weights = [np.array([float(x) for x in w.split(",")])
-                   for w in weight_txt.split(";")]
-        body += 1
-        q = QTableEnvelope(n_actions, n_obj, weights, alpha, gamma)
-    elif kind == "esr":
-        q = QTableEsr(n_actions, n_obj, alpha, gamma)
-    else:
-        raise ValueError(f"unknown table kind {kind!r} in serialized text")
+_KINDS = {cls.kind: cls for cls in (QTableScalar, QTableVector, QTableEnvelope, QTableEsr)}
 
-    for line in lines[body:]:
-        fields = line.split("\t")
-        key_txt, action = fields[0], int(fields[1])
-        values = np.array([float(x) for x in fields[2].split(",")])
-        if kind == "scalar":
-            q.row(int(key_txt))[action] = values[0]
-        elif kind == "vector":
-            q.block(int(key_txt))[action] = values
-        elif kind == "envelope":
-            s_txt, w_txt = key_txt.split("|w")
-            q.block(int(s_txt))[int(w_txt), action] = values
-        else:
-            s_txt, acc_txt = key_txt.split("|c")
-            acc = [float(x) for x in acc_txt.split(",")] if acc_txt else []
-            row, visits = q._entry(accrued_key(int(s_txt), acc))
-            row[action] = values[0]
-            visits[action] = int(fields[3])
+
+def deserialize_table(text: str):
+    """The table that :func:`serialize_table` wrote as ``text``.
+
+    Text this version cannot honour raises ``ValueError`` naming the line:
+    a header other than v1 or missing a field, an action or weight row out
+    of range, or the wrong number of fields or values in a row.
+    """
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    first, header = lines[0] if lines else (1, "")
+    version, *head = header.split() or [""]
+    if version != _VERSION:
+        raise ValueError(f"line {first}: expected a {_VERSION!r} header, got {header!r}")
+    body = next((i for i, (_, line) in enumerate(lines) if i and "\t" in line), len(lines))
+    head += [part for _, line in lines[1:body] for part in line.split()]
+    meta = dict(part.partition("=")[::2] for part in head)
+    where = f"lines {first}-{lines[body - 1][0]}"
+    if "kind" in meta and meta["kind"] not in _KINDS:
+        raise ValueError(f"{where}: unknown table kind {meta['kind']!r} in serialized text")
+    try:
+        cls = _KINDS[meta["kind"]]
+        q = cls(int(meta["actions"]), *cls._header_args(meta),
+                float(meta["alpha"]), float(meta["gamma"]))
+    except KeyError as err:
+        raise ValueError(f"{where}: the table header has no {err.args[0]}= field") from None
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from None
+
+    for n, line in lines[body:]:
+        try:
+            q._read_row(line.split("\t"))
+        except ValueError as err:
+            raise ValueError(f"line {n}: {err} in {line!r}") from None
     return q

@@ -17,6 +17,7 @@ runs with equal configs produce identical reports on any platform.
 from __future__ import annotations
 
 import bisect
+import copy
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -47,7 +48,6 @@ from .learning import (
     _update_envelope_row,
     greedy_policy,
     serialize_table,
-    transfer_policy,
     update_esr_mc,
     update_scalarized_q,
     update_vector_q,
@@ -308,7 +308,7 @@ def cooperate(subproblems, neighborhood, mode: str):
         if not donors:
             continue
         _, _, donor = min(donors, key=lambda item: (item[0], item[1]))
-        sp.learner = transfer_policy(donor.learner, sp.learner)
+        sp.learner = copy.deepcopy(donor.learner)
         sp.transferred = True
     return subproblems
 
@@ -385,12 +385,28 @@ def _visible_episodes(visible_buffers):
     return _Chain([buf.complete_episodes() for buf in visible_buffers])
 
 
+def _replay_update(q, g: Scalarization, lam):
+    """The update of table ``q`` from one replayed experience, chosen once
+    per round. Envelope tables refresh the row of every weight in their set;
+    the set only changes in _adapt, so each weight's row (its first match,
+    as weight_index finds it) is resolved here once."""
+    if isinstance(q, QTableScalar):
+        return lambda e: update_scalarized_q(q, e, g, lam)
+    if isinstance(q, QTableVector):
+        return lambda e: update_vector_q(q, e, lam)
+    rows = [(w, q.weight_index(w)) for w in q.weights]
+
+    def update_envelope(e):
+        for w, l_idx in rows:
+            _update_envelope_row(q, e, w, l_idx)
+
+    return update_envelope
+
+
 def _improve_all(state: RunState):
     """``update_passes`` batched improvement passes for every subproblem.
 
-    Subproblems whose visible buffers are empty skip their passes. Envelope
-    learners refresh the rows of every weight in their set from each
-    replayed experience.
+    Subproblems whose visible buffers are empty skip their passes.
     """
     cfg = state.config
     for sp in state.subproblems:
@@ -402,22 +418,13 @@ def _improve_all(state: RunState):
                 pick = int(state.streams.buffer.integers(0, len(episodes)))
                 update_esr_mc(sp.learner, episodes[pick], state.scalarization, sp.weight)
             continue
-        if isinstance(sp.learner, QTableEnvelope):
-            # the weight set only changes in _adapt, so each weight's row
-            # (its first match, as weight_index finds it) is resolved once
-            rows = [(w, sp.learner.weight_index(w)) for w in sp.learner.weights]
+        update = _replay_update(sp.learner, state.scalarization, sp.weight)
         for _ in range(cfg.update_passes):
             batch = _sample_visible(sp.visible_buffers, cfg.batch_size, state.streams.buffer)
             if not batch:
                 break
             for e in batch:
-                if isinstance(sp.learner, QTableScalar):
-                    update_scalarized_q(sp.learner, e, state.scalarization, sp.weight)
-                elif isinstance(sp.learner, QTableVector):
-                    update_vector_q(sp.learner, e, sp.weight)
-                else:
-                    for w, l_idx in rows:
-                        _update_envelope_row(sp.learner, e, w, l_idx)
+                update(e)
 
 
 def _adapt(state: RunState):

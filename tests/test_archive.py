@@ -157,15 +157,6 @@ class TestParetoArchive:
             assert hv >= last - 1e-12
             last = hv
 
-    def test_csv_dump_schema(self, tmp_path):
-        archive = ParetoArchive()
-        archive.insert((1.5, -2.0), b"", subproblem=3, step=40)
-        path = tmp_path / "front.csv"
-        archive.write_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "obj_0,obj_1,subproblem,step"
-        assert lines[1] == "1.5,-2,3,40"
-
     def test_would_accept_matches_insert(self):
         rng = np.random.default_rng(16)
         archive = ParetoArchive()

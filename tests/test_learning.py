@@ -1,3 +1,4 @@
+import copy
 import pickle
 
 import numpy as np
@@ -19,7 +20,6 @@ from paretoq import (
     rollout,
     serialize_table,
     tiny_tree,
-    transfer_policy,
     update_envelope_q,
     update_esr_mc,
     update_scalarized_q,
@@ -410,7 +410,7 @@ class TestTransfer:
     def test_copy_then_update_leaves_the_source_alone(self):
         src = QTableScalar(2, alpha=1.0)
         update_scalarized_q(src, exp(action=0, reward=(1, 0)), WS, (1, 0))
-        dst = transfer_policy(src, QTableScalar(2, alpha=1.0))
+        dst = copy.deepcopy(src)
         update_scalarized_q(dst, exp(action=1, reward=(0, 1)), WS, (1, 0))
         assert src.row(0)[1] == 0.0
         assert dst.row(0)[0] == 1.0
@@ -418,23 +418,171 @@ class TestTransfer:
     def test_copy_of_a_zero_table_is_zero(self):
         src = QTableVector(2, 2)
         src.block(0)
-        dst = transfer_policy(src, QTableVector(2, 2))
+        dst = copy.deepcopy(src)
         np.testing.assert_array_equal(dst.block(0), np.zeros((2, 2)))
 
     def test_transfer_preserves_the_greedy_policy(self):
         env = tiny_tree()
         src = QTableScalar(2, alpha=0.5)
         sweep(src, env, lambda q_, e: update_scalarized_q(q_, e, WS, (0.3, 0.7)), 100)
-        dst = transfer_policy(src, QTableScalar(2, alpha=0.5))
+        dst = copy.deepcopy(src)
         for s in range(env.n_states):
             assert greedy_policy(src).action(s) == greedy_policy(dst).action(s)
 
-    def test_kind_mismatch(self):
-        with pytest.raises(TypeError, match="kind mismatch"):
-            transfer_policy(QTableScalar(2), QTableVector(2, 2))
+    def test_envelope_copy_is_independent(self):
+        env = tiny_tree()
+        lambdas = [np.array([1.0, 0.0]), np.array([0.3, 0.7])]
+        src = QTableEnvelope(2, 2, lambdas, alpha=0.5)
+        sweep(src, env, lambda q_, e: update_envelope_q(q_, e, lambdas[1]), 10)
+        before = serialize_table(src)
+        dst = copy.deepcopy(src)
+        for lam in lambdas:
+            for s in range(env.n_states):
+                assert greedy_policy(dst, lam).action(s) == greedy_policy(src, lam).action(s)
+        sweep(dst, env, lambda q_, e: update_envelope_q(q_, e, lambdas[0]), 10)
+        dst.weights[0][:] = [0.5, 0.5]
+        assert serialize_table(dst) != before
+        assert serialize_table(src) == before
+        np.testing.assert_array_equal(src.weights[0], [1.0, 0.0])
+
+    def test_esr_copy_is_independent(self):
+        env = dst_corridor()
+        lam = np.array([0.2, 0.8])
+        src = QTableEsr(env.n_actions, 2, alpha=0.5)
+        for seed in range(20):
+            policy = greedy_policy(src)
+            policy.kind, policy.epsilon = "epsilon-greedy", 0.5
+            trace, _ = rollout(env, policy, np.random.default_rng(seed))
+            update_esr_mc(src, trace, WS, lam)
+        before = serialize_table(src)
+        dst = copy.deepcopy(src)
+        for key in src.table:
+            state, accrued = key
+            assert greedy_policy(dst).action(state, accrued) == \
+                greedy_policy(src).action(state, accrued)
+        trace, _ = rollout(env, greedy_policy(dst), 0)
+        update_esr_mc(dst, trace, WS, (0.9, 0.1))
+        assert serialize_table(dst) != before
+        assert serialize_table(src) == before
+
+
+def v1_scalar():
+    q = QTableScalar(2, alpha=0.25, gamma=0.9)
+    q.row(3)[:] = [1.0, 0.0]
+    q.row(0)[:] = [0.1, -2.5]
+    return q
+
+
+def v1_vector():
+    q = QTableVector(2, 2, alpha=0.5)
+    q.block(1)[:] = [[1.0, -1.0], [0.5, 0.25]]
+    return q
+
+
+def v1_envelope():
+    q = QTableEnvelope(2, 2, [np.array([1.0, 0.0]), np.array([0.3, 0.7])],
+                       alpha=1.0, gamma=0.95)
+    q.block(0)[1, 0] = [2.0, -3.0]
+    return q
+
+
+def v1_esr():
+    q = QTableEsr(2, 2, alpha=0.5)
+    accrued = (0.1 + 0.2, -1.0)  # needs all 17 significant digits
+    q.row(2, accrued)[:] = [0.75, -1.5]
+    q.visits[accrued_key(2, accrued)][:] = [3, 0]
+    q.row(0, (0.0, 0.0))[1] = 2.0
+    q.visits[accrued_key(0, (0.0, 0.0))][1] = 1
+    return q
+
+
+V1_TEXT = {
+    v1_scalar: (
+        "paretoq-qtable-v1 kind=scalar\n"
+        "actions=2 alpha=0.25 gamma=0.90000000000000002\n"
+        "0\t0\t0.10000000000000001\n"
+        "0\t1\t-2.5\n"
+        "3\t0\t1\n"
+        "3\t1\t0\n"),
+    v1_vector: (
+        "paretoq-qtable-v1 kind=vector\n"
+        "actions=2 alpha=0.5 gamma=1\n"
+        "objectives=2\n"
+        "1\t0\t1,-1\n"
+        "1\t1\t0.5,0.25\n"),
+    v1_envelope: (
+        "paretoq-qtable-v1 kind=envelope\n"
+        "actions=2 alpha=1 gamma=0.94999999999999996\n"
+        "objectives=2\n"
+        "weights=1,0;0.29999999999999999,0.69999999999999996\n"
+        "0|w0\t0\t0,0\n"
+        "0|w0\t1\t0,0\n"
+        "0|w1\t0\t2,-3\n"
+        "0|w1\t1\t0,0\n"),
+    v1_esr: (
+        "paretoq-qtable-v1 kind=esr\n"
+        "actions=2 alpha=0.5 gamma=1\n"
+        "objectives=2\n"
+        "0|c0,0\t0\t0\t0\n"
+        "0|c0,0\t1\t2\t1\n"
+        "2|c0.30000000000000004,-1\t0\t0.75\t3\n"
+        "2|c0.30000000000000004,-1\t1\t-1.5\t0\n"),
+}
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("make", list(V1_TEXT), ids=lambda make: make.__name__)
+    def test_v1_text_is_pinned(self, make):
+        expected = V1_TEXT[make]
+        assert serialize_table(make()) == expected
+        back = deserialize_table(expected)
+        assert type(back) is type(make())
+        assert serialize_table(back) == expected
+
+    @pytest.mark.parametrize("make, old, new, match", [
+        pytest.param(v1_scalar, V1_TEXT[v1_scalar], "",
+                     r"^line 1: expected a 'paretoq-qtable-v1' header, got ''", id="empty-text"),
+        pytest.param(v1_scalar, "paretoq-qtable-v1 kind=scalar\n", "",
+                     r"^line 1: expected a 'paretoq-qtable-v1' header", id="no-header"),
+        pytest.param(v1_scalar, "-v1", "-v2",
+                     r"^line 1: expected a 'paretoq-qtable-v1' header, got '.*-v2", id="v2-header"),
+        pytest.param(v1_scalar, " kind=scalar", "",
+                     r"^lines 1-2: the table header has no kind= field", id="no-kind"),
+        pytest.param(v1_scalar, "actions=2 ", "",
+                     r"^lines 1-2: the table header has no actions= field", id="no-actions"),
+        pytest.param(v1_scalar, "alpha=0.25 ", "",
+                     r"^lines 1-2: the table header has no alpha= field", id="no-alpha"),
+        pytest.param(v1_scalar, " gamma=0.90000000000000002", "",
+                     r"^lines 1-2: the table header has no gamma= field", id="no-gamma"),
+        pytest.param(v1_scalar, "kind=scalar", "kind=dense",
+                     r"^lines 1-2: unknown table kind 'dense'", id="unknown-kind"),
+        pytest.param(v1_vector, "objectives=2\n", "",
+                     r"^lines 1-2: the table header has no objectives= field", id="no-objectives"),
+        pytest.param(v1_scalar, "0\t1\t-2.5", "0\t-1\t-2.5",
+                     r"^line 4: action -1 outside \[0, 2\)", id="action-minus-one"),
+        pytest.param(v1_scalar, "3\t1\t0", "3\t2\t0",
+                     r"^line 6: action 2 outside \[0, 2\)", id="action-too-large"),
+        pytest.param(v1_scalar, "0\t1\t-2.5", "0\t1",
+                     r"^line 4: not enough values to unpack \(expected 3, got 2\)",
+                     id="two-fields"),
+        pytest.param(v1_scalar, "0\t1\t-2.5", "0\t1\t-2.5,1",
+                     r"^line 4: expected 1 values, got 2", id="scalar-two-values"),
+        pytest.param(v1_vector, "1\t1\t0.5,0.25", "1\t1\t0.5,0.25,3",
+                     r"^line 5: expected 2 values, got 3", id="vector-three-values"),
+        pytest.param(v1_envelope, "0,0\n0|w1\t0", "0\n0|w1\t0",
+                     r"^line 6: expected 2 values, got 1", id="envelope-one-value"),
+        pytest.param(v1_envelope, "0|w1\t1", "0|w2\t1",
+                     r"^line 8: weight row 2 outside \[0, 2\)", id="envelope-weight-row"),
+        pytest.param(v1_esr, "2\t1\n", "2\n",
+                     r"^line 5: not enough values to unpack \(expected 4, got 3\)",
+                     id="esr-no-visits"),
+    ])
+    def test_text_it_cannot_honour_is_rejected(self, make, old, new, match):
+        text = V1_TEXT[make]
+        assert old in text
+        with pytest.raises(ValueError, match=match):
+            deserialize_table(text.replace(old, new, 1))
+
     def test_roundtrip_every_kind(self):
         env = tiny_tree()
         lam = np.array([0.5, 0.5])
