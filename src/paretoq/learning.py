@@ -15,7 +15,7 @@ transfer, flat-text serialization):
   front points with a non-linear scalarization).
 
 Buffers store whole episodes. Capacity counts individual steps; ``fifo``
-replacement trims the oldest steps, ``diverse-crowding`` drops the complete
+replacement trims the oldest steps, ``diverse-crowding`` drops the whole
 episode whose episodic return is most crowded.
 """
 
@@ -31,33 +31,17 @@ FIFO = "fifo"
 DIVERSE_CROWDING = "diverse-crowding"
 
 
-class _EpisodeSlot:
-    __slots__ = ("steps", "trimmed")
-
-    def __init__(self, steps):
-        self.steps = list(steps)
-        self.trimmed = False
-
-    @property
-    def complete(self) -> bool:
-        return bool(self.steps) and not self.trimmed and self.steps[-1].terminal
-
-    def return_vector(self) -> np.ndarray:
-        return sum(e.reward for e in self.steps)
-
-
 class ExperienceBuffer:
     """Bounded store of experiences, grouped by the episode they came from.
 
-    Flat-sequence and complete-episode views are cached incrementally so
-    pushing and uniform sampling stay cheap even with many small episodes;
-    evictions rebuild the caches (they only happen once capacity is hit).
-
-    A buffer pickles as columns: one array per :class:`Experience` field,
-    plus each episode slot's length and ``trimmed`` flag. An unpickled
-    buffer keeps the columns and rebuilds its experiences, slots and caches
-    on first access, so a report that crosses a process boundary costs
-    little unless its buffers are read.
+    Three plain lists hold the contents: ``_flat`` every stored step, oldest
+    first; ``_episodes`` the same steps, one list per pushed episode (or
+    fragment); ``_complete`` the episodes that end in a terminal step and
+    have lost none of their steps. Pushing and uniform sampling stay cheap
+    with many small episodes. ``fifo`` eviction deletes the oldest steps
+    from ``_flat`` in one slice and drops or cuts the oldest episodes; only
+    the oldest can be cut, so a cut episode is always the head of
+    ``_complete`` if it is there at all.
     """
 
     def __init__(self, capacity: int, replacement: str = FIFO):
@@ -67,111 +51,74 @@ class ExperienceBuffer:
             raise ValueError(f"unknown replacement policy {replacement!r}")
         self.capacity = int(capacity)
         self.replacement = replacement
-        self._slots: list[_EpisodeSlot] = []
-        self._size = 0
         self._flat: list[Experience] = []
+        self._episodes: list[list[Experience]] = []
         self._complete: list[list[Experience]] = []
-        # the state of an unpickled buffer until it is first read (see _thaw)
-        self._columns: dict | None = None
-
-    def __getstate__(self) -> dict:
-        if self._columns is not None:   # unpickled and never read
-            return dict(self.__dict__)
-        flat = self._flat
-        m = len(flat[0].reward) if flat else 0
-        return {
-            "capacity": self.capacity, "replacement": self.replacement, "_size": self._size,
-            "_columns": {
-                "lengths": np.array([len(slot.steps) for slot in self._slots], dtype=np.int64),
-                "trimmed": np.array([slot.trimmed for slot in self._slots], dtype=bool),
-                "state": np.array([e.state for e in flat], dtype=np.int64),
-                "action": np.array([e.action for e in flat], dtype=np.int64),
-                "reward": np.array([e.reward for e in flat], dtype=float).reshape(len(flat), m),
-                "next_state": np.array([e.next_state for e in flat], dtype=np.int64),
-                "terminal": np.array([e.terminal for e in flat], dtype=bool),
-                "accrued": np.array([e.accrued for e in flat], dtype=float).reshape(len(flat), m),
-            },
-        }
-
-    def _thaw(self):
-        """Rebuild the experiences, slots and caches of an unpickled buffer."""
-        cols, self._columns = self._columns, None
-        flat = [Experience(*fields) for fields in zip(
-            cols["state"].tolist(), cols["action"].tolist(), cols["reward"],
-            cols["next_state"].tolist(), cols["terminal"].tolist(), cols["accrued"])]
-        self._slots = []
-        start = 0
-        for length, trimmed in zip(cols["lengths"].tolist(), cols["trimmed"].tolist()):
-            slot = _EpisodeSlot(flat[start:start + length])
-            slot.trimmed = trimmed
-            self._slots.append(slot)
-            start += length
-        self._rebuild_caches()
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._flat)
 
     def __getitem__(self, index: int) -> Experience:
         """The ``index``-th experience in :meth:`experiences` order."""
-        if self._columns is not None:
-            self._thaw()
         return self._flat[index]
 
     def experiences(self):
-        if self._columns is not None:
-            self._thaw()
         yield from self._flat
 
     def complete_episodes(self):
-        """Complete (untrimmed, terminated) episodes; treat as read-only."""
-        if self._columns is not None:
-            self._thaw()
+        """Complete (uncut, terminated) episodes; treat as read-only."""
         return self._complete
-
-    def _rebuild_caches(self):
-        self._flat = [e for slot in self._slots for e in slot.steps]
-        self._complete = [slot.steps for slot in self._slots if slot.complete]
 
     def push(self, experiences) -> "ExperienceBuffer":
         """Append one episode (or fragment) and enforce capacity."""
-        experiences = list(experiences)
-        if not experiences:
+        steps = list(experiences)
+        if not steps:
             return self
-        if self._columns is not None:
-            self._thaw()
-        slot = _EpisodeSlot(experiences)
-        self._slots.append(slot)
-        self._size += len(experiences)
-        self._flat.extend(slot.steps)
-        if slot.complete:
-            self._complete.append(slot.steps)
-        if self._size <= self.capacity:
+        self._episodes.append(steps)
+        self._flat.extend(steps)
+        if steps[-1].terminal:
+            self._complete.append(steps)
+        excess = len(self._flat) - self.capacity
+        if excess <= 0:
             return self
         if self.replacement == FIFO:
-            while self._size > self.capacity:
-                oldest = self._slots[0]
-                oldest.steps.pop(0)
-                oldest.trimmed = True
-                self._size -= 1
-                if not oldest.steps:
-                    self._slots.pop(0)
+            self._evict_oldest(excess)
         else:
-            while self._size > self.capacity and self._slots:
-                returns = [slot.return_vector() for slot in self._slots]
-                victim = int(np.argmin(crowding_distance(returns)))
-                self._size -= len(self._slots[victim].steps)
-                self._slots.pop(victim)
-        self._rebuild_caches()
+            self._evict_crowded()
         return self
+
+    def _evict_oldest(self, excess: int):
+        del self._flat[:excess]
+        episodes, complete = self._episodes, self._complete
+        dropped = gone = 0   # episodes dropped whole; episodes that leave _complete
+        while excess:
+            head = episodes[dropped]
+            if gone < len(complete) and complete[gone] is head:
+                gone += 1    # dropped or cut, it is no longer complete
+            if excess < len(head):
+                episodes[dropped] = head[excess:]
+                break
+            excess -= len(head)
+            dropped += 1
+        del complete[:gone]
+        del episodes[:dropped]
+
+    def _evict_crowded(self):
+        episodes = self._episodes
+        size = len(self._flat)
+        while size > self.capacity:
+            returns = [sum(e.reward for e in steps) for steps in episodes]
+            victim = int(np.argmin(crowding_distance(returns)))
+            size -= len(episodes.pop(victim))
+        self._flat = [e for steps in episodes for e in steps]
+        self._complete = [steps for steps in episodes if steps[-1].terminal]
 
     def sample(self, batch: int, rng: np.random.Generator):
         """``batch`` experiences drawn uniformly with replacement."""
         if batch == 0:
             return []
-        if self._size == 0:
+        if not self._flat:
             raise ValueError("empty buffer")
-        if self._columns is not None:
-            self._thaw()
         idx = rng.integers(0, len(self._flat), size=int(batch))
         return [self._flat[i] for i in idx]
 
@@ -179,8 +126,6 @@ class ExperienceBuffer:
         """``count`` complete episodes drawn uniformly with replacement."""
         if count == 0:
             return []
-        if self._columns is not None:
-            self._thaw()
         if not self._complete:
             raise ValueError("empty buffer")
         idx = rng.integers(0, len(self._complete), size=int(count))
@@ -300,9 +245,13 @@ class QTableEnvelope(_Table):
 
     @classmethod
     def _header_args(cls, meta) -> tuple:
+        m = int(meta["objectives"])
         weights = [np.array([float(x) for x in w.split(",")])
                    for w in meta["weights"].split(";")]
-        return (int(meta["objectives"]), weights)
+        for w in weights:
+            if w.size != m:
+                raise ValueError(f"weight {_fmt_vec(w)} has {w.size} values, expected {m}")
+        return (m, weights)
 
     def _row_lines(self, state) -> list:
         block = self.table[state]
@@ -357,6 +306,8 @@ class QTableEsr(_Table):
         key, action, values, visits = fields
         state, accrued = key.split("|c")
         accrued = [float(x) for x in accrued.split(",")] if accrued else []
+        if len(accrued) != self.n_objectives:
+            raise ValueError(f"expected {self.n_objectives} accrued values, got {len(accrued)}")
         row, counts = self._entry(accrued_key(int(state), accrued))
         counts[_read_values(row, action, values)] = int(visits)
 
@@ -480,8 +431,9 @@ def deserialize_table(text: str):
     """The table that :func:`serialize_table` wrote as ``text``.
 
     Text this version cannot honour raises ``ValueError`` naming the line:
-    a header other than v1 or missing a field, an action or weight row out
-    of range, or the wrong number of fields or values in a row.
+    a header other than v1 or missing a field, envelope weights or an ESR
+    accrued key whose width is not ``objectives=``, an action or weight row
+    out of range, or the wrong number of fields or values in a row.
     """
     lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
     first, header = lines[0] if lines else (1, "")

@@ -1,13 +1,15 @@
 """Decomposed multi-policy training loop.
 
-One run maintains ``n`` subproblems, each owning a weight vector, a learner
-table, and an experience buffer. Every iteration rotates the sampling role
-through the population, gathers whole episodes with that subproblem's
-epsilon-greedy policy, improves *all* subproblems from their visible
-buffers, evaluates every greedy policy, and folds the evaluations into the
-external Pareto archive. Weight and reference-point adaptation fire on a
-fixed environment-step period; cooperation (buffer sharing or one-shot
-table transfer) runs at the end of each iteration.
+One run maintains ``n`` subproblems, each a weight vector and a learner
+table. The run state, not the subproblems, holds the experience buffers
+(one per subproblem, or one shared by all) and the buffers each subproblem
+replays from, so a report carries no buffer. Every iteration rotates the
+sampling role through the population, gathers whole episodes with that
+subproblem's epsilon-greedy policy, improves *all* subproblems from their
+visible buffers, evaluates every greedy policy, and folds the evaluations
+into the external Pareto archive. Weight and reference-point adaptation
+fire on a fixed environment-step period; cooperation (buffer sharing or
+one-shot table transfer) runs at the end of each iteration.
 
 Runs are deterministic functions of their config (seed included): all
 randomness flows through the named streams in :mod:`paretoq.rng`, so two
@@ -140,8 +142,6 @@ class Subproblem:
     weight: np.ndarray
     reference: ReferencePoint
     learner: object
-    buffer: ExperienceBuffer
-    visible_buffers: list = field(default_factory=list)
     last_eval: np.ndarray | None = None
     trained: bool = False
     transferred: bool = False
@@ -175,6 +175,8 @@ class RunState:
     scalarization: Scalarization
     reference: ReferencePoint
     subproblems: list[Subproblem]
+    buffers: list       # per subproblem; one object repeated under shared-buffer
+    visible: list       # per subproblem, the buffers it replays from
     archive: ParetoArchive
     neighborhood: list
     hv_reference: np.ndarray
@@ -204,17 +206,57 @@ def _true_front(env: Momdp, gamma: float) -> np.ndarray | None:
     return np.array([v for v, _ in prune((v, None) for v in values)])
 
 
+def _worst_return(env: Momdp, gamma: float) -> list:
+    """Per objective, the lowest discounted return any episode can pay.
+
+    A min-DP over (state, steps-to-go) on plain floats: every action and
+    every outcome with positive probability counts, and truncation at
+    ``max_episode_steps`` ends an episode like termination does.
+    """
+    m = env.n_objectives
+    outcomes = [[(ns, r.tolist(), term)
+                 for a in range(env.n_actions) for p, ns, r, term in env.outcomes(s, a) if p > 0]
+                for s in range(env.n_states)]
+    worst = [[0.0] * m for _ in range(env.n_states)]   # no steps to go
+    for _ in range(env.max_episode_steps):
+        worst = [[min(r[i] + (0.0 if term else gamma * worst[ns][i]) for ns, r, term in row)
+                  for i in range(m)] for row in outcomes]
+    starts = np.flatnonzero(env.initial_dist).tolist()
+    return [min(worst[s][i] for s in starts) for i in range(m)]
+
+
+def _hv_reference(config: RunConfig, env: Momdp) -> np.ndarray:
+    """The configured (or the env's default) hypervolume reference point,
+    rejected unless it lies strictly below every return a run can archive."""
+    if config.hv_reference is None:
+        if env.hv_reference_default is None:
+            raise ValueError("hv_reference must be set for environments without a default")
+        ref = env.hv_reference_default
+    else:
+        ref = np.asarray(config.hv_reference, dtype=float)
+    if ref.shape != (env.n_objectives,):
+        raise ValueError(f"hv_reference has {ref.size} entries; environment {config.env!r} "
+                         f"has {env.n_objectives} objectives")
+    worst = _worst_return(env, config.gamma)
+    if not all(z < w for z, w in zip(ref.tolist(), worst)):
+        raise ValueError(f"hv_reference {ref.tolist()} must lie strictly below the worst "
+                         f"return of any episode, {worst}, in every objective")
+    return ref
+
+
 def initialize(config: RunConfig, streams: RunStreams | None = None) -> RunState:
     """Build the starting population, archive, neighborhood, and buffers.
 
     Weights are spread uniformly (a single subproblem sits at the simplex
     center), learner tables start at zero, and the archive is seeded with
-    the evaluations of the initial greedy policies.
+    the evaluations of the initial greedy policies. A hypervolume reference
+    the run could not honour at a checkpoint is rejected before that.
     """
     config.validate()
     env = make_env(config.env)
     streams = streams or RunStreams(config.seed)
     n, m = config.population_size, env.n_objectives
+    hv_reference = _hv_reference(config, env)
     if n == 1:
         weights = [np.full(m, 1.0 / m)]
     else:
@@ -233,8 +275,7 @@ def initialize(config: RunConfig, streams: RunStreams | None = None) -> RunState
 
     subproblems = [
         Subproblem(index=i, weight=weights[i], reference=reference,
-                   learner=_make_learner(config, env, weights),
-                   buffer=buffers[i], visible_buffers=[buffers[i]])
+                   learner=_make_learner(config, env, weights))
         for i in range(n)
     ]
     neighborhood = build_neighborhood(weights, config.neighborhood_k)
@@ -248,19 +289,15 @@ def initialize(config: RunConfig, streams: RunStreams | None = None) -> RunState
             archive.insert(sp.last_eval, serialize_table(sp.learner).encode(),
                            subproblem=sp.index, step=0)
 
-    hv_reference = (np.asarray(config.hv_reference, dtype=float)
-                    if config.hv_reference is not None else env.hv_reference_default)
-    if hv_reference is None:
-        raise ValueError("hv_reference must be set for environments without a default")
-
     state = RunState(
         config=config, env=env, streams=streams, scalarization=scalarization,
-        reference=reference, subproblems=subproblems, archive=archive,
+        reference=reference, subproblems=subproblems, buffers=buffers,
+        visible=[[buf] for buf in buffers], archive=archive,
         neighborhood=neighborhood, hv_reference=hv_reference,
         eum_weight_set=generate_weights_uniform(m, config.eum_weights),
         reference_front=_true_front(env, config.gamma),
     )
-    cooperate(state.subproblems, state.neighborhood, config.cooperation)
+    cooperate(state)
     return state
 
 
@@ -274,32 +311,24 @@ def evaluate_population(subproblems, env: Momdp, episodes: int, gamma: float, rn
     return evals
 
 
-def cooperate(subproblems, neighborhood, mode: str):
+def cooperate(state: RunState):
     """Apply the configured cooperation step to the population.
 
-    ``none`` does nothing. Buffer sharing adjusts which buffers each
-    subproblem samples from (continuously, so this just refreshes the
-    visibility lists after neighborhood changes). ``transfer`` hands each
+    ``none`` and ``shared-buffer`` do nothing (the shared buffer is one
+    object by construction). ``shared-buffer-neighborhood`` lets each
+    subproblem replay from its own buffer and its neighbors' (refreshed, as
+    the neighborhood changes with the weights). ``transfer`` hands each
     never-trained subproblem a one-time deep copy of its nearest trained
     neighbor's table.
     """
-    if mode not in COOPERATION_MODES:
-        raise ValueError(f"cooperation must be one of {COOPERATION_MODES}")
-    if mode == "none":
-        return subproblems
-    if mode == "shared-buffer":
-        return subproblems  # a single buffer object is shared by construction
+    mode = state.config.cooperation
     if mode == "shared-buffer-neighborhood":
-        for sp in subproblems:
-            seen = {id(sp.buffer)}
-            visible = [sp.buffer]
-            for j in neighborhood[sp.index]:
-                other = subproblems[j].buffer
-                if id(other) not in seen:
-                    seen.add(id(other))
-                    visible.append(other)
-            sp.visible_buffers = visible
-        return subproblems
+        buffers = state.buffers
+        state.visible = [[buffers[i]] + [buffers[j] for j in others]
+                         for i, others in enumerate(state.neighborhood)]
+    if mode != "transfer":
+        return
+    subproblems = state.subproblems
     for sp in subproblems:
         if sp.trained or sp.transferred:
             continue
@@ -310,7 +339,6 @@ def cooperate(subproblems, neighborhood, mode: str):
         _, _, donor = min(donors, key=lambda item: (item[0], item[1]))
         sp.learner = copy.deepcopy(donor.learner)
         sp.transferred = True
-    return subproblems
 
 
 def _epsilon_schedule(config: RunConfig):
@@ -367,22 +395,22 @@ class _Chain:
         return self.parts[k][index - self.ends[k] + len(self.parts[k])]
 
 
-def _sample_visible(visible_buffers, batch: int, rng):
-    if len(visible_buffers) == 1:
-        if len(visible_buffers[0]) == 0:
+def _sample_visible(visible, batch: int, rng):
+    if len(visible) == 1:
+        if len(visible[0]) == 0:
             return []
-        return visible_buffers[0].sample(batch, rng)
-    flat = _Chain(visible_buffers)
+        return visible[0].sample(batch, rng)
+    flat = _Chain(visible)
     if not len(flat):
         return []
     idx = rng.integers(0, len(flat), size=int(batch))
     return [flat[i] for i in idx.tolist()]
 
 
-def _visible_episodes(visible_buffers):
-    if len(visible_buffers) == 1:
-        return visible_buffers[0].complete_episodes()
-    return _Chain([buf.complete_episodes() for buf in visible_buffers])
+def _visible_episodes(visible):
+    if len(visible) == 1:
+        return visible[0].complete_episodes()
+    return _Chain([buf.complete_episodes() for buf in visible])
 
 
 def _replay_update(q, g: Scalarization, lam):
@@ -409,9 +437,9 @@ def _improve_all(state: RunState):
     Subproblems whose visible buffers are empty skip their passes.
     """
     cfg = state.config
-    for sp in state.subproblems:
+    for sp, visible in zip(state.subproblems, state.visible):
         if isinstance(sp.learner, QTableEsr):
-            episodes = _visible_episodes(sp.visible_buffers)
+            episodes = _visible_episodes(visible)
             if not episodes:
                 continue
             for _ in range(cfg.update_passes):
@@ -420,7 +448,7 @@ def _improve_all(state: RunState):
             continue
         update = _replay_update(sp.learner, state.scalarization, sp.weight)
         for _ in range(cfg.update_passes):
-            batch = _sample_visible(sp.visible_buffers, cfg.batch_size, state.streams.buffer)
+            batch = _sample_visible(visible, cfg.batch_size, state.streams.buffer)
             if not batch:
                 break
             for e in batch:
@@ -483,7 +511,7 @@ def run(config: RunConfig) -> RunReport:
             behavior = greedy_policy(sp.learner, sp.weight)
             episode = _sample_episode(state.env, behavior, epsilon_fn, state.steps_done,
                                       state.streams.env, state.streams.explore)
-            sp.buffer.push(episode)
+            state.buffers[sp.index].push(episode)
             sp.trained = True
             state.steps_done += len(episode)
             state.episodes_done += 1
@@ -500,7 +528,7 @@ def run(config: RunConfig) -> RunReport:
         if state.steps_done // cfg.psa_period_steps > state._adapt_marker:
             state._adapt_marker = state.steps_done // cfg.psa_period_steps
             _adapt(state)
-        cooperate(state.subproblems, state.neighborhood, cfg.cooperation)
+        cooperate(state)
 
         if (iteration + 1) % cfg.checkpoint_stride == 0 or iteration == iterations - 1:
             _record_checkpoint(report, state)

@@ -3,9 +3,10 @@
 Everything here recomputes expected results through a different route than
 the code under test: plain O(n^2) dominance loops, synchronous value
 iteration over the full transition table, per-policy dynamic programming,
-per-point loops for crowding distance and Monte-Carlo hypervolume, and a
-hand-rolled single-objective Q-learning loop that mirrors the training
-schedule step for step.
+per-point loops for crowding distance and Monte-Carlo hypervolume, an
+episode buffer that re-derives its views after every push, trajectory
+enumeration for the worst return, and a hand-rolled single-objective
+Q-learning loop that mirrors the training schedule step for step.
 """
 
 from __future__ import annotations
@@ -118,6 +119,72 @@ def hypervolume_monte_carlo_chunked(pts, z, samples: int, rng):
     estimate = volume * frac
     std_error = volume * float(np.sqrt(frac * (1.0 - frac) / samples))
     return estimate, std_error
+
+
+class NaiveEpisodeBuffer:
+    """The experience-buffer contract, re-derived in full after every push.
+
+    Holds a list of ``[steps, cut]`` pairs, oldest first. ``fifo`` takes
+    the oldest step one at a time and marks its episode as cut;
+    ``diverse-crowding`` drops whole episodes, least crowded return last
+    (crowding from :func:`crowding_distance_loop`). ``flat`` and
+    ``complete`` are rebuilt from the pairs each time, and draws index
+    them with the same ``rng.integers`` call the buffer makes.
+    """
+
+    def __init__(self, capacity: int, replacement: str = "fifo"):
+        self.capacity = capacity
+        self.replacement = replacement
+        self.episodes = []
+        self.flat, self.complete = [], []
+
+    def push(self, steps):
+        steps = list(steps)
+        if steps:
+            self.episodes.append([steps, False])
+        size = sum(len(ep) for ep, _ in self.episodes)
+        while size > self.capacity:
+            if self.replacement == "fifo":
+                self.episodes[0] = [self.episodes[0][0][1:], True]
+                size -= 1
+                if not self.episodes[0][0]:
+                    self.episodes.pop(0)
+            else:
+                returns = [sum(e.reward for e in ep) for ep, _ in self.episodes]
+                victim = int(np.argmin(crowding_distance_loop(returns)))
+                size -= len(self.episodes.pop(victim)[0])
+        self.flat = [e for ep, _ in self.episodes for e in ep]
+        self.complete = [ep for ep, cut in self.episodes if not cut and ep[-1].terminal]
+
+    def sample(self, batch: int, rng):
+        return [self.flat[i] for i in rng.integers(0, len(self.flat), size=batch)]
+
+    def sample_episodes(self, count: int, rng):
+        return [self.complete[i] for i in rng.integers(0, len(self.complete), size=count)]
+
+
+def worst_return_by_enumeration(env: Momdp, gamma: float) -> np.ndarray:
+    """Per objective, the least discounted return over every trajectory.
+
+    Walks each start state, action and positive-probability outcome up to
+    the horizon, adding ``gamma**t * r`` forward along the trajectory.
+    """
+    worst = np.full(env.n_objectives, np.inf)
+
+    def walk(state, t, discount, total):
+        for a in range(env.n_actions):
+            for p, ns, r, term in env.outcomes(state, a):
+                if p <= 0:
+                    continue
+                ret = total + discount * r
+                if term or t + 1 == env.max_episode_steps:
+                    np.minimum(worst, ret, out=worst)
+                else:
+                    walk(ns, t + 1, discount * gamma, ret)
+
+    for s in np.flatnonzero(env.initial_dist):
+        walk(int(s), 0, 1.0, np.zeros(env.n_objectives))
+    return worst
 
 
 def rollout_discounted_mean(env: Momdp, policy, episodes: int, gamma: float, rng):

@@ -4,7 +4,9 @@
 reproduce the mean over recorded rollouts exactly, consume the same random
 draws, and on deterministic envs agree with exact dynamic programming.
 ``scalarize_tch`` computes Tchebycheff in Python floats and must repeat the
-numpy formula bit for bit, NaN included.
+numpy formula bit for bit, NaN included. The worst return that bounds every
+evaluation (and so the hypervolume reference) must equal the minimum over
+enumerated trajectories.
 """
 
 import struct
@@ -29,7 +31,9 @@ from paretoq import (
     update_esr_mc,
 )
 
-from oracles import rollout_discounted_mean, tchebycheff_numpy
+from paretoq.orchestrator import _worst_return
+
+from oracles import rollout_discounted_mean, tchebycheff_numpy, worst_return_by_enumeration
 
 WS = Scalarization("weighted-sum")
 
@@ -134,6 +138,15 @@ def test_evaluation_matches_dynamic_programming_on_deterministic_envs(env, gamma
     for policy, exact in enumerate_deterministic_policies(env, gamma):
         value = evaluate_policy(env, policy, 3, gamma, 0)
         np.testing.assert_allclose(value, exact, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(env=small_momdps(), gamma=st.sampled_from([1.0, 0.5]), policy_seed=st.integers(0, 2**16))
+def test_worst_return_is_the_least_over_all_trajectories(env, gamma, policy_seed):
+    worst = _worst_return(env, gamma)
+    assert worst == worst_return_by_enumeration(env, gamma).tolist()  # exact: halves of integers
+    value = evaluate_policy(env, _scalar_policy(env, policy_seed), 3, gamma, 0)
+    assert np.all(value >= worst)
 
 
 def _bits(x: float) -> bytes:

@@ -3,6 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paretoq import (
     ExperienceBuffer,
@@ -27,7 +28,7 @@ from paretoq import (
 )
 from paretoq.momdp import Experience, accrued_key
 
-from oracles import all_transition_experiences, value_iteration_scalar
+from oracles import NaiveEpisodeBuffer, all_transition_experiences, value_iteration_scalar
 
 WS = Scalarization("weighted-sum")
 
@@ -75,7 +76,7 @@ class TestBuffer:
         }
         for ep in episodes.values():
             buf.push(ep + [exp(state=9, reward=(0, 0))])  # two steps per episode
-        returns = {tuple(slot.return_vector()) for slot in buf._slots}
+        returns = {tuple(sum(e.reward for e in ep)) for ep in buf.complete_episodes()}
         assert returns == {(0.0, 2.0), (2.0, 0.0)}  # the interior return went
 
     def test_sample_single_element_with_replacement(self):
@@ -112,6 +113,44 @@ class TestBuffer:
         assert [e.state for e in complete[0]] == [2, 3]
 
 
+@settings(max_examples=300, deadline=None)
+@given(capacity=st.integers(1, 12),
+       replacement=st.sampled_from(["fifo", "diverse-crowding"]),
+       pushes=st.lists(st.tuples(st.integers(0, 6), st.booleans(),
+                                 st.integers(0, 3), st.integers(0, 3)), max_size=12),
+       seed=st.integers(0, 2**32 - 1))
+def test_buffer_matches_a_naive_model(capacity, replacement, pushes, seed):
+    """Views and seeded draws equal the naive model's after every push.
+
+    Each push is ``(length, fragment, r0, r1)``: ``length`` steps of reward
+    ``(r0, r1)``, the last one terminal unless the push is a fragment.
+    """
+    buf = ExperienceBuffer(capacity, replacement)
+    naive = NaiveEpisodeBuffer(capacity, replacement)
+    first = 0
+    for length, fragment, r0, r1 in pushes:
+        steps = [exp(state=first + t, reward=(r0, r1), terminal=t == length - 1 and not fragment)
+                 for t in range(length)]
+        first += length
+        buf.push(steps)
+        naive.push(steps)
+        assert len(buf) == len(naive.flat)
+        assert list(buf.experiences()) == naive.flat
+        assert buf.complete_episodes() == naive.complete
+        rng, model_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if naive.flat:
+            assert buf.sample(5, rng) == naive.sample(5, model_rng)
+        else:
+            with pytest.raises(ValueError, match="empty buffer"):
+                buf.sample(5, rng)
+        if naive.complete:
+            assert buf.sample_episodes(3, rng) == naive.sample_episodes(3, model_rng)
+        else:
+            with pytest.raises(ValueError, match="empty buffer"):
+                buf.sample_episodes(3, rng)
+        assert rng.random() == model_rng.random()
+
+
 def fields(e):
     return (e.state, e.action, e.reward.tolist(), e.next_state, e.terminal, e.accrued.tolist())
 
@@ -132,14 +171,15 @@ class TestBufferPickle:
         buf.push(episode(0, 3, (1.0, 0.0)))
         buf.push([exp(state=10, terminal=False), exp(state=11, terminal=False)])  # fragment
         buf.push(episode(20, 4, (0.0, 1.0)))  # overflows: the first episode is trimmed
-        assert [slot.trimmed for slot in buf._slots] == [True, False, False]
+        assert [e.state for e in buf.experiences()] == [2, 10, 11, 20, 21, 22, 23]
+        assert [[e.state for e in ep] for ep in buf.complete_episodes()] == [[20, 21, 22, 23]]
         return buf
 
     def crowding(self):
         buf = ExperienceBuffer(capacity=6, replacement="diverse-crowding")
         for k, reward in enumerate([(0.0, 2.0), (1.0, 1.0), (2.0, 0.0), (0.5, 1.5)]):
             buf.push(episode(10 * k, 2, reward))
-        assert len(buf._slots) == 3
+        assert len(buf) == 6 and len(buf.complete_episodes()) == 3
         return buf
 
     def assert_same(self, a, b):
@@ -160,13 +200,6 @@ class TestBufferPickle:
         for buf in (original, restored):
             buf.push(episode(40, 3, (1.5, 0.5)))
         self.assert_same(original, restored)
-
-    def test_unpickled_buffer_rebuilds_only_when_read(self):
-        restored = pickle.loads(pickle.dumps(self.fifo_with_trimmed_slots()))
-        assert "_flat" not in vars(restored) and len(restored) == 7
-        again = pickle.loads(pickle.dumps(restored))  # re-pickles its columns as they are
-        assert "_flat" not in vars(again)
-        self.assert_same(again, self.fifo_with_trimmed_slots())
 
     def test_push_as_the_first_access(self):
         restored = pickle.loads(pickle.dumps(self.fifo_with_trimmed_slots()))
@@ -576,6 +609,11 @@ class TestSerialization:
         pytest.param(v1_esr, "2\t1\n", "2\n",
                      r"^line 5: not enough values to unpack \(expected 4, got 3\)",
                      id="esr-no-visits"),
+        pytest.param(v1_esr, "0|c0,0\t0", "0|c5\t0",
+                     r"^line 4: expected 2 accrued values, got 1 in '0\|c5\\t0", id="esr-accrued-width"),
+        pytest.param(v1_envelope, "weights=1,0;0.29999999999999999,0.69999999999999996",
+                     "weights=1,0,0;0.5",
+                     r"^lines 1-4: weight 1,0,0 has 3 values, expected 2", id="envelope-weight-width"),
     ])
     def test_text_it_cannot_honour_is_rejected(self, make, old, new, match):
         text = V1_TEXT[make]

@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,13 +54,15 @@ class TestInitialize:
 
     def test_independent_buffers_without_cooperation(self):
         state = initialize(small_config(cooperation="none"))
-        ids = {id(sp.buffer) for sp in state.subproblems}
+        ids = {id(buf) for buf in state.buffers}
         assert len(ids) == len(state.subproblems)
+        assert state.visible == [[buf] for buf in state.buffers]
 
     def test_global_sharing_uses_one_buffer(self):
         state = initialize(small_config(cooperation="shared-buffer"))
-        ids = {id(sp.buffer) for sp in state.subproblems}
-        assert len(ids) == 1
+        ids = {id(buf) for buf in state.buffers}
+        assert len(ids) == 1 and len(state.buffers) == len(state.subproblems)
+        assert state.visible == [[state.buffers[0]]] * len(state.subproblems)
 
     def test_reference_point_initialized_from_first_evaluations(self):
         state = initialize(small_config(scalarization="tchebycheff"))
@@ -71,6 +75,27 @@ class TestInitialize:
             initialize(small_config(update_passes=0))
         with pytest.raises(ValueError, match="unknown environment id"):
             initialize(small_config(env="nope"))
+
+    def test_hv_reference_of_the_wrong_length_is_rejected(self):
+        with pytest.raises(ValueError, match="hv_reference has 3 entries; environment "
+                                             "'dst-corridor' has 2 objectives"):
+            initialize(small_config(hv_reference=(0.0, -50.0, 0.0)))
+
+    @pytest.mark.parametrize("ref", [(5.0, -50.0), (1.0, -50.0), (0.0, -5.0)])
+    def test_hv_reference_not_below_every_return_is_rejected_before_evaluation(
+            self, ref, monkeypatch):
+        # the corridor's worst return is (1, -5): the first treasure, or five steps
+        def no_evaluation(*args):
+            raise AssertionError("evaluated before the reference was checked")
+
+        monkeypatch.setattr(orchestrator, "evaluate_population", no_evaluation)
+        with pytest.raises(ValueError, match=r"must lie strictly below the worst return "
+                                             r"of any episode, \[1.0, -5.0\]"):
+            initialize(small_config(hv_reference=ref))
+
+    def test_hv_reference_just_below_the_worst_return_is_accepted(self):
+        state = initialize(small_config(hv_reference=(0.999, -5.001)))
+        np.testing.assert_array_equal(state.hv_reference, [0.999, -5.001])
 
     def test_esr_learner_rejects_discounting(self):
         with pytest.raises(ValueError, match="learner 'esr-mc' requires gamma = 1"):
@@ -160,16 +185,15 @@ class TestCooperate:
     def test_none_is_a_no_op(self):
         state = initialize(small_config())
         tables_before = [sp.learner for sp in state.subproblems]
-        cooperate(state.subproblems, state.neighborhood, "none")
+        cooperate(state)
         assert [sp.learner for sp in state.subproblems] == tables_before
 
     def test_neighborhood_sharing_sets_visibility(self):
         state = initialize(small_config(cooperation="shared-buffer-neighborhood",
                                         neighborhood_k=1))
-        cooperate(state.subproblems, state.neighborhood, "shared-buffer-neighborhood")
-        middle = state.subproblems[1]
-        assert len(middle.visible_buffers) == 2
-        assert middle.visible_buffers[0] is middle.buffer
+        cooperate(state)
+        assert len(state.visible[1]) == 2
+        assert state.visible[1][0] is state.buffers[1]
 
     def test_transfer_copies_then_diverges(self):
         state = initialize(small_config(cooperation="transfer"))
@@ -177,7 +201,7 @@ class TestCooperate:
         e = Experience(0, 1, np.array([1.0, -1.0]), 0, True, np.zeros(2))
         update_scalarized_q(donor.learner, e, Scalarization(), donor.weight)
         donor.trained = True
-        cooperate(state.subproblems, state.neighborhood, "transfer")
+        cooperate(state)
         assert fresh.transferred
         np.testing.assert_array_equal(fresh.learner.row(0), donor.learner.row(0))
         update_scalarized_q(fresh.learner, e, Scalarization(), fresh.weight)
@@ -187,9 +211,9 @@ class TestCooperate:
         state = initialize(small_config(cooperation="transfer"))
         donor, fresh = state.subproblems[0], state.subproblems[2]
         donor.trained = True
-        cooperate(state.subproblems, state.neighborhood, "transfer")
+        cooperate(state)
         marker = fresh.learner
-        cooperate(state.subproblems, state.neighborhood, "transfer")
+        cooperate(state)
         assert fresh.learner is marker
 
 
@@ -236,7 +260,7 @@ class TestEnvelopeImprovement:
             for s in range(4):
                 for a in range(env.n_actions):
                     ns, r, term = env.step(s, a)
-                    state.subproblems[0].buffer.push(
+                    state.buffers[0].push(
                         [Experience(s, a, r, ns, term, np.zeros(2))])
             if per_update_lookup:
                 monkeypatch.setattr(orchestrator, "_update_envelope_row",
@@ -249,15 +273,38 @@ class TestEnvelopeImprovement:
 
 
 class TestReportPickle:
-    def test_shared_buffer_stays_one_object(self):
+    def test_holds_no_experience_buffer(self):
+        assert b"ExperienceBuffer" in pickle.dumps(ExperienceBuffer(capacity=1))
         report = run(small_config(cooperation="shared-buffer", total_steps=120))
-        restored = pickle.loads(pickle.dumps(report))
-        shared = restored.subproblems[0].buffer
-        assert all(sp.buffer is shared for sp in restored.subproblems)
-        assert all(sp.visible_buffers == [shared] for sp in restored.subproblems)
-        assert len(shared) == len(report.subproblems[0].buffer) > 0
-        assert [e.state for e in shared.experiences()] == \
-               [e.state for e in report.subproblems[0].buffer.experiences()]
+        data = pickle.dumps(report)
+        assert b"ExperienceBuffer" not in data
+        restored = pickle.loads(data)
+        assert [tuple(e.eval) for e in restored.archive] == [tuple(e.eval) for e in report.archive]
+        assert [sp.index for sp in restored.subproblems] == [0, 1, 2]
+
+
+class TestBenchmarkTracer:
+    """The benchmark's tracer patches paretoq names from outside; a change
+    that renames or bypasses one would silently zero its per-layer metrics."""
+
+    def test_every_traced_layer_records_calls(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        push = ExperienceBuffer.push
+        tracer = tracing.Tracer().install()
+        try:
+            tracer.root_run(run)(small_config(cooperation="none", learner="scalarized-q",
+                                              total_steps=120))
+        finally:
+            tracer.uninstall()
+        spans, _, _ = tracer.merged()
+        for name in ("learning.buffer.push", "learning.buffer.sample", "learning.update.scalar",
+                     "learning.greedy_policy", "archive.would_accept", "momdp.oracle"):
+            assert spans.get(name, [0])[0] > 0, name
+        assert tracer.missing == ["paretoq.orchestrator.update_envelope_q"]
+        assert ExperienceBuffer.push is push
 
 
 class TestAdaptation:
