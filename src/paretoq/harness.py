@@ -12,8 +12,9 @@ outputs:
 * ``pf.csv`` -- columns ``seed, obj_0..obj_{m-1}, subproblem, step_found``;
   one row per final-archive entry.
 * ``config_snapshot.cfg`` -- every resolved key (defaults included) in the
-  same parseable format; feeding it back reproduces the CSV outputs byte
-  for byte. Command-line overrides are recorded as trailing comments.
+  same parseable format, floats as their round-trip ``repr``; feeding it
+  back reproduces the config exactly and the CSV outputs byte for byte.
+  Command-line overrides are recorded as trailing comments.
 * ``seed_<n>/`` -- the same two CSVs restricted to one seed, plus
   ``error.log`` with a traceback if that run failed.
 
@@ -32,17 +33,14 @@ import sys
 import traceback
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from .momdp import make_env
 from .orchestrator import RunConfig, RunReport, run
 
-_INT_KEYS = ("population_size", "total_steps", "steps_per_iteration", "update_passes",
-             "batch_size", "psa_period_steps", "neighborhood_k", "eval_episodes",
-             "buffer_capacity", "eum_weights", "checkpoint_stride")
-_FLOAT_KEYS = ("gamma", "alpha", "epsilon_start", "epsilon_min",
-               "epsilon_decay_fraction", "delta", "tau")
-_BOOL_KEYS = ("psa_enabled",)
-_STR_KEYS = ("env", "scalarization", "cooperation", "buffer_replacement", "learner")
-
-#: canonical section layout used for snapshots; parsing accepts any layout
+#: canonical section layout used for snapshots; parsing accepts any layout.
+#: A key's type is the type of its ``RunConfig`` default; ``seeds`` and
+#: ``hv_reference`` are parsed by name.
 SECTIONS = {
     "run": ("env", "learner", "scalarization", "cooperation",
             "population_size", "total_steps", "steps_per_iteration",
@@ -54,9 +52,8 @@ SECTIONS = {
     "metrics": ("hv_reference", "eum_weights"),
     "experiment": ("seeds", "out_dir", "checkpoint_stride"),
 }
-KNOWN_KEYS = (set(_INT_KEYS) | set(_FLOAT_KEYS) | set(_BOOL_KEYS) | set(_STR_KEYS)
-              | {"hv_reference", "seeds", "out_dir"})
-_RUN_KEYS = set(_INT_KEYS) | set(_FLOAT_KEYS) | set(_BOOL_KEYS) | set(_STR_KEYS) | {"hv_reference"}
+KNOWN_KEYS = {key for keys in SECTIONS.values() for key in keys}
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
 
 
 class ConfigError(Exception):
@@ -96,28 +93,24 @@ class OutputBundle:
     metrics_path: str
     pf_path: str
     snapshot_path: str
-    seed_dirs: dict
     reports: dict
 
 
 def _parse_value(key: str, raw: str, where: str):
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
+        if key == "seeds":
+            return [int(tok) for tok in raw.replace(",", " ").split()]
+        if key == "hv_reference":
+            return tuple(float(tok) for tok in raw.replace(",", " ").split())
+        kind = type(_DEFAULTS.get(key, ""))
+        if kind is bool:
             lowered = raw.strip().lower()
             if lowered in ("true", "yes", "1"):
                 return True
             if lowered in ("false", "no", "0"):
                 return False
             raise ValueError(f"expected true/false, got {raw!r}")
-        if key == "seeds":
-            return [int(tok) for tok in raw.replace(",", " ").split()]
-        if key == "hv_reference":
-            return tuple(float(tok) for tok in raw.replace(",", " ").split())
-        return raw.strip()
+        return kind(raw.strip())
     except ValueError as exc:
         raise ConfigError(f"{where}: invalid value for key '{key}': {exc}") from None
 
@@ -148,10 +141,8 @@ def parse_config(path: str) -> ExperimentSpec:
     if "seeds" not in values:
         raise ConfigError(f"{path}: missing required key 'seeds'")
 
-    template = RunConfig(**{k: v for k, v in values.items() if k in _RUN_KEYS})
-    spec = ExperimentSpec(template=template, seeds=values["seeds"],
-                          out_dir=values.get("out_dir", "runs"))
-    return spec.validate()
+    seeds, out_dir = values.pop("seeds"), values.pop("out_dir", "runs")
+    return ExperimentSpec(RunConfig(**values), seeds, out_dir).validate()
 
 
 def apply_overrides(spec: ExperimentSpec, out_dir: str | None = None,
@@ -170,34 +161,30 @@ def _fmt(value) -> str:
     """Locale-independent rendering: 9 significant digits for floats."""
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.9g}"
     return str(value)
 
 
+def _config_value(value) -> str:
+    """A snapshot value that ``_parse_value`` reads back exactly."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (list, tuple)):
+        return ",".join(_config_value(v) for v in value)
+    return str(value)
+
+
 def snapshot_text(spec: ExperimentSpec) -> str:
     """Canonical config echo: all keys resolved, defaults included."""
-    template = spec.template
+    values = {**vars(spec.template), "seeds": spec.seeds, "out_dir": spec.out_dir}
     lines = []
     for section, keys in SECTIONS.items():
         lines.append(f"[{section}]")
-        for key in keys:
-            if key == "seeds":
-                lines.append("seeds = " + ",".join(str(s) for s in spec.seeds))
-            elif key == "out_dir":
-                lines.append(f"out_dir = {spec.out_dir}")
-            elif key == "hv_reference":
-                ref = template.hv_reference
-                if ref is not None:
-                    lines.append("hv_reference = " + ",".join(_fmt(float(v)) for v in ref))
-            else:
-                value = getattr(template, key)
-                if isinstance(value, float):
-                    lines.append(f"{key} = {value!r}")
-                else:
-                    lines.append(f"{key} = {_fmt(value)}")
+        lines.extend(f"{key} = {_config_value(values[key])}"
+                     for key in keys if values[key] is not None)
         lines.append("")
     for key, value in sorted(spec.overrides.items()):
         lines.append(f"# override: {key} = {value}")
@@ -279,16 +266,13 @@ def run_experiment(spec: ExperimentSpec, parallel: int = 1, quiet: bool = True) 
         outcomes = [_run_seed(config) for config in configs]
 
     # every run steps the same env, so one pf header fits every seed
-    m = max((len(o.archive.entries[0].eval) for o in outcomes
-             if not isinstance(o, str) and len(o.archive)), default=0)
+    m = make_env(spec.template.env).n_objectives
     pf_header = ["seed"] + [f"obj_{j}" for j in range(m)] + ["subproblem", "step_found"]
-    seed_dirs = {}
     reports: dict[int, RunReport] = {}
     failures: dict[int, str] = {}
     for seed, outcome in zip(spec.seeds, outcomes):
         seed_dir = os.path.join(spec.out_dir, f"seed_{seed}")
         os.makedirs(seed_dir, exist_ok=True)
-        seed_dirs[seed] = seed_dir
         if isinstance(outcome, str):
             failures[seed] = outcome
             with open(os.path.join(seed_dir, "error.log"), "w", encoding="utf-8") as fh:
@@ -323,8 +307,7 @@ def run_experiment(spec: ExperimentSpec, parallel: int = 1, quiet: bool = True) 
             print(f"seed {seed}: {reports[seed].total_env_steps} steps, "
                   f"{reports[seed].total_episodes} episodes, archive size "
                   f"{last.archive_size}, hypervolume {_fmt(last.hypervolume)}")
-    return OutputBundle(spec.out_dir, metrics_path, pf_path, snapshot_path,
-                        seed_dirs, reports)
+    return OutputBundle(spec.out_dir, metrics_path, pf_path, snapshot_path, reports)
 
 
 def main(argv=None) -> int:
@@ -350,9 +333,6 @@ def main(argv=None) -> int:
         return 1
     try:
         bundle = run_experiment(spec, parallel=args.parallel, quiet=args.quiet)
-    except ExperimentError as exc:
-        print(f"experiment failed: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # noqa: BLE001
         print(f"experiment failed: {exc}", file=sys.stderr)
         return 2

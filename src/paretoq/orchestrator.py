@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import copy
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -93,6 +94,9 @@ class RunConfig:
     checkpoint_stride: int = 10
 
     def validate(self) -> "RunConfig":
+        for f in dataclasses.fields(self):
+            if type(f.default) is float and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         checks = [
             (self.population_size >= 1, "population_size must be >= 1"),
             (self.total_steps >= 0, "total_steps must be >= 0"),
@@ -140,7 +144,6 @@ class Subproblem:
 
     index: int
     weight: np.ndarray
-    reference: ReferencePoint
     learner: object
     last_eval: np.ndarray | None = None
     trained: bool = False
@@ -237,6 +240,8 @@ def _hv_reference(config: RunConfig, env: Momdp) -> np.ndarray:
     if ref.shape != (env.n_objectives,):
         raise ValueError(f"hv_reference has {ref.size} entries; environment {config.env!r} "
                          f"has {env.n_objectives} objectives")
+    if not np.isfinite(ref).all():
+        raise ValueError(f"hv_reference entries must be finite, got {ref.tolist()}")
     worst = _worst_return(env, config.gamma)
     if not all(z < w for z, w in zip(ref.tolist(), worst)):
         raise ValueError(f"hv_reference {ref.tolist()} must lie strictly below the worst "
@@ -274,8 +279,7 @@ def initialize(config: RunConfig, streams: RunStreams | None = None) -> RunState
                    for _ in range(n)]
 
     subproblems = [
-        Subproblem(index=i, weight=weights[i], reference=reference,
-                   learner=_make_learner(config, env, weights))
+        Subproblem(index=i, weight=weights[i], learner=_make_learner(config, env, weights))
         for i in range(n)
     ]
     neighborhood = build_neighborhood(weights, config.neighborhood_k)
@@ -284,10 +288,7 @@ def initialize(config: RunConfig, streams: RunStreams | None = None) -> RunState
     evals = evaluate_population(subproblems, env, config.eval_episodes,
                                 config.gamma, streams.eval)
     reference.update(evals)
-    for sp in subproblems:
-        if archive.would_accept(sp.last_eval):
-            archive.insert(sp.last_eval, serialize_table(sp.learner).encode(),
-                           subproblem=sp.index, step=0)
+    _archive_population(archive, subproblems, step=0)
 
     state = RunState(
         config=config, env=env, streams=streams, scalarization=scalarization,
@@ -309,6 +310,15 @@ def evaluate_population(subproblems, env: Momdp, episodes: int, gamma: float, rn
         sp.last_eval = evaluate_policy(env, policy, episodes, gamma, rng)
         evals.append(sp.last_eval)
     return evals
+
+
+def _archive_population(archive: ParetoArchive, subproblems, step: int):
+    """Offer every subproblem's last evaluation to the archive, storing the
+    serialized table of each one it accepts."""
+    for sp in subproblems:
+        if archive.would_accept(sp.last_eval):
+            archive.insert(sp.last_eval, serialize_table(sp.learner).encode(),
+                           subproblem=sp.index, step=step)
 
 
 def cooperate(state: RunState):
@@ -519,11 +529,7 @@ def run(config: RunConfig) -> RunReport:
         _improve_all(state)
         evaluate_population(state.subproblems, state.env, cfg.eval_episodes,
                             cfg.gamma, state.streams.eval)
-        for candidate in state.subproblems:
-            if state.archive.would_accept(candidate.last_eval):
-                state.archive.insert(candidate.last_eval,
-                                     serialize_table(candidate.learner).encode(),
-                                     subproblem=candidate.index, step=state.steps_done)
+        _archive_population(state.archive, state.subproblems, state.steps_done)
 
         if state.steps_done // cfg.psa_period_steps > state._adapt_marker:
             state._adapt_marker = state.steps_done // cfg.psa_period_steps

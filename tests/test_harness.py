@@ -1,11 +1,25 @@
+import dataclasses
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from paretoq import parse_config, run_experiment
-from paretoq.harness import ConfigError, apply_overrides, main
+from paretoq import RunConfig, parse_config, run_experiment
+from paretoq.harness import (
+    SECTIONS,
+    ConfigError,
+    ExperimentSpec,
+    apply_overrides,
+    main,
+    snapshot_text,
+)
 from paretoq.momdp import Momdp, register_env
+from paretoq.orchestrator import COOPERATION_MODES, LEARNERS
+
+DEMO_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.cfg"))
 
 MINIMAL = """
 [run]
@@ -97,6 +111,94 @@ class TestParseConfig:
         bad = MINIMAL + "\n[metrics]\nenv = tiny-tree\n"
         with pytest.raises(ConfigError, match="duplicate key 'env'"):
             parse_config(write(tmp_path, bad))
+
+
+def _maybe_numpy(floats):
+    return st.one_of(floats, floats.map(np.float64))
+
+
+@st.composite
+def valid_run_configs(draw):
+    """Any run config that validates, with full-precision and numpy floats."""
+    learner = draw(st.sampled_from(LEARNERS))
+    unit = st.floats(0.0, 1.0)
+    epsilon_min, epsilon_start = sorted([draw(unit), draw(unit)])
+    positive = st.integers(1, 10**6)
+    return RunConfig(
+        env=draw(st.sampled_from(["dst-corridor", "tiny-tree"])),
+        learner=learner,
+        scalarization=draw(st.sampled_from(["weighted-sum", "tchebycheff"])),
+        cooperation=draw(st.sampled_from(COOPERATION_MODES)),
+        buffer_replacement=draw(st.sampled_from(["fifo", "diverse-crowding"])),
+        population_size=draw(positive),
+        total_steps=draw(st.integers(0, 10**6)),
+        steps_per_iteration=draw(positive),
+        update_passes=draw(positive),
+        batch_size=draw(positive),
+        gamma=1.0 if learner == "esr-mc" else draw(_maybe_numpy(unit)),
+        alpha=draw(_maybe_numpy(st.floats(0.0, 1.0, exclude_min=True))),
+        epsilon_start=epsilon_start,
+        epsilon_min=draw(st.sampled_from([epsilon_min, np.float64(epsilon_min)])),
+        epsilon_decay_fraction=draw(_maybe_numpy(unit)),
+        delta=draw(_maybe_numpy(st.floats(1.0, 1e6, exclude_min=True))),
+        tau=draw(_maybe_numpy(st.floats(0.0, 1e6))),
+        psa_enabled=draw(st.booleans()),
+        psa_period_steps=draw(positive),
+        neighborhood_k=draw(st.integers(0, 50)),
+        eval_episodes=draw(positive),
+        buffer_capacity=draw(positive),
+        hv_reference=draw(st.none() | st.tuples(
+            *[_maybe_numpy(st.floats(-1e9, 1e9))] * draw(st.integers(1, 3)))),
+        eum_weights=draw(st.integers(2, 1000)),
+        checkpoint_stride=draw(positive),
+    ).validate()
+
+
+class TestSnapshot:
+    def roundtrip(self, spec):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "snapshot.cfg")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(snapshot_text(spec))
+            return parse_config(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(template=valid_run_configs(),
+           seeds=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=5, unique=True),
+           out_dir=st.text("abcXYZ019_-./", min_size=1, max_size=20))
+    def test_snapshot_reads_back_exactly(self, template, seeds, out_dir):
+        spec = ExperimentSpec(template, seeds, out_dir)
+        back = self.roundtrip(spec)
+        assert back.template == template
+        assert back.seeds == seeds
+        assert back.out_dir == out_dir
+
+    def test_sections_list_every_key_once(self):
+        keys = [key for section in SECTIONS.values() for key in section]
+        assert len(keys) == len(set(keys))
+        run_keys = {f.name for f in dataclasses.fields(RunConfig)} - {"seed"}
+        assert set(keys) == run_keys | {"seeds", "out_dir"}
+
+    @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.name)
+    def test_demo_configs_round_trip_through_their_snapshot(self, path):
+        spec = parse_config(str(path))
+        back = self.roundtrip(spec)
+        assert (back.template, back.seeds, back.out_dir) == (spec.template, spec.seeds,
+                                                             spec.out_dir)
+        assert snapshot_text(back) == snapshot_text(spec)
+
+    def test_demo_configs_are_found(self):
+        assert DEMO_CONFIGS
+
+    def test_hv_reference_keeps_every_digit(self):
+        spec = ExperimentSpec(RunConfig(env="dst-corridor",
+                                        hv_reference=(0.12345678912345, -50.000000012345)), [1])
+        assert "hv_reference = 0.12345678912345,-50.000000012345\n" in snapshot_text(spec)
+
+    def test_numpy_floats_are_written_as_plain_floats(self):
+        spec = ExperimentSpec(RunConfig(env="tiny-tree", alpha=np.float64(0.5)), [1])
+        assert "alpha = 0.5\n" in snapshot_text(spec)
+        assert self.roundtrip(spec).template.alpha == 0.5
 
 
 class TestRunExperiment:
@@ -287,6 +389,29 @@ class TestMain:
         assert "seeds = 9" in snapshot
         assert "# override: seeds = 9" in snapshot
         assert os.path.exists(override_out / "seed_9" / "metrics.csv")
+
+    @pytest.mark.parametrize("key,raw", [("tau", "inf"), ("delta", "inf"), ("gamma", "-inf"),
+                                         ("epsilon_decay_fraction", "nan")])
+    def test_non_finite_value_is_a_config_error_naming_the_key(self, tmp_path, capsys,
+                                                               key, raw):
+        out = tmp_path / "never"
+        path = write(tmp_path, SMALL.format(out=out).replace("[run]", f"[run]\n{key} = {raw}"))
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            parse_config(path)
+        assert main(["--config", path]) == 1
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_hv_reference_fails_every_run(self, tmp_path, capsys):
+        # the reference is checked against the env, so it fails at run time
+        out = tmp_path / "ref"
+        path = write(tmp_path, SMALL.format(out=out) + "[metrics]\nhv_reference = -inf, -50\n")
+        assert main(["--config", path]) == 2
+        assert "experiment failed" in capsys.readouterr().err
+        for seed in (1, 3):
+            log = (out / f"seed_{seed}" / "error.log").read_text()
+            assert "hv_reference entries must be finite" in log
+        assert not (out / "metrics.csv").exists()
 
     def test_override_seed_validation(self, tmp_path):
         path = write(tmp_path, MINIMAL)

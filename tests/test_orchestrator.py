@@ -93,6 +93,28 @@ class TestInitialize:
                                              r"of any episode, \[1.0, -5.0\]"):
             initialize(small_config(hv_reference=ref))
 
+    @pytest.mark.parametrize("ref", [(-np.inf, -50.0), (0.0, -np.inf), (np.nan, -50.0)])
+    def test_non_finite_hv_reference_is_rejected_before_evaluation(self, ref, monkeypatch):
+        def no_evaluation(*args):
+            raise AssertionError("evaluated before the reference was checked")
+
+        monkeypatch.setattr(orchestrator, "evaluate_population", no_evaluation)
+        with pytest.raises(ValueError, match="hv_reference entries must be finite"):
+            initialize(small_config(hv_reference=ref))
+
+    @pytest.mark.parametrize("key", ["gamma", "alpha", "epsilon_start", "epsilon_min",
+                                     "epsilon_decay_fraction", "delta", "tau"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_float_settings_are_rejected_by_name(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            small_config(**{key: value}).validate()
+
+    def test_infinite_tau_and_delta_stop_the_run_before_training(self):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            run(small_config(scalarization="tchebycheff", tau=np.inf))
+        with pytest.raises(ValueError, match="delta must be finite"):
+            run(small_config(psa_enabled=True, psa_period_steps=10, delta=np.inf))
+
     def test_hv_reference_just_below_the_worst_return_is_accepted(self):
         state = initialize(small_config(hv_reference=(0.999, -5.001)))
         np.testing.assert_array_equal(state.hv_reference, [0.999, -5.001])
