@@ -96,7 +96,8 @@ class ParetoArchive:
 
     Treat ``entries`` as read-only: acceptance checks read the evaluations
     as one cached matrix, which every insert drops (evictions happen only
-    inside an insert).
+    inside an insert). ``inserts`` counts accepted inserts: while it holds
+    still, so does the archive.
     """
 
     def __init__(self, capacity: int | None = None):
@@ -105,6 +106,7 @@ class ParetoArchive:
         self.capacity = capacity
         self.entries: list[ArchiveEntry] = []
         self._mat: np.ndarray | None = None
+        self.inserts = 0
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -150,4 +152,5 @@ class ParetoArchive:
             victim = int(np.argmin(crowding_distance(self.evals())))
             del self.entries[victim]
         self._mat = None  # rebuilt by the next check, after any eviction
+        self.inserts += 1
         return True

@@ -74,16 +74,20 @@ class ExperimentSpec:
     overrides: dict = field(default_factory=dict)
 
     def validate(self) -> "ExperimentSpec":
+        self.check_seeds()
+        try:
+            self.template.validate()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        return self
+
+    def check_seeds(self) -> "ExperimentSpec":
         if not self.seeds:
             raise ConfigError("seeds must list at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
         if any(s < 0 for s in self.seeds):
             raise ConfigError("seeds must be >= 0")
-        try:
-            self.template.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         return self
 
 
@@ -147,14 +151,14 @@ def parse_config(path: str) -> ExperimentSpec:
 
 def apply_overrides(spec: ExperimentSpec, out_dir: str | None = None,
                     seeds: str | None = None) -> ExperimentSpec:
-    """Fold command-line overrides into the spec, recording them."""
+    """Fold command-line overrides into the spec and record them; checks only the seeds."""
     if out_dir is not None:
         spec.out_dir = out_dir
         spec.overrides["out_dir"] = out_dir
     if seeds is not None:
         spec.seeds = _parse_value("seeds", seeds, "--seeds")
         spec.overrides["seeds"] = ",".join(str(s) for s in spec.seeds)
-    return spec.validate()
+    return spec.check_seeds()
 
 
 def _fmt(value) -> str:

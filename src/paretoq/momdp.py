@@ -240,13 +240,14 @@ def rollout(env: Momdp, policy: TabularPolicy, rng_seed=0):
 
 
 def evaluate_policy(env: Momdp, policy: TabularPolicy, episodes: int,
-                    gamma: float, rng_seed=0) -> np.ndarray:
+                    gamma: float, rng_seed=0, path: list | None = None) -> np.ndarray:
     """Average discounted vector return over ``episodes`` episodes.
 
     Exact (zero variance) for a deterministic environment and policy, in
     which case a single episode is walked since all episodes coincide. Each
     episode draws from the generator exactly as :func:`rollout` does, but
     sums its discounted return as it goes instead of recording a trace.
+    ``path``, when given, collects each step's ``(state key, action)``.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
@@ -254,12 +255,12 @@ def evaluate_policy(env: Momdp, policy: TabularPolicy, episodes: int,
     runs = 1 if (env.deterministic and policy.kind == GREEDY) else episodes
     total = np.zeros(env.n_objectives)
     for _ in range(runs):
-        total += _discounted_return(env, policy, gamma, rng)
+        total += _discounted_return(env, policy, gamma, rng, path)
     return total / runs
 
 
 def _discounted_return(env: Momdp, policy: TabularPolicy, gamma: float,
-                       rng: np.random.Generator) -> np.ndarray:
+                       rng: np.random.Generator, path: list | None = None) -> np.ndarray:
     """One episode's discounted vector return, under rollout's draw pattern."""
     state = env.initial_state(rng)
     # only an augmented policy reads the accrued reward
@@ -268,6 +269,8 @@ def _discounted_return(env: Momdp, policy: TabularPolicy, gamma: float,
     discount = 1.0
     for _ in range(env.max_episode_steps):
         action = policy.action(state, accrued, rng)
+        if path is not None:
+            path.append((policy.key(state, accrued), action))
         state, reward, terminal = env.step(state, action, rng)
         value += discount * reward
         if terminal:

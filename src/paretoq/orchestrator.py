@@ -95,8 +95,11 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         for f in dataclasses.fields(self):
-            if type(f.default) is float and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+            value, kind = getattr(self, f.name), type(f.default)
+            if kind is int and type(value) is not int and not isinstance(value, np.integer):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if kind is float and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         checks = [
             (self.population_size >= 1, "population_size must be >= 1"),
             (self.total_steps >= 0, "total_steps must be >= 0"),
@@ -134,7 +137,17 @@ class RunConfig:
         for ok, message in checks:
             if not ok:
                 raise ValueError(message)
-        make_env(self.env)  # raises a descriptive error for unknown ids
+        env = make_env(self.env)  # raises a descriptive error for unknown ids
+        ref = _hv_reference(self, env)
+        if ref.shape != (env.n_objectives,):
+            raise ValueError(f"hv_reference has {ref.size} entries; environment {self.env!r} "
+                             f"has {env.n_objectives} objectives")
+        if not np.isfinite(ref).all():
+            raise ValueError(f"hv_reference entries must be finite, got {ref.tolist()}")
+        worst = _worst_return(env, self.gamma)
+        if not all(z < w for z, w in zip(ref.tolist(), worst)):
+            raise ValueError(f"hv_reference {ref.tolist()} must lie strictly below the worst "
+                             f"return of any episode, {worst}, in every objective")
         return self
 
 
@@ -188,6 +201,8 @@ class RunState:
     steps_done: int = 0
     episodes_done: int = 0
     _adapt_marker: int = 0
+    walks: dict = field(default_factory=dict)    # subproblem index -> last greedy walk
+    offers: dict = field(default_factory=dict)   # subproblem index -> last archive check
 
 
 def _make_learner(config: RunConfig, env: Momdp, weights):
@@ -229,24 +244,13 @@ def _worst_return(env: Momdp, gamma: float) -> list:
 
 
 def _hv_reference(config: RunConfig, env: Momdp) -> np.ndarray:
-    """The configured (or the env's default) hypervolume reference point,
-    rejected unless it lies strictly below every return a run can archive."""
+    """The configured (or the env's default) hypervolume reference point;
+    validation rejects it unless it lies below every return a run can archive."""
     if config.hv_reference is None:
         if env.hv_reference_default is None:
             raise ValueError("hv_reference must be set for environments without a default")
-        ref = env.hv_reference_default
-    else:
-        ref = np.asarray(config.hv_reference, dtype=float)
-    if ref.shape != (env.n_objectives,):
-        raise ValueError(f"hv_reference has {ref.size} entries; environment {config.env!r} "
-                         f"has {env.n_objectives} objectives")
-    if not np.isfinite(ref).all():
-        raise ValueError(f"hv_reference entries must be finite, got {ref.tolist()}")
-    worst = _worst_return(env, config.gamma)
-    if not all(z < w for z, w in zip(ref.tolist(), worst)):
-        raise ValueError(f"hv_reference {ref.tolist()} must lie strictly below the worst "
-                         f"return of any episode, {worst}, in every objective")
-    return ref
+        return env.hv_reference_default
+    return np.asarray(config.hv_reference, dtype=float)
 
 
 def initialize(config: RunConfig, streams: RunStreams | None = None) -> RunState:
@@ -255,7 +259,7 @@ def initialize(config: RunConfig, streams: RunStreams | None = None) -> RunState
     Weights are spread uniformly (a single subproblem sits at the simplex
     center), learner tables start at zero, and the archive is seeded with
     the evaluations of the initial greedy policies. A hypervolume reference
-    the run could not honour at a checkpoint is rejected before that.
+    the run could not honour is rejected by validation before that.
     """
     config.validate()
     env = make_env(config.env)
@@ -284,11 +288,11 @@ def initialize(config: RunConfig, streams: RunStreams | None = None) -> RunState
     ]
     neighborhood = build_neighborhood(weights, config.neighborhood_k)
 
-    archive = ParetoArchive()
+    archive, walks, offers = ParetoArchive(), {}, {}
     evals = evaluate_population(subproblems, env, config.eval_episodes,
-                                config.gamma, streams.eval)
+                                config.gamma, streams.eval, walks)
     reference.update(evals)
-    _archive_population(archive, subproblems, step=0)
+    _archive_population(archive, subproblems, 0, offers)
 
     state = RunState(
         config=config, env=env, streams=streams, scalarization=scalarization,
@@ -296,26 +300,42 @@ def initialize(config: RunConfig, streams: RunStreams | None = None) -> RunState
         visible=[[buf] for buf in buffers], archive=archive,
         neighborhood=neighborhood, hv_reference=hv_reference,
         eum_weight_set=generate_weights_uniform(m, config.eum_weights),
-        reference_front=_true_front(env, config.gamma),
+        reference_front=_true_front(env, config.gamma), walks=walks, offers=offers,
     )
     cooperate(state)
     return state
 
 
-def evaluate_population(subproblems, env: Momdp, episodes: int, gamma: float, rng):
-    """Evaluate every subproblem's greedy policy; refresh ``last_eval``."""
-    evals = []
+def evaluate_population(subproblems, env: Momdp, episodes: int, gamma: float, rng,
+                        walks: dict | None = None):
+    """Evaluate every subproblem's greedy policy; refresh ``last_eval``.
+    On a deterministic env, ``walks`` keeps each last greedy walk ((state key,
+    action) pairs) and its value, reused while every row gives its action."""
+    cache = walks if env.deterministic else None
     for sp in subproblems:
         policy = greedy_policy(sp.learner, sp.weight)
-        sp.last_eval = evaluate_policy(env, policy, episodes, gamma, rng)
-        evals.append(sp.last_eval)
-    return evals
+        if cache is None:
+            sp.last_eval = evaluate_policy(env, policy, episodes, gamma, rng)
+        else:
+            path, value = cache.get(sp.index, ((), None))
+            rows, zero = policy.preferences, policy.default_row
+            if value is None or any(rows.get(key, zero).argmax() != a for key, a in path):
+                path = []
+                value = evaluate_policy(env, policy, episodes, gamma, rng, path)
+                cache[sp.index] = (path, value)
+            sp.last_eval = value
+    return [sp.last_eval for sp in subproblems]
 
 
-def _archive_population(archive: ParetoArchive, subproblems, step: int):
+def _archive_population(archive: ParetoArchive, subproblems, step: int, offers: dict):
     """Offer every subproblem's last evaluation to the archive, storing the
-    serialized table of each one it accepts."""
+    serialized table of each one it accepts. An array already checked
+    (``offers``) is not checked again until the archive's next insert."""
     for sp in subproblems:
+        last, inserts = offers.get(sp.index, (None, -1))
+        if last is sp.last_eval and inserts == archive.inserts:
+            continue
+        offers[sp.index] = (sp.last_eval, archive.inserts)
         if archive.would_accept(sp.last_eval):
             archive.insert(sp.last_eval, serialize_table(sp.learner).encode(),
                            subproblem=sp.index, step=step)
@@ -528,8 +548,8 @@ def run(config: RunConfig) -> RunReport:
 
         _improve_all(state)
         evaluate_population(state.subproblems, state.env, cfg.eval_episodes,
-                            cfg.gamma, state.streams.eval)
-        _archive_population(state.archive, state.subproblems, state.steps_done)
+                            cfg.gamma, state.streams.eval, state.walks)
+        _archive_population(state.archive, state.subproblems, state.steps_done, state.offers)
 
         if state.steps_done // cfg.psa_period_steps > state._adapt_marker:
             state._adapt_marker = state.steps_done // cfg.psa_period_steps

@@ -5,8 +5,9 @@ the code under test: plain O(n^2) dominance loops, synchronous value
 iteration over the full transition table, per-policy dynamic programming,
 per-point loops for crowding distance and Monte-Carlo hypervolume, an
 episode buffer that re-derives its views after every push, trajectory
-enumeration for the worst return, and a hand-rolled single-objective
-Q-learning loop that mirrors the training schedule step for step.
+enumeration for the worst return, an archive step that checks every
+offer, and a hand-rolled single-objective Q-learning loop that mirrors the
+training schedule step for step.
 """
 
 from __future__ import annotations
@@ -207,6 +208,18 @@ def rollout_discounted_mean(env: Momdp, policy, episodes: int, gamma: float, rng
             discount *= gamma
         total += value
     return total / runs
+
+
+def offer_every_evaluation(archive, subproblems, step, offers):
+    """Archive step that checks every subproblem's evaluation each time, as
+    the orchestrator did before it skipped repeated offers (``offers`` is
+    ignored)."""
+    from paretoq.learning import serialize_table
+
+    for sp in subproblems:
+        if archive.would_accept(sp.last_eval):
+            archive.insert(sp.last_eval, serialize_table(sp.learner).encode(),
+                           subproblem=sp.index, step=step)
 
 
 def tchebycheff_numpy(f, lam, z) -> float:

@@ -6,32 +6,38 @@ draws, and on deterministic envs agree with exact dynamic programming.
 ``scalarize_tch`` computes Tchebycheff in Python floats and must repeat the
 numpy formula bit for bit, NaN included. The worst return that bounds every
 evaluation (and so the hypervolume reference) must equal the minimum over
-enumerated trajectories.
+enumerated trajectories. ``evaluate_population`` reuses a greedy walk on
+deterministic envs; under any table edit its result must be a fresh walk's,
+bit for bit.
 """
 
+import copy
 import struct
 
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from paretoq import (
     Momdp,
+    QTableEnvelope,
     QTableEsr,
     QTableScalar,
+    QTableVector,
     ReferencePoint,
     Scalarization,
     TabularPolicy,
     enumerate_deterministic_policies,
     evaluate_policy,
+    evaluate_population,
     greedy_policy,
     rollout,
     scalarize_tch,
     update_esr_mc,
 )
 
-from paretoq.orchestrator import _worst_return
+from paretoq.orchestrator import Subproblem, _worst_return
 
 from oracles import rollout_discounted_mean, tchebycheff_numpy, worst_return_by_enumeration
 
@@ -194,3 +200,108 @@ def test_policy_without_a_default_row_still_reports_the_gap():
                           [[(1.0, 1, np.zeros(1), True)]] * 2], [1.0, 0.0], 3)
     with pytest.raises(ValueError, match="policy gap"):
         evaluate_policy(env, policy, 1, 1.0, 0)
+
+
+# --- cached population evaluation ----------------------------------------------
+
+KINDS = ("scalar", "vector", "envelope", "esr")
+
+
+def _simplex_weight(data, m):
+    raw = np.array(data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)), dtype=float)
+    raw[0] += raw.sum() == 0
+    return raw / raw.sum()
+
+
+def _new_table(kind, env, weights):
+    """A zero table of ``kind`` (the table classes' ``kind`` names)."""
+    if kind == "scalar":
+        return QTableScalar(env.n_actions)
+    if kind == "vector":
+        return QTableVector(env.n_actions, env.n_objectives)
+    if kind == "envelope":
+        return QTableEnvelope(env.n_actions, env.n_objectives, [w.copy() for w in weights])
+    return QTableEsr(env.n_actions, env.n_objectives)
+
+
+def _keys(q, env, walk):
+    """Keys worth editing: every state, or for ESR tables the keys of the last
+    walk (where a default row may have stood in) and those already stored."""
+    if isinstance(q, QTableEsr):
+        return sorted(set(q.table) | {key for key, _ in walk[0]} | {(0, (0.0,) * env.n_objectives)})
+    return list(range(env.n_states))
+
+
+def _edit(data, sps, env, walks):
+    """One random edit: a row set (possibly where the default row stood in),
+    a row reversed (an argmax flip), a PSA-style weight change, or a transfer."""
+    sp = data.draw(st.sampled_from(sps))
+    q = sp.learner
+    what = data.draw(st.sampled_from(["set", "flip", "weight", "transfer"]))
+    if what in ("set", "flip"):
+        key = data.draw(st.sampled_from(_keys(q, env, walks.get(sp.index, ((), None)))))
+        row = q.row(*key) if isinstance(q, QTableEsr) else q._get(key)
+        if what == "flip":
+            row[:] = np.flip(row, axis=-2 if row.ndim > 1 else 0).copy()
+        else:
+            row[:] = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=row.size,
+                                                 max_size=row.size))).reshape(row.shape)
+    elif what == "weight":
+        sp.weight = _simplex_weight(data, env.n_objectives)
+        weights = [other.weight for other in sps]
+        for other in sps:
+            if isinstance(other.learner, QTableEnvelope):
+                other.learner.weights = [w.copy() for w in weights]
+    else:
+        # from another subproblem, or from a fresh table, whose rows are gone
+        fresh = _new_table(type(q).kind, env, [other.weight for other in sps])
+        sp.learner = copy.deepcopy(data.draw(st.sampled_from([fresh] + [o.learner for o in sps])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(env=small_momdps(deterministic=True), kind=st.sampled_from(KINDS),
+       n=st.integers(1, 3), gamma=st.sampled_from([1.0, 0.9, 0.5]), data=st.data())
+def test_cached_population_evaluation_is_a_fresh_walk(env, kind, n, gamma, data):
+    weights = [_simplex_weight(data, env.n_objectives) for _ in range(n)]
+    sps = [Subproblem(i, w, _new_table(kind, env, weights)) for i, w in enumerate(weights)]
+    walks = {}
+    rng = np.random.default_rng(0)
+    previous = None
+    for _ in range(data.draw(st.integers(1, 6))):
+        edits = data.draw(st.integers(0, 3)) if previous is not None else 0
+        for _ in range(edits):
+            _edit(data, sps, env, walks)
+        evals = evaluate_population(sps, env, 3, gamma, rng, walks)
+        for sp, value in zip(sps, evals):
+            fresh = evaluate_policy(env, greedy_policy(sp.learner, sp.weight), 3, gamma, 0)
+            assert value.tobytes() == fresh.tobytes()
+            assert sp.last_eval is value
+        if edits == 0 and previous is not None:
+            # nothing changed, so every walk is reused and no value recomputed
+            assert all(a is b for a, b in zip(evals, previous))
+        previous = evals
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+@settings(max_examples=50, deadline=None)
+@given(env=small_momdps(deterministic=False), kind=st.sampled_from(KINDS),
+       n=st.integers(1, 3), episodes=st.integers(1, 4), seed=st.integers(0, 2**16),
+       data=st.data())
+def test_stochastic_population_evaluation_keeps_the_eval_stream(env, kind, n, episodes,
+                                                                 seed, data):
+    assume(not env.deterministic)
+    weights = [_simplex_weight(data, env.n_objectives) for _ in range(n)]
+    sps = [Subproblem(i, w, _new_table(kind, env, weights)) for i, w in enumerate(weights)]
+    walks = {}
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(2):
+        for _ in range(data.draw(st.integers(0, 2))):
+            _edit(data, sps, env, walks)
+        evals = evaluate_population(sps, env, episodes, 0.9, rng, walks)
+        for sp, value in zip(sps, evals):
+            expected = rollout_discounted_mean(env, greedy_policy(sp.learner, sp.weight),
+                                               episodes, 0.9, oracle_rng)
+            assert value.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert walks == {}
+

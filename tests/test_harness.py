@@ -16,8 +16,8 @@ from paretoq.harness import (
     main,
     snapshot_text,
 )
-from paretoq.momdp import Momdp, register_env
-from paretoq.orchestrator import COOPERATION_MODES, LEARNERS
+from paretoq.momdp import Momdp, make_env, register_env
+from paretoq.orchestrator import COOPERATION_MODES, LEARNERS, _worst_return
 
 DEMO_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.cfg"))
 
@@ -113,29 +113,36 @@ class TestParseConfig:
             parse_config(write(tmp_path, bad))
 
 
-def _maybe_numpy(floats):
-    return st.one_of(floats, floats.map(np.float64))
+def _maybe_numpy(values, numpy_type=np.float64):
+    return st.one_of(values, values.map(numpy_type))
 
 
 @st.composite
 def valid_run_configs(draw):
-    """Any run config that validates, with full-precision and numpy floats."""
+    """Any run config that validates, with full-precision and numpy floats
+    and numpy integers."""
     learner = draw(st.sampled_from(LEARNERS))
     unit = st.floats(0.0, 1.0)
     epsilon_min, epsilon_start = sorted([draw(unit), draw(unit)])
-    positive = st.integers(1, 10**6)
+    positive = _maybe_numpy(st.integers(1, 10**6), np.int64)
+    env = draw(st.sampled_from(["dst-corridor", "tiny-tree"]))
+    gamma = 1.0 if learner == "esr-mc" else draw(_maybe_numpy(unit))
+    # a usable reference lies strictly below the worst return at this gamma
+    worst = _worst_return(make_env(env), float(gamma))
+    below = st.tuples(*[_maybe_numpy(st.floats(-1e9, w, exclude_max=True)) for w in worst])
+    default_ok = all(d < w for d, w in zip(make_env(env).hv_reference_default, worst))
     return RunConfig(
-        env=draw(st.sampled_from(["dst-corridor", "tiny-tree"])),
+        env=env,
         learner=learner,
         scalarization=draw(st.sampled_from(["weighted-sum", "tchebycheff"])),
         cooperation=draw(st.sampled_from(COOPERATION_MODES)),
         buffer_replacement=draw(st.sampled_from(["fifo", "diverse-crowding"])),
         population_size=draw(positive),
-        total_steps=draw(st.integers(0, 10**6)),
+        total_steps=draw(_maybe_numpy(st.integers(0, 10**6), np.int64)),
         steps_per_iteration=draw(positive),
         update_passes=draw(positive),
         batch_size=draw(positive),
-        gamma=1.0 if learner == "esr-mc" else draw(_maybe_numpy(unit)),
+        gamma=gamma,
         alpha=draw(_maybe_numpy(st.floats(0.0, 1.0, exclude_min=True))),
         epsilon_start=epsilon_start,
         epsilon_min=draw(st.sampled_from([epsilon_min, np.float64(epsilon_min)])),
@@ -144,12 +151,11 @@ def valid_run_configs(draw):
         tau=draw(_maybe_numpy(st.floats(0.0, 1e6))),
         psa_enabled=draw(st.booleans()),
         psa_period_steps=draw(positive),
-        neighborhood_k=draw(st.integers(0, 50)),
+        neighborhood_k=draw(_maybe_numpy(st.integers(0, 50), np.int64)),
         eval_episodes=draw(positive),
         buffer_capacity=draw(positive),
-        hv_reference=draw(st.none() | st.tuples(
-            *[_maybe_numpy(st.floats(-1e9, 1e9))] * draw(st.integers(1, 3)))),
-        eum_weights=draw(st.integers(2, 1000)),
+        hv_reference=draw(st.none() | below if default_ok else below),
+        eum_weights=draw(_maybe_numpy(st.integers(2, 1000), np.int64)),
         checkpoint_stride=draw(positive),
     ).validate()
 
@@ -172,6 +178,9 @@ class TestSnapshot:
         assert back.template == template
         assert back.seeds == seeds
         assert back.out_dir == out_dir
+        for f in dataclasses.fields(RunConfig):
+            if type(f.default) is int:  # numpy integers read back as plain ints
+                assert type(getattr(back.template, f.name)) is int, f.name
 
     def test_sections_list_every_key_once(self):
         keys = [key for section in SECTIONS.values() for key in section]
@@ -402,17 +411,33 @@ class TestMain:
         assert f"{key} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_non_finite_hv_reference_fails_every_run(self, tmp_path, capsys):
-        # the reference is checked against the env, so it fails at run time
+    @pytest.mark.parametrize("raw,message", [
+        ("-inf, -50", "hv_reference entries must be finite"),
+        ("0, -50, 0", "hv_reference has 3 entries"),
+        ("5, -50", "must lie strictly below the worst return"),
+    ])
+    def test_unusable_hv_reference_is_a_config_error(self, tmp_path, capsys, raw, message):
+        # checked against the env before any run starts
         out = tmp_path / "ref"
-        path = write(tmp_path, SMALL.format(out=out) + "[metrics]\nhv_reference = -inf, -50\n")
-        assert main(["--config", path]) == 2
-        assert "experiment failed" in capsys.readouterr().err
-        for seed in (1, 3):
-            log = (out / f"seed_{seed}" / "error.log").read_text()
-            assert "hv_reference entries must be finite" in log
-        assert not (out / "metrics.csv").exists()
+        path = write(tmp_path, SMALL.format(out=out) + f"[metrics]\nhv_reference = {raw}\n")
+        with pytest.raises(ConfigError, match=message):
+            parse_config(path)
+        assert main(["--config", path]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_override_seed_validation(self, tmp_path):
         path = write(tmp_path, MINIMAL)
         assert main(["--config", path, "--seeds", "4,4"]) == 1
+
+    def test_overrides_check_the_seeds_but_not_the_template_again(self, tmp_path,
+                                                                   monkeypatch):
+        spec = parse_config(write(tmp_path, MINIMAL))
+        calls = []
+        validate = RunConfig.validate
+        monkeypatch.setattr(RunConfig, "validate",
+                            lambda self: calls.append(self) or validate(self))
+        with pytest.raises(ConfigError, match="seeds must be distinct"):
+            apply_overrides(spec, seeds="4,4")
+        assert apply_overrides(spec, out_dir=str(tmp_path / "o"), seeds="5").seeds == [5]
+        assert calls == []

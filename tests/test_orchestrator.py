@@ -10,6 +10,7 @@ from paretoq import (
     ExperienceBuffer,
     QTableEsr,
     RunConfig,
+    RunReport,
     cooperate,
     dst_corridor,
     evaluate_population,
@@ -20,9 +21,12 @@ from paretoq import (
     update_scalarized_q,
 )
 from paretoq import orchestrator
+from paretoq.archive import ParetoArchive
 from paretoq.decomposition import Scalarization
 from paretoq.momdp import Experience
-from paretoq.orchestrator import _adapt, _sample_visible, _visible_episodes
+from paretoq.orchestrator import _adapt, _archive_population, _sample_visible, _visible_episodes
+
+from oracles import offer_every_evaluation
 
 
 def small_config(**kw):
@@ -114,6 +118,33 @@ class TestInitialize:
             run(small_config(scalarization="tchebycheff", tau=np.inf))
         with pytest.raises(ValueError, match="delta must be finite"):
             run(small_config(psa_enabled=True, psa_period_steps=10, delta=np.inf))
+
+    @pytest.mark.parametrize("ref,message", [
+        ((0.0, -50.0, 0.0), "hv_reference has 3 entries"),
+        ((np.nan, -50.0), "hv_reference entries must be finite"),
+        ((1.0, -50.0), "must lie strictly below the worst return"),
+    ])
+    def test_validation_rejects_an_unusable_hv_reference(self, ref, message):
+        with pytest.raises(ValueError, match=message):
+            small_config(hv_reference=ref).validate()
+
+    def test_a_run_computes_the_worst_return_once(self, monkeypatch):
+        calls = []
+        worst_return = orchestrator._worst_return
+        monkeypatch.setattr(orchestrator, "_worst_return",
+                            lambda *args: calls.append(args) or worst_return(*args))
+        run(small_config(total_steps=12))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig)
+                                     if type(f.default) is int])
+    @pytest.mark.parametrize("value", [100.0, True, "3"])
+    def test_non_integer_settings_are_rejected_by_name(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            small_config(**{key: value}).validate()
+
+    def test_numpy_integer_settings_are_accepted(self):
+        small_config(total_steps=np.int64(12), population_size=np.int32(2)).validate()
 
     def test_hv_reference_just_below_the_worst_return_is_accepted(self):
         state = initialize(small_config(hv_reference=(0.999, -5.001)))
@@ -294,7 +325,63 @@ class TestEnvelopeImprovement:
         assert improved(per_update_lookup=False) == improved(per_update_lookup=True)
 
 
+class TestArchiveOffers:
+    CONFIGS = [
+        dict(learner="esr-mc", scalarization="tchebycheff", psa_enabled=True,
+             psa_period_steps=60, total_steps=1500),
+        dict(learner="scalarized-q", cooperation="transfer", total_steps=900),
+        dict(learner="envelope-q", cooperation="shared-buffer-neighborhood", psa_enabled=True,
+             psa_period_steps=90, total_steps=600),
+    ]
+
+    @pytest.mark.parametrize("overrides", CONFIGS,
+                             ids=[c["learner"] for c in CONFIGS])
+    def test_skipped_offers_archive_the_same_entries(self, overrides, monkeypatch):
+        checks = []
+        would_accept = ParetoArchive.would_accept
+        monkeypatch.setattr(ParetoArchive, "would_accept",
+                            lambda self, v: checks.append(1) or would_accept(self, v))
+        config = small_config(**overrides)
+        report = run(config)
+        skipping = len(checks)
+        monkeypatch.setattr(orchestrator, "_archive_population", offer_every_evaluation)
+        expected = run(config)
+        assert skipping < len(checks) - skipping  # the skip took effect
+        assert [(e.eval.tobytes(), e.payload, e.subproblem, e.step) for e in report.archive] == \
+               [(e.eval.tobytes(), e.payload, e.subproblem, e.step) for e in expected.archive]
+        assert report.checkpoints == expected.checkpoints
+
+    def test_an_offer_is_checked_again_when_the_array_or_the_archive_changes(self,
+                                                                            monkeypatch):
+        state = initialize(small_config(population_size=1))
+        checked = []
+        would_accept = ParetoArchive.would_accept
+        monkeypatch.setattr(ParetoArchive, "would_accept",
+                            lambda self, v: checked.append(v) or would_accept(self, v))
+        sp = state.subproblems[0]
+        _archive_population(state.archive, state.subproblems, 0, state.offers)
+        assert len(checked) == 1          # the archive took this array after its check
+        _archive_population(state.archive, state.subproblems, 0, state.offers)
+        assert len(checked) == 1          # same array, archive unchanged since
+        sp.last_eval = sp.last_eval.copy()
+        _archive_population(state.archive, state.subproblems, 0, state.offers)
+        assert len(checked) == 2          # equal values, but another array
+        state.archive.insert(np.array([1.0, -1.0]), b"")
+        before = len(checked)             # insert checks too
+        _archive_population(state.archive, state.subproblems, 0, state.offers)
+        assert len(checked) == before + 1  # the archive changed
+        assert len(state.archive) == 2
+
+
 class TestReportPickle:
+    def test_holds_no_walk_cache(self):
+        report = run(small_config(learner="esr-mc", scalarization="tchebycheff",
+                                  total_steps=120))
+        data = pickle.dumps(report)
+        for name in (b"walks", b"offers", b"RunState"):
+            assert name not in data
+        assert not {"walks", "offers"} & {f.name for f in dataclasses.fields(RunReport)}
+
     def test_holds_no_experience_buffer(self):
         assert b"ExperienceBuffer" in pickle.dumps(ExperienceBuffer(capacity=1))
         report = run(small_config(cooperation="shared-buffer", total_steps=120))
