@@ -41,7 +41,8 @@ class ExperienceBuffer:
     with many small episodes. ``fifo`` eviction deletes the oldest steps
     from ``_flat`` in one slice and drops or cuts the oldest episodes; only
     the oldest can be cut, so a cut episode is always the head of
-    ``_complete`` if it is there at all.
+    ``_complete`` if it is there at all. ``diverse-crowding`` eviction sums
+    each episode's return once, into ``_returns``, beside ``_episodes``.
     """
 
     def __init__(self, capacity: int, replacement: str = FIFO):
@@ -54,6 +55,7 @@ class ExperienceBuffer:
         self._flat: list[Experience] = []
         self._episodes: list[list[Experience]] = []
         self._complete: list[list[Experience]] = []
+        self._returns: list = []
 
     def __len__(self) -> int:
         return len(self._flat)
@@ -104,11 +106,12 @@ class ExperienceBuffer:
         del episodes[:dropped]
 
     def _evict_crowded(self):
-        episodes = self._episodes
+        episodes, returns = self._episodes, self._returns
+        returns.extend(sum(e.reward for e in steps) for steps in episodes[len(returns):])
         size = len(self._flat)
         while size > self.capacity:
-            returns = [sum(e.reward for e in steps) for steps in episodes]
             victim = int(np.argmin(crowding_distance(returns)))
+            returns.pop(victim)
             size -= len(episodes.pop(victim))
         self._flat = [e for steps in episodes for e in steps]
         self._complete = [steps for steps in episodes if steps[-1].terminal]
@@ -312,12 +315,23 @@ class QTableEsr(_Table):
         counts[_read_values(row, action, values)] = int(visits)
 
 
-def update_scalarized_q(q: QTableScalar, e: Experience, g: Scalarization, lam) -> QTableScalar:
-    """One temporal-difference step on the scalarized reward."""
-    reward = g.score(e.reward, lam)
-    bootstrap = 0.0 if e.terminal else float(q.row(e.next_state).max())
-    row = q.row(e.state)
-    row[e.action] += q.alpha * (reward + q.gamma * bootstrap - row[e.action])
+def update_scalarized_q(q: QTableScalar, e: Experience, g: Scalarization, lam,
+                        scores: dict | None = None) -> QTableScalar:
+    """One temporal-difference step on the scalarized reward. ``scores``
+    memoises each reward object's score as ``id(reward) -> (reward, score)``
+    (holding the reward keeps its id from reuse); share one dict only while
+    ``lam`` and ``g``'s reference point stay fixed."""
+    reward, scores = e.reward, {} if scores is None else scores
+    entry = scores.get(id(reward))
+    if entry is None or entry[0] is not reward:
+        entry = scores[id(reward)] = (reward, g.score(reward, lam))
+    table, bootstrap = q.table, 0.0
+    if not e.terminal:
+        nxt = table[e.next_state] if e.next_state in table else q.row(e.next_state)
+        bootstrap = nxt.item(nxt.argmax())   # as max(), NaN too; a zero's sign never reaches row
+    row = table[e.state] if e.state in table else q.row(e.state)
+    old = row.item(e.action)
+    row[e.action] = old + q.alpha * (entry[1] + q.gamma * bootstrap - old)
     return q
 
 

@@ -445,11 +445,13 @@ def _visible_episodes(visible):
 
 def _replay_update(q, g: Scalarization, lam):
     """The update of table ``q`` from one replayed experience, chosen once
-    per round. Envelope tables refresh the row of every weight in their set;
-    the set only changes in _adapt, so each weight's row (its first match,
-    as weight_index finds it) is resolved here once."""
+    per round. Scalar tables share a score memo for the round. Envelope
+    tables refresh the row of every weight in their set. Weights, the set
+    and the reference point only change in _adapt, so each weight's row
+    (its first match, as weight_index finds it) is resolved here once."""
     if isinstance(q, QTableScalar):
-        return lambda e: update_scalarized_q(q, e, g, lam)
+        scores = {}
+        return lambda e: update_scalarized_q(q, e, g, lam, scores)
     if isinstance(q, QTableVector):
         return lambda e: update_vector_q(q, e, lam)
     rows = [(w, q.weight_index(w)) for w in q.weights]

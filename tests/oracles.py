@@ -6,8 +6,9 @@ iteration over the full transition table, per-policy dynamic programming,
 per-point loops for crowding distance and Monte-Carlo hypervolume, an
 episode buffer that re-derives its views after every push, trajectory
 enumeration for the worst return, an archive step that checks every
-offer, and a hand-rolled single-objective Q-learning loop that mirrors the
-training schedule step for step.
+offer, the scalarized TD step without its score memo, and a hand-rolled
+single-objective Q-learning loop that mirrors the training schedule step
+for step.
 """
 
 from __future__ import annotations
@@ -220,6 +221,17 @@ def offer_every_evaluation(archive, subproblems, step, offers):
         if archive.would_accept(sp.last_eval):
             archive.insert(sp.last_eval, serialize_table(sp.learner).encode(),
                            subproblem=sp.index, step=step)
+
+
+def scalarized_q_step(q, e, g, lam, scores=None):
+    """The scalarized TD step as it read before replay shared a score memo
+    and read rows directly: one full ``g.score`` per experience and a
+    ``float(max())`` bootstrap (``scores`` is ignored)."""
+    reward = g.score(e.reward, lam)
+    bootstrap = 0.0 if e.terminal else float(q.row(e.next_state).max())
+    row = q.row(e.state)
+    row[e.action] += q.alpha * (reward + q.gamma * bootstrap - row[e.action])
+    return q
 
 
 def tchebycheff_numpy(f, lam, z) -> float:

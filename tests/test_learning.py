@@ -28,7 +28,8 @@ from paretoq import (
 )
 from paretoq.momdp import Experience, accrued_key
 
-from oracles import NaiveEpisodeBuffer, all_transition_experiences, value_iteration_scalar
+from oracles import (NaiveEpisodeBuffer, all_transition_experiences, scalarized_q_step,
+                     value_iteration_scalar)
 
 WS = Scalarization("weighted-sum")
 
@@ -234,6 +235,15 @@ class TestScalarizedUpdate:
         assert float(lam @ value) == pytest.approx(best, abs=1e-9)
         np.testing.assert_allclose(value, [4.0, 0.0])  # tie falls to action 0
 
+    def test_memo_rescores_a_reward_it_does_not_hold(self):
+        q, g = QTableScalar(2, alpha=1.0), CountingScalarization()
+        e = exp(action=0, reward=(1, 0))
+        scores = {id(e.reward): (np.array([9.0, 9.0]), 9.0)}  # a dead reward's id, reused
+        update_scalarized_q(q, e, g, (1, 0), scores)
+        update_scalarized_q(q, e, g, (1, 0), scores)
+        assert g.calls == 1 and q.row(0)[0] == 1.0
+        assert scores[id(e.reward)][0] is e.reward
+
     def test_matches_plain_q_learning_bit_for_bit(self):
         env = dst_corridor()
         lam = np.array([0.4, 0.6])
@@ -258,6 +268,67 @@ class TestScalarizedUpdate:
         assert set(q.table) == set(plain)
         for s in plain:
             assert np.array_equal(q.table[s], plain[s])
+
+
+NAN = float("nan")
+TABLE_VALUES = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 2.5, NAN, -NAN]
+SHARED_REWARDS = [(1.0, -1.0), (0.0, -0.0), (2.5, 1e-300)]
+
+
+class CountingScalarization(Scalarization):
+    calls = 0
+
+    def score(self, f, lam):
+        self.calls += 1
+        return super().score(f, lam)
+
+
+def row_bits(q):
+    """Rows in creation order, each as its exact bytes, every NaN as numpy's
+    own. Which of two NaN operands an operation returns is up to the
+    compiled code (numpy scalars and Python floats differ); no output shows
+    it: serialized text reads ``nan`` and greedy choices treat NaNs alike."""
+    return [(s, np.where(np.isnan(row), np.nan, row).tobytes()) for s, row in q.table.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_actions=st.integers(1, 3),
+       rows=st.dictionaries(st.integers(0, 3),
+                            st.lists(st.sampled_from(TABLE_VALUES), min_size=3, max_size=3)),
+       steps=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(-3, 2),
+                                st.integers(0, 3), st.booleans()), max_size=30),
+       kind=st.sampled_from(["weighted-sum", "tchebycheff"]),
+       lam=st.sampled_from([(1.0, 0.0), (0.0, 1.0), (0.3, 0.7)]),
+       reference=st.sampled_from([(-np.inf, -np.inf), (2.0, 2.0), (0.0, -0.0)]),
+       alpha=st.sampled_from([0.1, 0.2, 1.0]), gamma=st.sampled_from([0.0, 0.5, 1.0]))
+def test_memoised_scalar_step_matches_the_oracle(n_actions, rows, steps, kind, lam, reference,
+                                                 alpha, gamma):
+    """One memo shared by a whole batch leaves the same bits as the step
+    that scores every experience. Each step is ``(state, action, reward,
+    next state, terminal)``; a reward ``k >= 0`` is the shared array
+    ``SHARED_REWARDS[k]`` (an env's own outcome), ``k < 0`` a fresh array
+    equal to ``SHARED_REWARDS[-k - 1]``."""
+    shared = [np.array(r) for r in SHARED_REWARDS]
+    batch = [Experience(s, a % n_actions, shared[r] if r >= 0 else np.array(SHARED_REWARDS[-r - 1]),
+                        nxt, terminal, np.zeros(2))
+             for s, a, r, nxt, terminal in steps]
+    ref = ReferencePoint(mode="fixed", values=reference)
+    g, oracle_g = CountingScalarization(kind, ref), Scalarization(kind, ref)
+    tables = []
+    for _ in range(3):
+        q = QTableScalar(n_actions, alpha=alpha, gamma=gamma)
+        for s, values in rows.items():
+            q.table[s] = np.array(values[:n_actions])
+        tables.append(q)
+    memo_q, plain_q, oracle_q = tables
+    scores = {}
+    for e in batch:
+        update_scalarized_q(memo_q, e, g, lam, scores)
+        update_scalarized_q(plain_q, e, Scalarization(kind, ref), lam)
+        scalarized_q_step(oracle_q, e, oracle_g, lam)
+    assert row_bits(memo_q) == row_bits(plain_q) == row_bits(oracle_q)
+    assert serialize_table(memo_q) == serialize_table(oracle_q)
+    assert g.calls == len({id(e.reward) for e in batch})
 
 
 class TestVectorUpdate:

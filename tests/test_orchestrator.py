@@ -26,7 +26,7 @@ from paretoq.decomposition import Scalarization
 from paretoq.momdp import Experience
 from paretoq.orchestrator import _adapt, _archive_population, _sample_visible, _visible_episodes
 
-from oracles import offer_every_evaluation
+from oracles import offer_every_evaluation, scalarized_q_step
 
 
 def small_config(**kw):
@@ -373,6 +373,37 @@ class TestArchiveOffers:
         assert len(state.archive) == 2
 
 
+class TestScoreMemo:
+    CONFIGS = [dict(scalarization=kind, psa_enabled=psa, cooperation=mode)
+               for kind in ("weighted-sum", "tchebycheff") for psa in (False, True)
+               for mode in orchestrator.COOPERATION_MODES]
+
+    @pytest.mark.parametrize("overrides", CONFIGS, ids=[
+        f"{c['scalarization']}-psa{int(c['psa_enabled'])}-{c['cooperation']}" for c in CONFIGS])
+    def test_memoised_runs_equal_runs_through_the_oracle_step(self, overrides, monkeypatch):
+        """Weights and the reference point move in _adapt every 60 steps; a
+        memo that outlived a round would score with stale ones."""
+        scores = []
+        score = Scalarization.score
+        monkeypatch.setattr(Scalarization, "score",
+                            lambda self, f, lam: scores.append(1) or score(self, f, lam))
+        config = small_config(learner="scalarized-q", psa_period_steps=60, **overrides)
+        report = run(config)
+        memoised = len(scores)
+        monkeypatch.setattr(orchestrator, "update_scalarized_q", scalarized_q_step)
+        expected = run(config)
+        assert memoised < len(scores) - memoised  # the memo took effect
+        assert [(e.eval.tobytes(), e.payload, e.subproblem, e.step) for e in report.archive] == \
+               [(e.eval.tobytes(), e.payload, e.subproblem, e.step) for e in expected.archive]
+        assert report.checkpoints == expected.checkpoints
+        assert [serialize_table(sp.learner) for sp in report.subproblems] == \
+               [serialize_table(sp.learner) for sp in expected.subproblems]
+        if config.psa_enabled:
+            initial = initialize(config).subproblems
+            assert any(not np.array_equal(sp.weight, first.weight)
+                       for sp, first in zip(report.subproblems, initial))
+
+
 class TestReportPickle:
     def test_holds_no_walk_cache(self):
         report = run(small_config(learner="esr-mc", scalarization="tchebycheff",
@@ -396,13 +427,17 @@ class TestBenchmarkTracer:
     """The benchmark's tracer patches paretoq names from outside; a change
     that renames or bypasses one would silently zero its per-layer metrics."""
 
-    def test_every_traced_layer_records_calls(self):
+    @staticmethod
+    def tracing():
         path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
         spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
         tracing = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracing)
+        return tracing
+
+    def test_every_traced_layer_records_calls(self):
         push = ExperienceBuffer.push
-        tracer = tracing.Tracer().install()
+        tracer = self.tracing().Tracer().install()
         try:
             tracer.root_run(run)(small_config(cooperation="none", learner="scalarized-q",
                                               total_steps=120))
@@ -414,6 +449,28 @@ class TestBenchmarkTracer:
             assert spans.get(name, [0])[0] > 0, name
         assert tracer.missing == ["paretoq.orchestrator.update_envelope_q"]
         assert ExperienceBuffer.push is push
+
+    @pytest.mark.parametrize("cooperation", ["none", "shared-buffer-neighborhood"])
+    def test_one_scalar_update_span_per_replayed_experience(self, cooperation, monkeypatch):
+        """Counted apart from the tracer, so batching the step or calling it
+        by another name than ``orchestrator.update_scalarized_q`` fails here."""
+        replayed = []
+        sample = orchestrator._sample_visible
+
+        def counted_sample(visible, batch, rng):
+            drawn = sample(visible, batch, rng)
+            replayed.append(len(drawn))
+            return drawn
+
+        monkeypatch.setattr(orchestrator, "_sample_visible", counted_sample)
+        tracer = self.tracing().Tracer().install()
+        try:
+            tracer.root_run(run)(small_config(cooperation=cooperation, learner="scalarized-q",
+                                              total_steps=120))
+        finally:
+            tracer.uninstall()
+        spans, _, _ = tracer.merged()
+        assert spans["learning.update.scalar"][0] == sum(replayed) > 0
 
 
 class TestAdaptation:
