@@ -31,6 +31,12 @@ FIFO = "fifo"
 DIVERSE_CROWDING = "diverse-crowding"
 
 
+class _Episode(list):
+    """A stored episode; ``replay`` keeps its :func:`update_esr_mc` plan."""
+
+    __slots__ = ("replay",)
+
+
 class ExperienceBuffer:
     """Bounded store of experiences, grouped by the episode they came from.
 
@@ -73,9 +79,10 @@ class ExperienceBuffer:
 
     def push(self, experiences) -> "ExperienceBuffer":
         """Append one episode (or fragment) and enforce capacity."""
-        steps = list(experiences)
+        steps = _Episode(experiences)
         if not steps:
             return self
+        steps.replay = None
         self._episodes.append(steps)
         self._flat.extend(steps)
         if steps[-1].terminal:
@@ -122,8 +129,7 @@ class ExperienceBuffer:
             return []
         if not self._flat:
             raise ValueError("empty buffer")
-        idx = rng.integers(0, len(self._flat), size=int(batch))
-        return [self._flat[i] for i in idx]
+        return [self._flat[i] for i in rng.integers(0, len(self._flat), size=int(batch)).tolist()]
 
     def sample_episodes(self, count: int, rng: np.random.Generator):
         """``count`` complete episodes drawn uniformly with replacement."""
@@ -371,21 +377,45 @@ def _update_envelope_row(q: QTableEnvelope, e: Experience, lam, l_idx: int) -> Q
     return q
 
 
-def update_esr_mc(q: QTableEsr, episode, g: Scalarization, lam) -> QTableEsr:
-    """Monte-Carlo update of a complete episode toward its scalarized return."""
-    episode = list(episode)
-    if not episode or not episode[-1].terminal:
-        raise ValueError("incomplete episode: ESR updates need a finished episode")
-    total = episode[-1].accrued + episode[-1].reward
-    target = g.score(total, lam)
-    for e in episode:
-        row, visits = q._entry(accrued_key(e.state, e.accrued))
-        row[e.action] += q.alpha * (target - row[e.action])
-        visits[e.action] += 1
+def update_esr_mc(q: QTableEsr, episode, g: Scalarization, lam,
+                  scores: dict | None = None, plans: dict | None = None) -> QTableEsr:
+    """Monte-Carlo update of a complete episode toward its scalarized return.
+
+    It replays a plan: each step's (accrued key, action), the return's bytes.
+    With ``plans`` it interns the plan by exact content (0.0 and -0.0 apart) and
+    keeps it on an episode a buffer stores (read-only); else it plans per call.
+    ``scores`` memoises return scores while ``lam`` and the reference stay put."""
+    plan = episode.replay if type(episode) is _Episode else None
+    if plan is None:
+        steps = list(episode)
+        if not steps or not steps[-1].terminal:
+            raise ValueError("incomplete episode: ESR updates need a finished episode")
+        total = np.asarray(steps[-1].accrued + steps[-1].reward, dtype=float).tobytes()
+        content = plans is not None and (total, *[(e.state, e.action, np.asarray(
+            e.accrued, dtype=float).tobytes()) for e in steps])
+        plan = (plans.get(content) if content else None) or (
+            tuple([(accrued_key(e.state, e.accrued), e.action) for e in steps]), total)
+        if content:
+            plans[content] = plan
+            if type(episode) is _Episode:
+                episode.replay = plan
+    steps, total = plan
+    scores = {} if scores is None else scores
+    target = scores.get(total)
+    if target is None:
+        target = scores[total] = g.score(np.frombuffer(total), lam)
+    alpha, table, counts = q.alpha, q.table, q.visits
+    for key, a in steps:
+        row, visits = table.get(key), counts.get(key)
+        if row is None:
+            row, visits = q._entry(key)
+        old = row.item(a)
+        row[a] = old + alpha * (target - old)
+        visits[a] = visits.item(a) + 1
     return q
 
 
-def greedy_policy(q, lam=None) -> TabularPolicy:
+def greedy_policy(q, lam=None, *, preferences=None) -> TabularPolicy:
     """Deterministic greedy policy of any table kind (lowest-index ties).
 
     Vector and envelope tables need the weight vector that scalarizes their
@@ -395,9 +425,11 @@ def greedy_policy(q, lam=None) -> TabularPolicy:
     For scalar and ESR tables the policy is a live view: its preferences are
     the learner's own table, not a copy, so updating the table afterwards
     changes the policy's actions. Take ``copy.deepcopy(q)`` first to keep a
-    frozen policy. Vector and envelope policies are scalarized snapshots.
+    frozen policy. Vector and envelope policies are scalarized snapshots;
+    a caller holding ``q._preferences(lam)`` passes it as ``preferences``.
     """
-    return TabularPolicy(GREEDY, q._preferences(lam), augmented=q._augmented,
+    prefs = q._preferences(lam) if preferences is None else preferences
+    return TabularPolicy(GREEDY, prefs, augmented=q._augmented,
                          default_row=np.zeros(q.n_actions))
 
 

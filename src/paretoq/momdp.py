@@ -232,8 +232,8 @@ def rollout(env: Momdp, policy: TabularPolicy, rng_seed=0):
         action = policy.action(state, accrued, rng)
         next_state, reward, terminal = env.step(state, action, rng)
         done = terminal or len(trace) + 1 >= env.max_episode_steps
-        trace.append(Experience(state, action, reward, next_state, done, accrued.copy()))
-        accrued = accrued + reward
+        trace.append(Experience(state, action, reward, next_state, done, accrued))
+        accrued = accrued + reward   # a new array: each step keeps its own
         state = next_state
         if done:
             return trace, accrued

@@ -203,6 +203,8 @@ class RunState:
     _adapt_marker: int = 0
     walks: dict = field(default_factory=dict)    # subproblem index -> last greedy walk
     offers: dict = field(default_factory=dict)   # subproblem index -> last archive check
+    plans: dict = field(default_factory=dict)    # interned ESR replay plans
+    scores: dict = field(default_factory=dict)   # subproblem index -> ESR score memo
 
 
 def _make_learner(config: RunConfig, env: Momdp, weights):
@@ -308,22 +310,21 @@ def initialize(config: RunConfig, streams: RunStreams | None = None) -> RunState
 
 def evaluate_population(subproblems, env: Momdp, episodes: int, gamma: float, rng,
                         walks: dict | None = None):
-    """Evaluate every subproblem's greedy policy; refresh ``last_eval``.
-    On a deterministic env, ``walks`` keeps each last greedy walk ((state key,
-    action) pairs) and its value, reused while every row gives its action."""
-    cache = walks if env.deterministic else None
+    """Evaluate every subproblem's greedy policy; refresh ``last_eval``. On a
+    deterministic env, ``walks`` keeps each last greedy walk ((state key, action)
+    pairs) and its value, reused while every greedy row (zeros if missing) gives its action."""
+    cache, zero = (walks if env.deterministic else None), np.zeros(1)   # greedy action 0
     for sp in subproblems:
-        policy = greedy_policy(sp.learner, sp.weight)
-        if cache is None:
-            sp.last_eval = evaluate_policy(env, policy, episodes, gamma, rng)
-        else:
-            path, value = cache.get(sp.index, ((), None))
-            rows, zero = policy.preferences, policy.default_row
-            if value is None or any(rows.get(key, zero).argmax() != a for key, a in path):
-                path = []
-                value = evaluate_policy(env, policy, episodes, gamma, rng, path)
-                cache[sp.index] = (path, value)
+        path, value = cache.get(sp.index, ((), None)) if cache is not None else ((), None)
+        rows = None if value is None else sp.learner._preferences(sp.weight)
+        if rows is not None and all(rows.get(key, zero).argmax() == a for key, a in path):
             sp.last_eval = value
+            continue
+        path = None if cache is None else []
+        policy = greedy_policy(sp.learner, sp.weight, preferences=rows)
+        sp.last_eval = evaluate_policy(env, policy, episodes, gamma, rng, path)
+        if cache is not None:
+            cache[sp.index] = (path, sp.last_eval)
     return [sp.last_eval for sp in subproblems]
 
 
@@ -400,8 +401,8 @@ def _sample_episode(env: Momdp, policy, epsilon_fn, step0: int, rng_env, rng_exp
             action = policy.action(state, accrued)
         next_state, reward, terminal = env.step(state, action, rng_env)
         done = terminal or len(trace) + 1 >= env.max_episode_steps
-        trace.append(Experience(state, action, reward, next_state, done, accrued.copy()))
-        accrued = accrued + reward
+        trace.append(Experience(state, action, reward, next_state, done, accrued))
+        accrued = accrued + reward   # a new array: each step keeps its own
         state = next_state
         if done:
             return trace
@@ -469,15 +470,9 @@ def _improve_all(state: RunState):
     Subproblems whose visible buffers are empty skip their passes.
     """
     cfg = state.config
+    if cfg.learner == "esr-mc":
+        return _improve_esr(state)
     for sp, visible in zip(state.subproblems, state.visible):
-        if isinstance(sp.learner, QTableEsr):
-            episodes = _visible_episodes(visible)
-            if not episodes:
-                continue
-            for _ in range(cfg.update_passes):
-                pick = int(state.streams.buffer.integers(0, len(episodes)))
-                update_esr_mc(sp.learner, episodes[pick], state.scalarization, sp.weight)
-            continue
         update = _replay_update(sp.learner, state.scalarization, sp.weight)
         for _ in range(cfg.update_passes):
             batch = _sample_visible(visible, cfg.batch_size, state.streams.buffer)
@@ -487,8 +482,26 @@ def _improve_all(state: RunState):
                 update(e)
 
 
+def _improve_esr(state: RunState):
+    """One replayed episode per pass for each ESR subproblem that sees any, from
+    one draw per round equal to a call per pick. Memos and plans last until _adapt
+    (plans also until buffer_capacity); only deterministic envs, where episodes
+    repeat, intern and keep plans."""
+    if len(state.plans) >= state.config.buffer_capacity:
+        state.plans.clear()
+    plans = state.plans if state.env.deterministic else None
+    rounds = [(sp, episodes) for sp, episodes in
+              zip(state.subproblems, map(_visible_episodes, state.visible))
+              if episodes for _ in range(state.config.update_passes)]
+    picks = state.streams.buffer.integers(0, [len(episodes) for _, episodes in rounds]).tolist()
+    for (sp, episodes), pick in zip(rounds, picks):
+        update_esr_mc(sp.learner, episodes[pick], state.scalarization, sp.weight,
+                      state.scores.setdefault(sp.index, {}), plans)
+
+
 def _adapt(state: RunState):
     """Periodic reference-point update and (optionally) weight adaptation."""
+    state.scores, state.plans = {}, {}   # scores read the weights and the reference point
     archive_evals = [entry.eval for entry in state.archive]
     state.reference.update(archive_evals)
     if not state.config.psa_enabled:
@@ -539,8 +552,8 @@ def run(config: RunConfig) -> RunReport:
     for iteration in range(iterations):
         sp = state.subproblems[select_subproblem(iteration, cfg.population_size)]
         target = min(cfg.total_steps, (iteration + 1) * cfg.steps_per_iteration)
-        while state.steps_done < target:
-            behavior = greedy_policy(sp.learner, sp.weight)
+        behavior = greedy_policy(sp.learner, sp.weight) if state.steps_done < target else None
+        while state.steps_done < target:   # the table stays as it is while sampling
             episode = _sample_episode(state.env, behavior, epsilon_fn, state.steps_done,
                                       state.streams.env, state.streams.explore)
             state.buffers[sp.index].push(episode)

@@ -6,9 +6,10 @@ iteration over the full transition table, per-policy dynamic programming,
 per-point loops for crowding distance and Monte-Carlo hypervolume, an
 episode buffer that re-derives its views after every push, trajectory
 enumeration for the worst return, an archive step that checks every
-offer, the scalarized TD step without its score memo, and a hand-rolled
-single-objective Q-learning loop that mirrors the training schedule step
-for step.
+offer, the scalarized TD step without its score memo, the ESR update and
+its improvement round without plans, memos or a one-call pick draw, and a
+hand-rolled single-objective Q-learning loop that mirrors the training
+schedule step for step.
 """
 
 from __future__ import annotations
@@ -232,6 +233,38 @@ def scalarized_q_step(q, e, g, lam, scores=None):
     row = q.row(e.state)
     row[e.action] += q.alpha * (reward + q.gamma * bootstrap - row[e.action])
     return q
+
+
+def esr_mc_step(q, episode, g, lam, scores=None, plans=None):
+    """The ESR Monte-Carlo update as it read before replay plans and score
+    memos: keys built and the return scored on every call, numpy-scalar row
+    steps (``scores`` and ``plans`` are ignored)."""
+    from paretoq.momdp import accrued_key
+
+    episode = list(episode)
+    if not episode or not episode[-1].terminal:
+        raise ValueError("incomplete episode: ESR updates need a finished episode")
+    total = episode[-1].accrued + episode[-1].reward
+    target = g.score(total, lam)
+    for e in episode:
+        row, visits = q._entry(accrued_key(e.state, e.accrued))
+        row[e.action] += q.alpha * (target - row[e.action])
+        visits[e.action] += 1
+    return q
+
+
+def improve_esr_pick_by_pick(state):
+    """The ESR improvement round as it read before a round's picks came
+    from one draw: one scalar ``integers`` call per pick, and the step above."""
+    from paretoq.orchestrator import _visible_episodes
+
+    for sp, visible in zip(state.subproblems, state.visible):
+        episodes = _visible_episodes(visible)
+        if not episodes:
+            continue
+        for _ in range(state.config.update_passes):
+            pick = int(state.streams.buffer.integers(0, len(episodes)))
+            esr_mc_step(sp.learner, episodes[pick], state.scalarization, sp.weight)
 
 
 def tchebycheff_numpy(f, lam, z) -> float:

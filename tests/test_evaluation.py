@@ -37,6 +37,7 @@ from paretoq import (
     update_esr_mc,
 )
 
+from paretoq.momdp import tiny_tree
 from paretoq.orchestrator import Subproblem, _worst_return
 
 from oracles import rollout_discounted_mean, tchebycheff_numpy, worst_return_by_enumeration
@@ -281,6 +282,31 @@ def test_cached_population_evaluation_is_a_fresh_walk(env, kind, n, gamma, data)
             assert all(a is b for a, b in zip(evals, previous))
         previous = evals
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cached_population_evaluation_builds_preferences_at_most_once(kind, monkeypatch):
+    """A first walk, a reused walk and a re-walk after an argmax flip each
+    build every subproblem's greedy preferences once (vector and envelope
+    tables build them by one matmul per state)."""
+    env = tiny_tree()
+    weights = [np.array([0.5, 0.5]), np.array([1.0, 0.0])]
+    sps = [Subproblem(i, w, _new_table(kind, env, weights)) for i, w in enumerate(weights)]
+    cls, calls = type(sps[0].learner), []
+    preferences = cls._preferences
+    monkeypatch.setattr(cls, "_preferences",
+                        lambda self, lam: calls.append(1) or preferences(self, lam))
+    walks, rng = {}, np.random.default_rng(0)
+    for flip in (False, False, True):
+        if flip:
+            (key, a), *_ = walks[0][0]
+            q = sps[0].learner
+            row = q.row(*key) if isinstance(q, QTableEsr) else q._get(key)
+            row[(..., 1 - a) if row.ndim == 1 else (..., 1 - a, slice(None))] = 1.0
+        before, calls[:] = walks.get(0), []
+        evaluate_population(sps, env, 3, 1.0, rng, walks)
+        assert len(calls) == len(sps)
+        assert (walks[0] is before) == (before is not None and not flip)
 
 
 @settings(max_examples=50, deadline=None)

@@ -28,8 +28,8 @@ from paretoq import (
 )
 from paretoq.momdp import Experience, accrued_key
 
-from oracles import (NaiveEpisodeBuffer, all_transition_experiences, scalarized_q_step,
-                     value_iteration_scalar)
+from oracles import (NaiveEpisodeBuffer, all_transition_experiences, esr_mc_step,
+                     scalarized_q_step, value_iteration_scalar)
 
 WS = Scalarization("weighted-sum")
 
@@ -462,6 +462,119 @@ class TestEsrUpdate:
             update_esr_mc(q, trace, self.TCH, lam)
         _, ret = rollout(env, greedy_policy(q), 0)
         np.testing.assert_allclose(ret, [2.0, -2.0])
+
+
+    def test_stored_episodes_keep_their_plan_only_with_an_intern_map(self):
+        q, g = QTableEsr(2, 2, alpha=1.0), CountingScalarization("weighted-sum")
+        buf = ExperienceBuffer(capacity=10).push([exp(action=1, reward=(2, -2))])
+        stored = buf.complete_episodes()[0]
+        update_esr_mc(q, stored, g, (0.5, 0.5))
+        assert stored.replay is None            # without a map, planned on every call
+        update_esr_mc(q, stored, g, (0.5, 0.5), plans={})
+        plan = stored.replay
+        assert plan is not None
+        update_esr_mc(q, stored, g, (0.5, 0.5))
+        assert stored.replay is plan and q.visits[(0, (0.0, 0.0))].tolist() == [0, 3]
+        plain = [exp(action=0, reward=(2, -2))]
+        update_esr_mc(q, plain, g, (0.5, 0.5), plans={})
+        plain[0].action = 1                     # planned again on every call
+        update_esr_mc(q, plain, g, (0.5, 0.5), plans={})
+        assert q.visits[(0, (0.0, 0.0))].tolist() == [1, 4]
+        assert type(plain) is list and g.calls == 5  # no memo: every call scores
+
+    def test_fifo_cuts_leave_plain_fragments_outside_complete_episodes(self):
+        buf = ExperienceBuffer(capacity=3).push(episode(0, 2, (1.0, 0.0)))
+        buf.push(episode(10, 2, (0.0, 1.0)))
+        head = buf._episodes[0]
+        assert [e.state for e in head] == [1] and type(head) is list
+        assert all(ep is not head for ep in buf.complete_episodes())
+
+    def test_equal_plans_are_interned_and_signed_zeros_kept_apart(self):
+        q, plans = QTableEsr(2, 2, alpha=1.0), {}
+        episodes = [ExperienceBuffer(4).push([exp(action=1, reward=(2, -2), accrued=(z, 0.0))])
+                    .complete_episodes()[0] for z in (0.0, 0.0, -0.0)]
+        for ep in episodes:
+            update_esr_mc(q, ep, WS, (0.5, 0.5), {}, plans)
+        first, same, negative = (ep.replay for ep in episodes)
+        assert same is first and negative is not first and len(plans) == 2
+        assert serialize_table(q).count("\t") == 6   # one key row: 0.0 == -0.0 as a key
+
+
+ESR_VALUES = [0.0, -0.0, 1.0, -1.0, 2.5]          # accrued and reward components
+ESR_REWARDS = ESR_VALUES + [1e-300, NAN]           # a NaN return scores NaN
+
+
+def visit_bits(q):
+    return [(key, counts.dtype.str, counts.tobytes()) for key, counts in q.visits.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_actions=st.integers(1, 3),
+       pool=st.lists(st.tuples(
+           st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                              st.sampled_from(ESR_VALUES), st.sampled_from(ESR_VALUES)),
+                    min_size=1, max_size=3),
+           st.sampled_from(ESR_REWARDS), st.sampled_from(ESR_REWARDS), st.booleans()),
+           min_size=1, max_size=4),
+       replays=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 11)), max_size=16),
+       rows=st.dictionaries(st.tuples(st.integers(0, 2), st.sampled_from(ESR_VALUES),
+                                      st.sampled_from(ESR_VALUES)),
+                            st.lists(st.sampled_from(TABLE_VALUES), min_size=3, max_size=3),
+                            max_size=4),
+       kind=st.sampled_from(["weighted-sum", "tchebycheff"]),
+       lam=st.sampled_from([(1.0, 0.0), (0.0, 1.0), (0.3, 0.7)]),
+       reference=st.sampled_from([(-np.inf, -np.inf), (2.0, 2.0), (0.0, -0.0)]),
+       alpha=st.sampled_from([0.1, 0.2, 1.0]))
+def test_planned_esr_update_matches_the_oracle(n_actions, pool, replays, rows, kind, lam,
+                                               reference, alpha):
+    """Plans, interning and one score memo per table over a whole replay
+    sequence leave the bits the oracle step leaves. Each replay is ``(table,
+    episode)``; two tables share the interned plans, as subproblems do. Each pool entry is ``(steps, r0,
+    r1, stored)``: steps ``(state, action, accrued0, accrued1)``, the last
+    step's reward ``(r0, r1)``, and whether a buffer stores the episode. A
+    fresh copy of every entry joins the pool, and one with the sign of every
+    accrued zero flipped, so equal episodes and equal keys of unequal bytes
+    meet."""
+    def build(steps, r0, r1, flip):
+        return [Experience(s, a % n_actions, np.array((r0, r1) if t == len(steps) - 1
+                                                      else (0.0, 0.0)),
+                           s, t == len(steps) - 1,
+                           np.array([-c if flip and c == 0 else c for c in (c0, c1)]))
+                for t, (s, a, c0, c1) in enumerate(steps)]
+
+    buf = ExperienceBuffer(capacity=1000)
+    episodes = []
+    for flip, (steps, r0, r1, stored) in [(flip, entry) for flip in (False, False, True)
+                                          for entry in pool]:
+        if stored:
+            buf.push(build(steps, r0, r1, flip))
+            episodes.append(buf.complete_episodes()[-1])
+        else:
+            episodes.append(build(steps, r0, r1, flip))
+    ref = ReferencePoint(mode="fixed", values=reference)
+    g = CountingScalarization(kind, ref)
+    tables = []
+    for _ in range(6):
+        q = QTableEsr(n_actions, 2, alpha=alpha)
+        for (s, c0, c1), values in rows.items():
+            row, visits = q._entry(accrued_key(s, (c0, c1)))
+            row[:] = values[:n_actions]
+            visits[:] = 1
+        tables.append(q)
+    planned, bare, oracle = tables[:2], tables[2:4], tables[4:]
+    scores, plans = ({}, {}), {}
+    for k, i in replays:
+        ep = episodes[i % len(episodes)]
+        update_esr_mc(planned[k], ep, g, lam, scores[k], plans)
+        update_esr_mc(bare[k], ep, Scalarization(kind, ref), lam)
+        esr_mc_step(oracle[k], ep, Scalarization(kind, ref), lam)
+    for q in zip(planned, bare, oracle):
+        assert row_bits(q[0]) == row_bits(q[1]) == row_bits(q[2])
+        assert visit_bits(q[0]) == visit_bits(q[1]) == visit_bits(q[2])
+        assert serialize_table(q[0]) == serialize_table(q[1]) == serialize_table(q[2])
+    returns = {(k, (ep[-1].accrued + ep[-1].reward).tobytes())
+               for k, ep in ((k, episodes[i % len(episodes)]) for k, i in replays)}
+    assert g.calls == len(returns)
 
 
 class TestGreedyPolicy:

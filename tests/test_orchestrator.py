@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paretoq import (
     ExperienceBuffer,
@@ -23,10 +24,12 @@ from paretoq import (
 from paretoq import orchestrator
 from paretoq.archive import ParetoArchive
 from paretoq.decomposition import Scalarization
-from paretoq.momdp import Experience
-from paretoq.orchestrator import _adapt, _archive_population, _sample_visible, _visible_episodes
+from paretoq.momdp import Experience, Momdp, register_env, rollout
+from paretoq.orchestrator import (_adapt, _archive_population, _epsilon_schedule, _sample_episode,
+                                  _sample_visible, _visible_episodes)
+from paretoq.rng import STREAM_BUFFER, derive_stream
 
-from oracles import offer_every_evaluation, scalarized_q_step
+from oracles import improve_esr_pick_by_pick, offer_every_evaluation, scalarized_q_step
 
 
 def small_config(**kw):
@@ -404,6 +407,121 @@ class TestScoreMemo:
                        for sp, first in zip(report.subproblems, initial))
 
 
+def noisy_corridor():
+    """dst-corridor whose every reward is one higher in both objectives half
+    the time, so new returns, and new replay plans, keep arriving."""
+    base = dst_corridor()
+    transitions = [[[(p / 2, ns, r + shift, term) for p, ns, r, term in base.outcomes(s, a)
+                     for shift in (0.0, 1.0)] for a in range(base.n_actions)]
+                   for s in range(base.n_states)]
+    return Momdp(base.n_states, base.n_actions, 2, transitions, base.initial_dist,
+                 base.max_episode_steps, name="noisy-corridor", hv_reference_default=(0.0, -50.0))
+
+
+register_env("noisy-corridor-test-env", noisy_corridor)
+
+
+def branching_chain(length=6):
+    """A deterministic chain whose two actions both advance, with rewards
+    (1, 0) and (0, 1): each action sequence is its own episode, so
+    exploration keeps bringing new replay plans."""
+    transitions = [[[(1.0, min(s + 1, length - 1), np.array([1.0 - a, float(a)]),
+                      s + 1 == length)] for a in range(2)] for s in range(length)]
+    mu0 = np.zeros(length)
+    mu0[0] = 1.0
+    return Momdp(length, 2, 2, transitions, mu0, length, name="branching-chain",
+                 hv_reference_default=(-1.0, -1.0))
+
+
+register_env("branching-chain-test-env", branching_chain)
+
+
+class TestEsrReplay:
+    CONFIGS = [dict(scalarization=kind, psa_enabled=psa, cooperation=mode,
+                    buffer_replacement=replacement)
+               for kind in ("weighted-sum", "tchebycheff") for psa in (False, True)
+               for mode in orchestrator.COOPERATION_MODES
+               for replacement in ("fifo", "diverse-crowding")] + [
+        dict(env=env, scalarization="tchebycheff", psa_enabled=psa, cooperation="shared-buffer",
+             buffer_replacement="fifo")
+        for env in ("noisy-corridor-test-env", "branching-chain-test-env") for psa in (False, True)]
+
+    @pytest.mark.parametrize("overrides", CONFIGS, ids=[
+        f"{c['scalarization']}-psa{int(c['psa_enabled'])}-{c['cooperation']}-"
+        f"{c['buffer_replacement']}" + (f"-{c['env']}" if "env" in c else "") for c in CONFIGS])
+    def test_runs_equal_runs_through_the_oracle_round(self, overrides, monkeypatch):
+        """_adapt moves the reference point (and with PSA the weights) every
+        60 steps, and 40-step buffers evict, so stale memos, stale plans and
+        draws out of order would all show."""
+        scores = []
+        score = Scalarization.score
+        monkeypatch.setattr(Scalarization, "score",
+                            lambda self, f, lam: scores.append(1) or score(self, f, lam))
+        config = small_config(learner="esr-mc", psa_period_steps=60, buffer_capacity=40,
+                              total_steps=900, **overrides)
+        report = run(config)
+        memoised = len(scores)
+        monkeypatch.setattr(orchestrator, "_improve_all", improve_esr_pick_by_pick)
+        expected = run(config)
+        assert memoised < len(scores) - memoised  # the memo took effect
+        assert [(e.eval.tobytes(), e.payload, e.subproblem, e.step) for e in report.archive] == \
+               [(e.eval.tobytes(), e.payload, e.subproblem, e.step) for e in expected.archive]
+        assert report.checkpoints == expected.checkpoints
+        assert [serialize_table(sp.learner) for sp in report.subproblems] == \
+               [serialize_table(sp.learner) for sp in expected.subproblems]
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           highs=st.lists(st.one_of(st.integers(1, 50), st.integers(2**32 - 2, 2**32 + 7),
+                                    st.integers(1, 2**40)), max_size=24))
+    def test_one_draw_with_many_bounds_equals_one_draw_per_bound(self, seed, highs):
+        one, each = derive_stream(seed, STREAM_BUFFER), derive_stream(seed, STREAM_BUFFER)
+        assert one.integers(0, highs).tolist() == [int(each.integers(0, h)) for h in highs]
+        assert one.bit_generator.state == each.bit_generator.state
+
+    @staticmethod
+    def intern_map_sizes(monkeypatch, env):
+        """The intern map's size after each round of a run with PSA off, so
+        no _adapt clears it before the end."""
+        sizes = []
+        improve = orchestrator._improve_all
+        monkeypatch.setattr(orchestrator, "_improve_all",
+                            lambda state: improve(state) or sizes.append(len(state.plans)))
+        config = small_config(env=env, learner="esr-mc", scalarization="tchebycheff",
+                              buffer_capacity=30, psa_period_steps=10_000, total_steps=1200)
+        run(config)
+        return config, sizes
+
+    def test_interned_plans_stay_bounded_by_the_buffer_capacity(self, monkeypatch):
+        """Only the capacity bound clears the plans of ever-new episodes."""
+        assert branching_chain().deterministic
+        config, sizes = self.intern_map_sizes(monkeypatch, "branching-chain-test-env")
+        new_per_round = config.population_size * config.update_passes
+        assert max(sizes) < config.buffer_capacity + new_per_round
+        assert max(sizes) >= config.buffer_capacity              # the bound was reached
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))      # and cleared the plans
+
+    def test_stochastic_envs_intern_no_plans(self, monkeypatch):
+        assert not noisy_corridor().deterministic
+        _, sizes = self.intern_map_sizes(monkeypatch, "noisy-corridor-test-env")
+        assert sizes and max(sizes) == 0
+
+    def test_sampled_steps_do_not_share_accrued_arrays(self):
+        env = dst_corridor()
+        q = QTableEsr(env.n_actions, 2)
+        policy = orchestrator.greedy_policy(q)
+        rng = np.random.default_rng(5)
+        traces = [_sample_episode(env, policy, _epsilon_schedule(small_config()), 0, rng, rng)
+                  for _ in range(20)] + [rollout(env, policy, seed)[0] for seed in range(5)]
+        for trace in traces:
+            arrays = [e.accrued for e in trace]
+            assert len({id(a) for a in arrays}) == len(arrays)
+            assert [a.tolist() for a in arrays] == \
+                   [np.sum([e.reward for e in trace[:t]], axis=0).tolist() if t else [0.0, 0.0]
+                    for t in range(len(trace))]
+        assert max(len(trace) for trace in traces) > 1
+
+
 class TestReportPickle:
     def test_holds_no_walk_cache(self):
         report = run(small_config(learner="esr-mc", scalarization="tchebycheff",
@@ -471,6 +589,29 @@ class TestBenchmarkTracer:
             tracer.uninstall()
         spans, _, _ = tracer.merged()
         assert spans["learning.update.scalar"][0] == sum(replayed) > 0
+
+    @pytest.mark.parametrize("cooperation", ["none", "shared-buffer-neighborhood"])
+    def test_one_esr_update_span_per_pick(self, cooperation, monkeypatch):
+        """Counted apart from the tracer: a round picks ``update_passes``
+        episodes for each subproblem that sees any."""
+        seen = []
+        episodes_of = orchestrator._visible_episodes
+
+        def counted_episodes(visible):
+            episodes = episodes_of(visible)
+            seen.append(bool(episodes))
+            return episodes
+
+        monkeypatch.setattr(orchestrator, "_visible_episodes", counted_episodes)
+        config = small_config(cooperation=cooperation, learner="esr-mc",
+                              scalarization="tchebycheff", total_steps=120)
+        tracer = self.tracing().Tracer().install()
+        try:
+            tracer.root_run(run)(config)
+        finally:
+            tracer.uninstall()
+        spans, _, _ = tracer.merged()
+        assert spans["learning.update.esr"][0] == sum(seen) * config.update_passes > 0
 
 
 class TestAdaptation:
