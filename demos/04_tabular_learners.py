@@ -79,10 +79,8 @@ lam = np.array([0.2, 0.8])
 esr = QTableEsr(env.n_actions, 2, alpha=0.2, gamma=1.0)
 explore = np.random.default_rng(5)
 for episode in range(4000):
-    behavior = greedy_policy(esr)
-    behavior.kind = "epsilon-greedy"
-    behavior.epsilon = max(0.05, 1.0 - episode / 2000)
-    trace, _ = rollout(env, behavior, explore)
+    epsilon = max(0.05, 1.0 - episode / 2000)
+    trace, _ = rollout(env, greedy_policy(esr), explore, lambda t: epsilon)
     update_esr_mc(esr, trace, tch, lam)
 _, final = rollout(env, greedy_policy(esr), 0)
 print(f"\naccrued-reward learner, lam {tuple(map(float, lam))}: greedy return {final} "

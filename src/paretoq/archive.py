@@ -30,34 +30,14 @@ def prune(candidates):
 
     Every entry dominated by some other input entry is dropped, as is any
     later entry whose evaluation exactly repeats an earlier one. Input order
-    of the survivors is preserved. Implemented as sequential archive
-    insertion with the survivor set held in one matrix, which gives the same
-    result as a full pairwise filter.
+    of the survivors is preserved. The pairs are inserted in turn into a
+    fresh :class:`ParetoArchive`, which gives the same result as a full
+    pairwise filter.
     """
-    payloads: list = []
-    mat: np.ndarray | None = None
+    archive = ParetoArchive()
     for eval_, payload in candidates:
-        vec = ensure_objective(eval_)
-        if mat is None:
-            mat = vec[None, :]
-            payloads.append(payload)
-            continue
-        if vec.shape[0] != mat.shape[1]:
-            raise ValueError(
-                f"objective vectors have mismatched lengths {vec.shape[0]} "
-                f"vs {mat.shape[1]}")
-        # a survivor that is >= everywhere either dominates or duplicates vec
-        if np.any(np.all(mat >= vec, axis=1)):
-            continue
-        keep = ~(np.all(vec >= mat, axis=1) & np.any(vec > mat, axis=1))
-        if not np.all(keep):
-            mat = mat[keep]
-            payloads = [p for p, k in zip(payloads, keep) if k]
-        mat = np.concatenate([mat, vec[None, :]])
-        payloads.append(payload)
-    if mat is None:
-        return []
-    return [(mat[i], payloads[i]) for i in range(len(payloads))]
+        archive.insert(eval_, payload)
+    return [(e.eval, e.payload) for e in archive]
 
 
 def crowding_distance(front) -> np.ndarray:
@@ -146,7 +126,9 @@ class ParetoArchive:
         vec = ensure_objective(eval_)
         if not self.would_accept(vec):
             return False
-        self.entries = [e for e in self.entries if not dominates(vec, e.eval)]
+        if self.entries:   # vec repeats no entry, so it dominates those it is >= everywhere
+            beaten = (self._mat <= vec).all(axis=1).tolist()
+            self.entries = [e for e, gone in zip(self.entries, beaten) if not gone]
         self.entries.append(ArchiveEntry(vec, payload, subproblem, step))
         while self.capacity is not None and len(self.entries) > self.capacity:
             victim = int(np.argmin(crowding_distance(self.evals())))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .archive import crowding_distance
 from .decomposition import Scalarization
-from .momdp import GREEDY, Experience, TabularPolicy, accrued_key
+from .momdp import Experience, TabularPolicy, accrued_key
 
 FIFO = "fifo"
 DIVERSE_CROWDING = "diverse-crowding"
@@ -130,15 +130,6 @@ class ExperienceBuffer:
         if not self._flat:
             raise ValueError("empty buffer")
         return [self._flat[i] for i in rng.integers(0, len(self._flat), size=int(batch)).tolist()]
-
-    def sample_episodes(self, count: int, rng: np.random.Generator):
-        """``count`` complete episodes drawn uniformly with replacement."""
-        if count == 0:
-            return []
-        if not self._complete:
-            raise ValueError("empty buffer")
-        idx = rng.integers(0, len(self._complete), size=int(count))
-        return [self._complete[i] for i in idx]
 
 
 class _Table:
@@ -429,8 +420,7 @@ def greedy_policy(q, lam=None, *, preferences=None) -> TabularPolicy:
     a caller holding ``q._preferences(lam)`` passes it as ``preferences``.
     """
     prefs = q._preferences(lam) if preferences is None else preferences
-    return TabularPolicy(GREEDY, prefs, augmented=q._augmented,
-                         default_row=np.zeros(q.n_actions))
+    return TabularPolicy(prefs, augmented=q._augmented, default_row=np.zeros(q.n_actions))
 
 
 # --- flat text serialization -------------------------------------------------

@@ -104,6 +104,13 @@ class Momdp:
                     (float(p), int(ns), ensure_objective(r, self.n_objectives), bool(term))
                     for p, ns, r, term in transitions[s][a]
                 ]
+                for p, ns, *_ in outcomes:
+                    if not 0.0 <= p <= 1.0:
+                        raise ValueError(f"transition probability {p!r} for state {s}, "
+                                         f"action {a} is outside [0, 1]")
+                    if not 0 <= ns < self.n_states:
+                        raise ValueError(f"next state {ns} for state {s}, action {a} is "
+                                         f"outside [0, {self.n_states})")
                 total = sum(p for p, *_ in outcomes)
                 if abs(total - 1.0) > 1e-12:
                     raise ValueError(
@@ -115,6 +122,9 @@ class Momdp:
         self.initial_dist = np.asarray(initial_dist, dtype=float)
         if self.initial_dist.shape != (self.n_states,):
             raise ValueError("initial distribution must have one entry per state")
+        for s, p in enumerate(self.initial_dist.tolist()):
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"initial probability {p!r} of state {s} is outside [0, 1]")
         if abs(self.initial_dist.sum() - 1.0) > 1e-12:
             raise ValueError(f"initial distribution sums to {self.initial_dist.sum()!r}")
 
@@ -138,9 +148,10 @@ class Momdp:
     def initial_state(self, rng: np.random.Generator | None = None) -> int:
         if self._support.size == 1:
             return int(self._support[0])
-        # inverse-CDF draw; a single uniform keeps stream usage predictable
+        # inverse-CDF draw; a single uniform keeps stream usage predictable. A draw
+        # past a CDF end that rounding left below 1 takes the last start state
         u = rng.random()
-        return int(np.searchsorted(self._cdf, u, side="right"))
+        return min(int(np.searchsorted(self._cdf, u, side="right")), int(self._support[-1]))
 
     def step(self, state: int, action: int, rng: np.random.Generator | None = None):
         """Sample one transition; returns ``(next_state, reward, terminal)``.
@@ -160,29 +171,23 @@ class Momdp:
         return outcomes[-1][1:]
 
 
-GREEDY = "greedy-deterministic"
-EPSILON_GREEDY = "epsilon-greedy"
-SOFTMAX = "softmax"
-
-
-@dataclass
+@dataclass(slots=True)
 class TabularPolicy:
-    """Action preferences per (augmented) state.
+    """Greedy action preferences per (augmented) state.
 
     ``preferences`` maps a state key to an array of one real per action;
-    greedy selection takes the argmax with ties broken to the lowest action
+    :meth:`action` takes the argmax with ties broken to the lowest action
     index (``ndarray.argmax``, which skips the dispatch cost of ``np.argmax``
     on these short rows). For accrued-reward-augmented policies the key is
     :func:`accrued_key` of ``(state, accrued)``. ``default_row`` backs states
     absent from the table (learners hand out zero rows so a fresh policy is
     defined everywhere); without it, visiting an unknown state is an error.
     The policy reads ``preferences`` on every call and never writes to it,
-    so it may be a learner's live table.
+    so it may be a learner's live table. Exploration belongs to
+    :func:`rollout`, not to the policy.
     """
 
-    kind: str = GREEDY
     preferences: dict = field(default_factory=dict)
-    epsilon: float = 0.0
     augmented: bool = False
     default_row: np.ndarray | None = None
 
@@ -201,35 +206,34 @@ class TabularPolicy:
             prefs = self.default_row
         return prefs
 
-    def action(self, state, accrued=None, rng: np.random.Generator | None = None) -> int:
-        prefs = self.row(state, accrued)
-        if self.kind == GREEDY:
-            return int(np.asarray(prefs).argmax())
-        if self.kind == EPSILON_GREEDY:
-            if rng.random() < self.epsilon:
-                return int(rng.integers(len(prefs)))
-            return int(np.asarray(prefs).argmax())
-        if self.kind == SOFTMAX:
-            shifted = np.exp(prefs - np.max(prefs))
-            probs = shifted / shifted.sum()
-            return int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-        raise ValueError(f"unknown policy kind {self.kind!r}")
+    def action(self, state, accrued=None) -> int:
+        return int(np.asarray(self.row(state, accrued)).argmax())
 
 
-def rollout(env: Momdp, policy: TabularPolicy, rng_seed=0):
+def rollout(env: Momdp, policy: TabularPolicy, rng_seed=0, epsilon=None, explore=None):
     """Run one episode; returns ``(trace, episodic_return)``.
 
     The trace is a list of :class:`Experience`; the return is the
     component-wise (undiscounted) sum of its rewards. Episodes stop on a
     terminal transition or after ``env.max_episode_steps`` steps, whichever
     comes first; truncation is recorded as terminal in the trace.
+
+    ``epsilon``, when given, maps a step's index in the episode to an
+    exploration probability: each step draws exactly one coin from
+    ``explore`` (by default the env generator, ``default_rng(rng_seed)``),
+    plus one uniform action when the coin explores. This fixed pattern keeps
+    runs with equal seeds identical. Without ``epsilon`` no coin is drawn.
     """
     rng = np.random.default_rng(rng_seed)
+    explore = rng if explore is None else explore
     state = env.initial_state(rng)
     accrued = np.zeros(env.n_objectives)
     trace: list[Experience] = []
     while True:
-        action = policy.action(state, accrued, rng)
+        if epsilon is not None and explore.random() < epsilon(len(trace)):
+            action = int(explore.integers(env.n_actions))
+        else:
+            action = policy.action(state, accrued)
         next_state, reward, terminal = env.step(state, action, rng)
         done = terminal or len(trace) + 1 >= env.max_episode_steps
         trace.append(Experience(state, action, reward, next_state, done, accrued))
@@ -243,16 +247,16 @@ def evaluate_policy(env: Momdp, policy: TabularPolicy, episodes: int,
                     gamma: float, rng_seed=0, path: list | None = None) -> np.ndarray:
     """Average discounted vector return over ``episodes`` episodes.
 
-    Exact (zero variance) for a deterministic environment and policy, in
-    which case a single episode is walked since all episodes coincide. Each
-    episode draws from the generator exactly as :func:`rollout` does, but
+    Exact (zero variance) for a deterministic environment, in which case a
+    single episode is walked since all episodes coincide. Each episode
+    draws from the generator exactly as a greedy :func:`rollout` does, but
     sums its discounted return as it goes instead of recording a trace.
     ``path``, when given, collects each step's ``(state key, action)``.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    runs = 1 if (env.deterministic and policy.kind == GREEDY) else episodes
+    runs = 1 if env.deterministic else episodes
     total = np.zeros(env.n_objectives)
     for _ in range(runs):
         total += _discounted_return(env, policy, gamma, rng, path)
@@ -268,7 +272,7 @@ def _discounted_return(env: Momdp, policy: TabularPolicy, gamma: float,
     value = np.zeros(env.n_objectives)
     discount = 1.0
     for _ in range(env.max_episode_steps):
-        action = policy.action(state, accrued, rng)
+        action = policy.action(state, accrued)
         if path is not None:
             path.append((policy.key(state, accrued), action))
         state, reward, terminal = env.step(state, action, rng)
@@ -306,7 +310,7 @@ def enumerate_deterministic_policies(env: Momdp, gamma: float):
         # one product per contiguous (state, objective) block: numpy sums a
         # batched or strided product in another order
         for prefs, u in zip(one_hot[actions], values):
-            policy = TabularPolicy(kind=GREEDY, preferences=dict(enumerate(prefs)))
+            policy = TabularPolicy(dict(enumerate(prefs)))
             results.append((policy, env.initial_dist @ u))
     return results
 

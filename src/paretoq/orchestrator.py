@@ -55,7 +55,8 @@ from .learning import (
     update_scalarized_q,
     update_vector_q,
 )
-from .momdp import ENUMERATION_LIMIT, Experience, Momdp, enumerate_deterministic_policies, evaluate_policy, make_env
+from .momdp import (ENUMERATION_LIMIT, Momdp, enumerate_deterministic_policies, evaluate_policy,
+                    make_env, rollout)
 from .rng import RunStreams
 
 LEARNERS = ("scalarized-q", "vector-q", "envelope-q", "esr-mc")
@@ -384,30 +385,6 @@ def _epsilon_schedule(config: RunConfig):
     return epsilon
 
 
-def _sample_episode(env: Momdp, policy, epsilon_fn, step0: int, rng_env, rng_explore):
-    """One epsilon-greedy episode; epsilon follows the global step count.
-
-    Exactly one exploration coin is drawn per step, plus one action draw
-    when the coin explores; this fixed pattern is what keeps runs with equal
-    seeds identical.
-    """
-    state = env.initial_state(rng_env)
-    accrued = np.zeros(env.n_objectives)
-    trace: list[Experience] = []
-    while True:
-        if rng_explore.random() < epsilon_fn(step0 + len(trace)):
-            action = int(rng_explore.integers(env.n_actions))
-        else:
-            action = policy.action(state, accrued)
-        next_state, reward, terminal = env.step(state, action, rng_env)
-        done = terminal or len(trace) + 1 >= env.max_episode_steps
-        trace.append(Experience(state, action, reward, next_state, done, accrued))
-        accrued = accrued + reward   # a new array: each step keeps its own
-        state = next_state
-        if done:
-            return trace
-
-
 class _Chain:
     """Read-only view of several sequences end to end, built without copying.
 
@@ -554,8 +531,8 @@ def run(config: RunConfig) -> RunReport:
         target = min(cfg.total_steps, (iteration + 1) * cfg.steps_per_iteration)
         behavior = greedy_policy(sp.learner, sp.weight) if state.steps_done < target else None
         while state.steps_done < target:   # the table stays as it is while sampling
-            episode = _sample_episode(state.env, behavior, epsilon_fn, state.steps_done,
-                                      state.streams.env, state.streams.explore)
+            episode, _ = rollout(state.env, behavior, state.streams.env,
+                                 lambda t: epsilon_fn(state.steps_done + t), state.streams.explore)
             state.buffers[sp.index].push(episode)
             sp.trained = True
             state.steps_done += len(episode)

@@ -7,9 +7,10 @@ per-point loops for crowding distance and Monte-Carlo hypervolume, an
 episode buffer that re-derives its views after every push, trajectory
 enumeration for the worst return, an archive step that checks every
 offer, the scalarized TD step without its score memo, the ESR update and
-its improvement round without plans, memos or a one-call pick draw, and a
-hand-rolled single-objective Q-learning loop that mirrors the training
-schedule step for step.
+its improvement round without plans, memos or a one-call pick draw, the
+two episode loops (and the epsilon-greedy policy) that ``rollout`` replaced,
+and a hand-rolled single-objective Q-learning loop that mirrors the
+training schedule step for step.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import numpy as np
 
 from paretoq.learning import ExperienceBuffer
-from paretoq.momdp import Momdp, make_env
+from paretoq.momdp import Experience, Momdp, make_env
 from paretoq.orchestrator import RunConfig
 from paretoq.rng import RunStreams
 
@@ -162,9 +163,6 @@ class NaiveEpisodeBuffer:
     def sample(self, batch: int, rng):
         return [self.flat[i] for i in rng.integers(0, len(self.flat), size=batch)]
 
-    def sample_episodes(self, count: int, rng):
-        return [self.complete[i] for i in rng.integers(0, len(self.complete), size=count)]
-
 
 def worst_return_by_enumeration(env: Momdp, gamma: float) -> np.ndarray:
     """Per objective, the least discounted return over every trajectory.
@@ -193,13 +191,13 @@ def worst_return_by_enumeration(env: Momdp, gamma: float) -> np.ndarray:
 def rollout_discounted_mean(env: Momdp, policy, episodes: int, gamma: float, rng):
     """Mean discounted return of recorded rollouts, summed over each trace.
 
-    Walks as many episodes as ``evaluate_policy`` does (one for a greedy
-    policy on a deterministic env) and draws from ``rng`` through
-    ``rollout``, whose draw pattern ``evaluate_policy`` must repeat.
+    Walks as many episodes as ``evaluate_policy`` does (one on a
+    deterministic env) and draws from ``rng`` through ``rollout``, whose
+    draw pattern ``evaluate_policy`` must repeat.
     """
-    from paretoq.momdp import GREEDY, rollout
+    from paretoq.momdp import rollout
 
-    runs = 1 if (env.deterministic and policy.kind == GREEDY) else episodes
+    runs = 1 if env.deterministic else episodes
     total = np.zeros(env.n_objectives)
     for _ in range(runs):
         trace, _ = rollout(env, policy, rng)
@@ -210,6 +208,65 @@ def rollout_discounted_mean(env: Momdp, policy, episodes: int, gamma: float, rng
             discount *= gamma
         total += value
     return total / runs
+
+
+class EpsilonGreedyPolicy:
+    """A greedy policy's rows under the epsilon-greedy ``action`` that
+    policies had before ``rollout`` drew exploration itself (verbatim)."""
+
+    def __init__(self, greedy, epsilon: float):
+        self.greedy, self.epsilon = greedy, epsilon
+
+    def row(self, state, accrued=None):
+        return self.greedy.row(state, accrued)
+
+    def action(self, state, accrued=None, rng=None) -> int:
+        prefs = self.row(state, accrued)
+        if rng.random() < self.epsilon:
+            return int(rng.integers(len(prefs)))
+        return int(np.asarray(prefs).argmax())
+
+
+def rollout_with_policy_draws(env: Momdp, policy, rng_seed=0):
+    """``rollout`` as it read when the policy drew its own exploration from
+    the one generator (verbatim)."""
+    rng = np.random.default_rng(rng_seed)
+    state = env.initial_state(rng)
+    accrued = np.zeros(env.n_objectives)
+    trace: list[Experience] = []
+    while True:
+        action = policy.action(state, accrued, rng)
+        next_state, reward, terminal = env.step(state, action, rng)
+        done = terminal or len(trace) + 1 >= env.max_episode_steps
+        trace.append(Experience(state, action, reward, next_state, done, accrued))
+        accrued = accrued + reward   # a new array: each step keeps its own
+        state = next_state
+        if done:
+            return trace, accrued
+
+
+def sample_episode(env: Momdp, policy, epsilon_fn, step0: int, rng_env, rng_explore):
+    """The training run's episode loop before it became ``rollout`` (verbatim).
+
+    Exactly one exploration coin is drawn per step, plus one action draw
+    when the coin explores; this fixed pattern is what keeps runs with equal
+    seeds identical.
+    """
+    state = env.initial_state(rng_env)
+    accrued = np.zeros(env.n_objectives)
+    trace: list[Experience] = []
+    while True:
+        if rng_explore.random() < epsilon_fn(step0 + len(trace)):
+            action = int(rng_explore.integers(env.n_actions))
+        else:
+            action = policy.action(state, accrued)
+        next_state, reward, terminal = env.step(state, action, rng_env)
+        done = terminal or len(trace) + 1 >= env.max_episode_steps
+        trace.append(Experience(state, action, reward, next_state, done, accrued))
+        accrued = accrued + reward   # a new array: each step keeps its own
+        state = next_state
+        if done:
+            return trace
 
 
 def offer_every_evaluation(archive, subproblems, step, offers):
@@ -275,7 +332,6 @@ def tchebycheff_numpy(f, lam, z) -> float:
 
 def all_transition_experiences(env: Momdp):
     """One Experience per (state, action) pair of a deterministic env."""
-    from paretoq.momdp import Experience
 
     sweep = []
     zero = np.zeros(env.n_objectives)
@@ -381,8 +437,6 @@ def standalone_scalar_q_learning(config: RunConfig, lam):
         if r is None:
             r = q[state] = np.zeros(env.n_actions)
         return r
-
-    from paretoq.momdp import Experience
 
     steps = 0
     iterations = math.ceil(config.total_steps / config.steps_per_iteration) \

@@ -8,7 +8,9 @@ numpy formula bit for bit, NaN included. The worst return that bounds every
 evaluation (and so the hypervolume reference) must equal the minimum over
 enumerated trajectories. ``evaluate_population`` reuses a greedy walk on
 deterministic envs; under any table edit its result must be a fresh walk's,
-bit for bit.
+bit for bit. ``rollout`` explores for the run, the demos and the tests; its
+draws must repeat, bit for bit, the episode loop and the epsilon-greedy
+policy it replaced.
 """
 
 import copy
@@ -40,7 +42,8 @@ from paretoq import (
 from paretoq.momdp import tiny_tree
 from paretoq.orchestrator import Subproblem, _worst_return
 
-from oracles import rollout_discounted_mean, tchebycheff_numpy, worst_return_by_enumeration
+from oracles import (EpsilonGreedyPolicy, rollout_discounted_mean, rollout_with_policy_draws,
+                     sample_episode, tchebycheff_numpy, worst_return_by_enumeration)
 
 WS = Scalarization("weighted-sum")
 
@@ -92,24 +95,25 @@ def _esr_policy(env, seed):
     q = QTableEsr(env.n_actions, env.n_objectives, alpha=0.5)
     lam = np.full(env.n_objectives, 1.0 / env.n_objectives)
     explore = greedy_policy(q)
-    explore.kind, explore.epsilon = "epsilon-greedy", 0.5
     for _ in range(5):
-        trace, _ = rollout(env, explore, rng)
+        trace, _ = rollout(env, explore, rng, lambda t: 0.5)
         update_esr_mc(q, trace, WS, lam)
     policy = greedy_policy(q)
     assert policy.augmented
     return policy
 
 
+def _policy(env, seed, augmented):
+    return (_esr_policy if augmented else _scalar_policy)(env, seed)
+
+
 @settings(max_examples=60, deadline=None)
 @given(env=small_momdps(), policy_seed=st.integers(0, 2**16), augmented=st.booleans(),
-       kind=st.sampled_from(["greedy-deterministic", "epsilon-greedy"]),
        episodes=st.integers(1, 4), gamma=st.sampled_from([1.0, 0.9, 0.5]),
        rng_seed=st.integers(0, 2**16))
 def test_evaluation_repeats_recorded_rollouts_and_their_draws(env, policy_seed, augmented,
-                                                               kind, episodes, gamma, rng_seed):
-    policy = (_esr_policy if augmented else _scalar_policy)(env, policy_seed)
-    policy.kind, policy.epsilon = kind, 0.3
+                                                               episodes, gamma, rng_seed):
+    policy = _policy(env, policy_seed, augmented)
     rng = np.random.default_rng(rng_seed)
     oracle_rng = np.random.default_rng(rng_seed)
     value = evaluate_policy(env, policy, episodes, gamma, rng)
@@ -131,12 +135,84 @@ def test_evaluation_repeats_recorded_rollouts_on_a_fixed_stochastic_env():
     env = Momdp(3, 2, 2, transitions, [0.5, 0.0, 0.5], max_episode_steps=6)
     assert not env.deterministic
     policy = _esr_policy(env, 11)
-    policy.kind, policy.epsilon = "epsilon-greedy", 0.3
     rng, oracle_rng = np.random.default_rng(2024), np.random.default_rng(2024)
     value = evaluate_policy(env, policy, 25, 0.9, rng)
     expected = rollout_discounted_mean(env, policy, 25, 0.9, oracle_rng)
     np.testing.assert_array_equal(value, expected)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+# --- exploring rollouts ----------------------------------------------------------
+
+SCHEDULES = {"0": lambda t: 0.0, "0.3": lambda t: 0.3, "1": lambda t: 1.0,
+             "decaying": lambda t: max(0.05, 1.0 - t / 4)}
+
+
+def _trace_bits(trace):
+    return [(e.state, e.action, e.reward.tobytes(), e.next_state, e.terminal, e.accrued.tobytes())
+            for e in trace]
+
+
+@settings(max_examples=80, deadline=None)
+@given(env=small_momdps(), policy_seed=st.integers(0, 2**16), augmented=st.booleans(),
+       schedule=st.sampled_from(sorted(SCHEDULES)), step0=st.integers(0, 6),
+       two_generators=st.booleans(), seeds=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)))
+def test_exploring_rollout_repeats_the_run_episode_loop(env, policy_seed, augmented, schedule,
+                                                        step0, two_generators, seeds):
+    policy, epsilon = _policy(env, policy_seed, augmented), SCHEDULES[schedule]
+
+    def generators():
+        rng_env = np.random.default_rng(seeds[0])
+        return rng_env, np.random.default_rng(seeds[1]) if two_generators else rng_env
+
+    (rng_env, rng_explore), (oracle_env, oracle_explore) = generators(), generators()
+    for _ in range(3):
+        trace, ret = rollout(env, policy, rng_env, lambda t: epsilon(step0 + t),
+                             rng_explore if two_generators else None)
+        expected = sample_episode(env, policy, epsilon, step0, oracle_env, oracle_explore)
+        assert _trace_bits(trace) == _trace_bits(expected)
+        assert ret.tobytes() == (expected[-1].accrued + expected[-1].reward).tobytes()
+    assert rng_env.bit_generator.state == oracle_env.bit_generator.state
+    assert rng_explore.bit_generator.state == oracle_explore.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(env=small_momdps(), policy_seed=st.integers(0, 2**16), augmented=st.booleans(),
+       epsilon=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**16))
+def test_exploring_rollout_repeats_the_epsilon_greedy_policy(env, policy_seed, augmented,
+                                                             epsilon, seed):
+    policy = _policy(env, policy_seed, augmented)
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        trace, ret = rollout(env, policy, rng, lambda t: epsilon)
+        expected, expected_ret = rollout_with_policy_draws(
+            env, EpsilonGreedyPolicy(policy, epsilon), oracle_rng)
+        assert _trace_bits(trace) == _trace_bits(expected)
+        assert ret.tobytes() == expected_ret.tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(env=small_momdps(), policy_seed=st.integers(0, 2**16), augmented=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_greedy_rollout_draws_no_coin(env, policy_seed, augmented, seed):
+    policy = _policy(env, policy_seed, augmented)
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    explore = np.random.default_rng(seed + 1)
+    untouched = explore.bit_generator.state
+    trace, _ = rollout(env, policy, rng, explore=explore)
+    # a coin that never explores, drawn from a generator of its own
+    expected = sample_episode(env, policy, SCHEDULES["0"], 0, oracle_rng, np.random.default_rng(0))
+    assert _trace_bits(trace) == _trace_bits(expected)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert explore.bit_generator.state == untouched
+
+
+def test_policies_have_no_exploration_settings():
+    policy = greedy_policy(QTableScalar(2))
+    for name, value in (("kind", "epsilon-greedy"), ("epsilon", 0.5)):
+        with pytest.raises(AttributeError):
+            setattr(policy, name, value)
 
 
 @settings(max_examples=40, deadline=None)

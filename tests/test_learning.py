@@ -144,11 +144,6 @@ def test_buffer_matches_a_naive_model(capacity, replacement, pushes, seed):
         else:
             with pytest.raises(ValueError, match="empty buffer"):
                 buf.sample(5, rng)
-        if naive.complete:
-            assert buf.sample_episodes(3, rng) == naive.sample_episodes(3, model_rng)
-        else:
-            with pytest.raises(ValueError, match="empty buffer"):
-                buf.sample_episodes(3, rng)
         assert rng.random() == model_rng.random()
 
 
@@ -190,8 +185,6 @@ class TestBufferPickle:
                [[fields(e) for e in ep] for ep in b.complete_episodes()]
         assert [fields(e) for e in a.sample(20, np.random.default_rng(4))] == \
                [fields(e) for e in b.sample(20, np.random.default_rng(4))]
-        assert [[fields(e) for e in ep] for ep in a.sample_episodes(5, np.random.default_rng(5))] == \
-               [[fields(e) for e in ep] for ep in b.sample_episodes(5, np.random.default_rng(5))]
 
     @pytest.mark.parametrize("make", ["fifo_with_trimmed_slots", "crowding"])
     def test_round_trip_reads_and_pushes_like_the_original(self, make):
@@ -455,10 +448,7 @@ class TestEsrUpdate:
         explore = np.random.default_rng(44)
         for episode_idx in range(4000):
             eps = max(0.05, 1.0 - episode_idx / 2000)
-            policy = greedy_policy(q)
-            policy.kind = "epsilon-greedy"
-            policy.epsilon = eps
-            trace, _ = rollout(env, policy, explore)
+            trace, _ = rollout(env, greedy_policy(q), explore, lambda t: eps)
             update_esr_mc(q, trace, self.TCH, lam)
         _, ret = rollout(env, greedy_policy(q), 0)
         np.testing.assert_allclose(ret, [2.0, -2.0])
@@ -667,9 +657,7 @@ class TestTransfer:
         lam = np.array([0.2, 0.8])
         src = QTableEsr(env.n_actions, 2, alpha=0.5)
         for seed in range(20):
-            policy = greedy_policy(src)
-            policy.kind, policy.epsilon = "epsilon-greedy", 0.5
-            trace, _ = rollout(env, policy, np.random.default_rng(seed))
+            trace, _ = rollout(env, greedy_policy(src), np.random.default_rng(seed), lambda t: 0.5)
             update_esr_mc(src, trace, WS, lam)
         before = serialize_table(src)
         dst = copy.deepcopy(src)

@@ -182,7 +182,7 @@ class TestEnumerationAgainstPerPolicyDp:
         assignments = list(itertools.product(range(env.n_actions), repeat=env.n_states))
         assert len(pairs) == len(assignments)
         for (policy, value), assignment in zip(pairs, assignments):
-            assert policy.kind == "greedy-deterministic"
+            assert [policy.action(s) for s in range(env.n_states)] == list(assignment)
             assert sorted(policy.preferences) == list(range(env.n_states))
             for s, a in enumerate(assignment):
                 expected_row = np.zeros(env.n_actions)
@@ -291,17 +291,6 @@ class TestStochasticEnvs:
         assert (1.25, 0.75 + 1.25) in values
 
 
-class TestSoftmaxPolicy:
-    def test_prefers_higher_scores_but_explores(self):
-        prefs = {0: np.array([0.0, 2.0])}
-        policy = TabularPolicy(kind="softmax", preferences=prefs)
-        rng = np.random.default_rng(9)
-        draws = [policy.action(0, rng=rng) for _ in range(2000)]
-        share = np.mean(draws)
-        expected = np.exp(2) / (1 + np.exp(2))
-        assert abs(share - expected) < 0.04
-
-
 class TestRegistry:
     def test_known_ids(self):
         assert make_env("dst-corridor").name == "dst-corridor"
@@ -327,3 +316,62 @@ class TestMomdpValidation:
         transitions = [[[(1.0, 0, np.zeros(1), True)]]]
         with pytest.raises(ValueError, match="initial distribution"):
             Momdp(1, 1, 1, transitions, [0.9], 1)
+
+    @staticmethod
+    def two_state_transitions(first_outcomes):
+        """State 0 acts with ``first_outcomes``; state 1 terminates."""
+        done = [(1.0, 1, np.zeros(2), True)]
+        return [[first_outcomes, done], [done, done]]
+
+    @pytest.mark.parametrize("next_state", [-1, 2])
+    def test_rejects_next_states_outside_the_env(self, next_state):
+        transitions = self.two_state_transitions([(1.0, next_state, np.zeros(2), True)])
+        with pytest.raises(ValueError, match=rf"next state {next_state} for state 0, action 0"):
+            Momdp(2, 2, 2, transitions, [1.0, 0.0], 2)
+
+    def test_rejects_a_next_state_past_a_single_state(self):
+        transitions = [[[(1.0, 5, np.zeros(1), False)]]]
+        with pytest.raises(ValueError, match=r"next state 5 for state 0, action 0 .*\[0, 1\)"):
+            Momdp(1, 1, 1, transitions, [1.0], 3)
+
+    @pytest.mark.parametrize("probs", [(-0.5, 1.5), (float("nan"), 1.0), (float("inf"), 0.0)])
+    def test_rejects_negative_or_non_finite_probabilities(self, probs):
+        outcomes = [(p, 1, np.full(2, k), True) for k, p in enumerate(probs)]
+        with pytest.raises(ValueError,
+                           match=rf"transition probability {probs[0]!r} for state 0, action 0"):
+            Momdp(2, 2, 2, self.two_state_transitions(outcomes), [1.0, 0.0], 2)
+
+    @pytest.mark.parametrize("mu0, message", [
+        ([1.5, -0.5, 0.0], r"initial probability 1\.5 of state 0"),
+        ([0.75, -0.25, 0.5], r"initial probability -0\.25 of state 1"),
+        ([0.5, 0.5, float("nan")], r"initial probability nan of state 2")])
+    def test_rejects_negative_or_non_finite_initial_entries(self, mu0, message):
+        transitions = [[[(1.0, s, np.zeros(1), True)]] for s in range(3)]
+        with pytest.raises(ValueError, match=message):
+            Momdp(3, 1, 1, transitions, mu0, 2)
+
+
+class FixedUniform:
+    """A generator stub whose ``random()`` returns one fixed value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+class TestInitialState:
+    @pytest.mark.parametrize("zero_tail", [0, 2])
+    def test_a_draw_past_a_rounded_cdf_takes_the_last_start_state(self, zero_tail):
+        n = 10 + zero_tail
+        mu0 = np.r_[np.full(10, 0.1), np.zeros(zero_tail)]
+        env = Momdp(n, 1, 1, [[[(1.0, s, np.zeros(1), True)]] for s in range(n)], mu0, 1)
+        assert np.cumsum(mu0)[-1] < 1.0
+        assert env.initial_state(FixedUniform(1.0 - 2.0**-53)) == 9
+
+    def test_draws_below_the_cdf_end_are_unchanged(self):
+        env = Momdp(3, 1, 1, [[[(1.0, s, np.zeros(1), True)]] for s in range(3)],
+                    [0.25, 0.0, 0.75], 1)
+        for u, start in ((0.0, 0), (0.2499, 0), (0.25, 2), (0.9999, 2)):
+            assert env.initial_state(FixedUniform(u)) == start

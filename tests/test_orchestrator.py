@@ -25,8 +25,8 @@ from paretoq import orchestrator
 from paretoq.archive import ParetoArchive
 from paretoq.decomposition import Scalarization
 from paretoq.momdp import Experience, Momdp, register_env, rollout
-from paretoq.orchestrator import (_adapt, _archive_population, _epsilon_schedule, _sample_episode,
-                                  _sample_visible, _visible_episodes)
+from paretoq.orchestrator import (_adapt, _archive_population, _epsilon_schedule, _sample_visible,
+                                  _visible_episodes)
 from paretoq.rng import STREAM_BUFFER, derive_stream
 
 from oracles import improve_esr_pick_by_pick, offer_every_evaluation, scalarized_q_step
@@ -511,7 +511,7 @@ class TestEsrReplay:
         q = QTableEsr(env.n_actions, 2)
         policy = orchestrator.greedy_policy(q)
         rng = np.random.default_rng(5)
-        traces = [_sample_episode(env, policy, _epsilon_schedule(small_config()), 0, rng, rng)
+        traces = [rollout(env, policy, rng, _epsilon_schedule(small_config()))[0]
                   for _ in range(20)] + [rollout(env, policy, seed)[0] for seed in range(5)]
         for trace in traces:
             arrays = [e.accrued for e in trace]
