@@ -9,6 +9,8 @@ transfer, flat-text serialization):
   maximizes the weighted sum of the next state's vectors.
 * :class:`QTableEnvelope` -- vector values indexed additionally by a finite
   weight set; the bootstrap maximizes over next actions *and* weights.
+  :func:`update_envelope_q` updates the row of one weight; a run updates
+  every weight's row per experience with :func:`update_envelope_rows`.
 * :class:`QTableEsr` -- Monte-Carlo control on states augmented with the
   reward accrued so far, so the scalarization applies to whole episodic
   returns rather than expectations (the criterion that can reach concave
@@ -225,10 +227,13 @@ class QTableEnvelope(_Table):
         self.weights = [np.asarray(w, dtype=float) for w in weights]
 
     def weight_index(self, lam) -> int:
+        """The row of ``lam``: its first equal weight in the set (-0.0 == 0.0)."""
         lam = np.asarray(lam, dtype=float)
-        for i, w in enumerate(self.weights):
-            if np.array_equal(w, lam):
-                return i
+        stacked = np.array(self.weights)
+        if lam.shape == stacked.shape[1:]:
+            match = (stacked == lam).all(axis=1)
+            if match.any():
+                return int(match.argmax())
         raise ValueError(f"weight vector {lam} is not in the envelope weight set")
 
     def _shape(self) -> tuple:
@@ -347,24 +352,44 @@ def update_vector_q(q: QTableVector, e: Experience, lam) -> QTableVector:
 
 
 def update_envelope_q(q: QTableEnvelope, e: Experience, lam) -> QTableEnvelope:
-    """TD step whose bootstrap maximizes ``lam @ q`` over next actions and
-    the whole weight set; ties resolve to the lowest (action, weight) pair."""
-    return _update_envelope_row(q, e, lam, q.weight_index(lam))
-
-
-def _update_envelope_row(q: QTableEnvelope, e: Experience, lam, l_idx: int) -> QTableEnvelope:
-    """:func:`update_envelope_q` of the row ``l_idx`` that ``lam`` resolved to."""
+    """TD step of the one row ``lam`` resolves to (see :func:`update_envelope_rows`);
+    a run updates every weight's row from each replayed experience."""
     lam = np.asarray(lam, dtype=float)
-    if e.terminal:
+    return update_envelope_rows(q, e, lam[None], [q.weight_index(lam)])
+
+
+def update_envelope_rows(q: QTableEnvelope, e: Experience, weights, rows) -> QTableEnvelope:
+    """TD step of row ``rows[k]`` for each stacked weight ``weights[k]``.
+
+    Each bootstrap maximizes ``weights[k] @ q`` over next actions and the
+    whole weight set; ties resolve to the lowest (action, weight) pair. The
+    result is that of one step per weight in order, each reading the
+    table as the steps before it left it. Only a self-loop or a repeated
+    row lets an earlier write reach a later read; every other experience
+    takes all rows in one batched step, with the same bits.
+    """
+    action, terminal = e.action, e.terminal
+    nxt = None if terminal else q.block(e.next_state)   # (L, A, m)
+    block = q.block(e.state)
+    if nxt is block or len(set(rows)) < len(rows):
+        for w, l_idx in zip(weights, rows):
+            if terminal:
+                target = e.reward
+            else:
+                scores = np.einsum("lam,m->al", nxt, w)   # action-major for ties
+                a_best, l_best = divmod(int(scores.argmax()), len(nxt))
+                target = e.reward + q.gamma * nxt[l_best, a_best]
+            old = block[l_idx, action]
+            block[l_idx, action] = old + q.alpha * (target - old)
+        return q
+    if terminal:
         target = e.reward
     else:
-        nxt = q.block(e.next_state)                     # (L, A, m)
-        scores = np.einsum("lam,m->al", nxt, lam)       # action-major for ties
-        flat_best = int(scores.argmax())
-        a_best, l_best = divmod(flat_best, len(q.weights))
+        scores = np.einsum("lam,km->kal", nxt, weights)
+        a_best, l_best = np.divmod(scores.reshape(len(weights), -1).argmax(axis=1), len(nxt))
         target = e.reward + q.gamma * nxt[l_best, a_best]
-    block = q.block(e.state)
-    block[l_idx, e.action] += q.alpha * (target - block[l_idx, e.action])
+    old = block[rows, action]
+    block[rows, action] = old + q.alpha * (target - old)
     return q
 
 

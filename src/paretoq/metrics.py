@@ -6,7 +6,9 @@ caller bug and is reported as a warning, not an error). Hypervolume is exact
 for two objectives via a sweep over the sorted front and Monte-Carlo
 estimated for three or more; the Monte-Carlo estimator is also available
 directly for any dimension, which gives an independent cross-check of the
-exact sweep.
+exact sweep. The estimator never scales its uniform draws into the box:
+each point gets, per objective, the largest draw that scaling would put at
+or below it, and raw draws are compared with those limits.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ import warnings
 
 import numpy as np
 
-# rows of Monte-Carlo draws made and tested at a time: a (2**15, m) block
-# and its masks fit in cache, while 10**6 rows and their temporaries take
-# tens of MB
-SAMPLE_BLOCK = 2**15
+# rows of Monte-Carlo draws made and tested at a time: a (2**14, m) block
+# of draws and its (m, 2**14) transpose fit in cache, while 10**6 rows and
+# their temporaries take tens of MB
+SAMPLE_BLOCK = 2**14
+_ONE_BITS = int(np.float64(1.0).view(np.int64))
 
 
 def _validated_front(points, name: str = "front") -> np.ndarray:
@@ -70,13 +73,34 @@ def hypervolume(front, z_ref, samples: int = 10**6,
     return hypervolume_monte_carlo(pts, z, samples, rng)[0]
 
 
+def _draw_limits(pts: np.ndarray, z: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """For each point and objective, the largest double ``t`` in [0, 1) with
+    ``z + t * span <= p`` (each operation rounded, as numpy rounds it).
+
+    The scaled draw ``fl(fl(u * span) + z)`` never decreases as ``u`` grows,
+    so it lies at or below ``p`` exactly when ``u <= t``. Non-negative
+    doubles order as their bit patterns, so ``t`` is found by bisecting those.
+    ``lo`` starts at -1, whose bits read as NaN, which no draw is ``<=``.
+    """
+    lo = np.full(pts.shape, -1, dtype=np.int64)
+    hi = np.full(pts.shape, _ONE_BITS, dtype=np.int64)
+    while (hi - lo > 1).any():
+        mid = (lo + hi) >> 1
+        below = mid.view(np.float64) * span + z <= pts
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return lo.view(np.float64)
+
+
 def hypervolume_monte_carlo(front, z_ref, samples: int = 10**6,
                             rng: np.random.Generator | None = None):
     """Monte-Carlo hypervolume estimate; returns ``(estimate, std_error)``.
 
     Points are drawn uniformly in the axis-aligned box spanned by ``z_ref``
-    and the per-objective maxima of the front; the dominated fraction scales
-    the box volume.
+    and the per-objective maxima of the front, as ``z_ref + u * span`` from
+    uniform ``u`` in [0, 1); the dominated fraction scales the box volume.
+    The draws are never scaled: each ``u`` is compared with its limit from
+    :func:`_draw_limits`, which gives the same hits as scaling it first.
     """
     pts = _validated_front(front)
     z = _check_reference(pts, z_ref)
@@ -87,21 +111,24 @@ def hypervolume_monte_carlo(front, z_ref, samples: int = 10**6,
     if volume == 0.0:
         return 0.0, 0.0
     samples = int(samples)
-    span = upper - z
-    block = np.empty((max(1, min(samples, SAMPLE_BLOCK)), pts.shape[1]))
+    limits = _draw_limits(pts, z, upper - z)
+    rows = max(1, min(samples, SAMPLE_BLOCK))
+    block = np.empty((rows, pts.shape[1]))
+    columns = np.empty((pts.shape[1], rows))   # the block transposed, each objective contiguous
     hits = 0
-    for start in range(0, samples, len(block)):
-        draws = block[:samples - start]
-        # the draws of one (samples, m) call, in order: z + u * (upper - z)
-        rng.random(out=draws)
-        draws *= span
-        draws += z
+    for start in range(0, samples, rows):
+        n = min(rows, samples - start)
+        # the draws of one (samples, m) call, in order
+        rng.random(out=block[:n])
+        draws = columns[:, :n]
+        draws[...] = block[:n].T
         # a draw is a hit when it lies below some point in every objective
-        hit = np.zeros(len(draws), dtype=bool)
-        for point in pts:
-            inside = draws[:, 0] <= point[0]
-            for j in range(1, len(point)):
-                inside &= draws[:, j] <= point[j]
+        hit = np.zeros(n, dtype=bool)
+        inside, below = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+        for limit in limits:
+            np.less_equal(draws[0], limit[0], out=inside)
+            for j in range(1, len(limit)):
+                inside &= np.less_equal(draws[j], limit[j], out=below)
             hit |= inside
         hits += int(np.count_nonzero(hit))
     frac = hits / samples

@@ -74,6 +74,17 @@ class Experience:
     accrued: np.ndarray
 
 
+def _state_index(ns, s: int, a: int) -> int:
+    """``ns``, the next state of ``(s, a)``, as an int; a value no int equals is an error."""
+    try:
+        index = int(ns)
+    except (TypeError, ValueError, OverflowError):
+        index = None
+    if index is None or index != ns:
+        raise ValueError(f"next state {ns!r} for state {s}, action {a} is not an integer")
+    return index
+
+
 class Momdp:
     """Finite multi-objective MDP with an explicit transition table.
 
@@ -101,7 +112,8 @@ class Momdp:
             row = []
             for a in range(self.n_actions):
                 outcomes = [
-                    (float(p), int(ns), ensure_objective(r, self.n_objectives), bool(term))
+                    (float(p), _state_index(ns, s, a), ensure_objective(r, self.n_objectives),
+                     bool(term))
                     for p, ns, r, term in transitions[s][a]
                 ]
                 for p, ns, *_ in outcomes:

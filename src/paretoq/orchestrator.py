@@ -48,9 +48,9 @@ from .learning import (
     QTableEsr,
     QTableScalar,
     QTableVector,
-    _update_envelope_row,
     greedy_policy,
     serialize_table,
+    update_envelope_rows,
     update_esr_mc,
     update_scalarized_q,
     update_vector_q,
@@ -424,21 +424,17 @@ def _visible_episodes(visible):
 def _replay_update(q, g: Scalarization, lam):
     """The update of table ``q`` from one replayed experience, chosen once
     per round. Scalar tables share a score memo for the round. Envelope
-    tables refresh the row of every weight in their set. Weights, the set
-    and the reference point only change in _adapt, so each weight's row
-    (its first match, as weight_index finds it) is resolved here once."""
+    tables refresh the row of every weight in their set in one step. Weights,
+    the set and the reference point only change in _adapt, so the stacked
+    weights and each one's row (its first match) are resolved here once."""
     if isinstance(q, QTableScalar):
         scores = {}
         return lambda e: update_scalarized_q(q, e, g, lam, scores)
     if isinstance(q, QTableVector):
         return lambda e: update_vector_q(q, e, lam)
-    rows = [(w, q.weight_index(w)) for w in q.weights]
-
-    def update_envelope(e):
-        for w, l_idx in rows:
-            _update_envelope_row(q, e, w, l_idx)
-
-    return update_envelope
+    weights = np.array(q.weights)
+    rows = [q.weight_index(w) for w in weights]
+    return lambda e: update_envelope_rows(q, e, weights, rows)
 
 
 def _improve_all(state: RunState):

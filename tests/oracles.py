@@ -3,10 +3,12 @@
 Everything here recomputes expected results through a different route than
 the code under test: plain O(n^2) dominance loops, synchronous value
 iteration over the full transition table, per-policy dynamic programming,
-per-point loops for crowding distance and Monte-Carlo hypervolume, an
+per-point loops for crowding distance and Monte-Carlo hypervolume (and
+the Monte-Carlo loop that scaled every draw before comparing it), an
 episode buffer that re-derives its views after every push, trajectory
 enumeration for the worst return, an archive step that checks every
-offer, the scalarized TD step without its score memo, the ESR update and
+offer, the scalarized TD step without its score memo, the envelope
+improvement as one step per weight, the ESR update and
 its improvement round without plans, memos or a one-call pick draw, the
 two episode loops (and the epsilon-greedy policy) that ``rollout`` replaced,
 and a hand-rolled single-objective Q-learning loop that mirrors the
@@ -119,6 +121,41 @@ def hypervolume_monte_carlo_chunked(pts, z, samples: int, rng):
             inside &= draws[:, j, None] <= pts[None, :, j]
         hits += int(np.any(inside, axis=1).sum())
         remaining -= take
+    frac = hits / samples
+    estimate = volume * frac
+    std_error = volume * float(np.sqrt(frac * (1.0 - frac) / samples))
+    return estimate, std_error
+
+
+def hypervolume_monte_carlo_scaled(front, z_ref, samples: int, rng):
+    """``(estimate, std_error)`` as the estimator read before it compared raw
+    draws with limits: each ``(2**15, m)`` block of draws is scaled in
+    place to ``z + u * span`` and compared column by column with each point.
+    ``front`` is a non-dominated front strictly above ``z_ref``."""
+    pts = np.atleast_2d(np.asarray(front, dtype=float))
+    z = np.asarray(z_ref, dtype=float)
+    upper = pts.max(axis=0)
+    volume = float(np.prod(upper - z))
+    if volume == 0.0:
+        return 0.0, 0.0
+    samples = int(samples)
+    span = upper - z
+    block = np.empty((max(1, min(samples, 2**15)), pts.shape[1]))
+    hits = 0
+    for start in range(0, samples, len(block)):
+        draws = block[:samples - start]
+        # the draws of one (samples, m) call, in order: z + u * (upper - z)
+        rng.random(out=draws)
+        draws *= span
+        draws += z
+        # a draw is a hit when it lies below some point in every objective
+        hit = np.zeros(len(draws), dtype=bool)
+        for point in pts:
+            inside = draws[:, 0] <= point[0]
+            for j in range(1, len(point)):
+                inside &= draws[:, j] <= point[j]
+            hit |= inside
+        hits += int(np.count_nonzero(hit))
     frac = hits / samples
     estimate = volume * frac
     std_error = volume * float(np.sqrt(frac * (1.0 - frac) / samples))
@@ -289,6 +326,35 @@ def scalarized_q_step(q, e, g, lam, scores=None):
     bootstrap = 0.0 if e.terminal else float(q.row(e.next_state).max())
     row = q.row(e.state)
     row[e.action] += q.alpha * (reward + q.gamma * bootstrap - row[e.action])
+    return q
+
+
+def envelope_row_step(q, e, lam, l_idx: int):
+    """The envelope TD step of one weight row as it read before every row
+    took one batched step: the bootstrap maximizes ``lam @ q`` over next
+    actions and the whole weight set, ties to the lowest (action, weight)."""
+    lam = np.asarray(lam, dtype=float)
+    if e.terminal:
+        target = e.reward
+    else:
+        nxt = q.block(e.next_state)                     # (L, A, m)
+        scores = np.einsum("lam,m->al", nxt, lam)       # action-major for ties
+        flat_best = int(scores.argmax())
+        a_best, l_best = divmod(flat_best, len(q.weights))
+        target = e.reward + q.gamma * nxt[l_best, a_best]
+    block = q.block(e.state)
+    block[l_idx, e.action] += q.alpha * (target - block[l_idx, e.action])
+    return q
+
+
+def envelope_step_per_weight(q, e):
+    """The update of every weight's row from one replayed experience, one
+    weight after another in set order, each row its weight's first match."""
+    rows = []
+    for w in q.weights:
+        rows.append(next(i for i, v in enumerate(q.weights) if np.array_equal(v, w)))
+    for w, l_idx in zip(q.weights, rows):
+        envelope_row_step(q, e, w, l_idx)
     return q
 
 

@@ -28,8 +28,11 @@ from paretoq import (
 )
 from paretoq.momdp import Experience, accrued_key
 
-from oracles import (NaiveEpisodeBuffer, all_transition_experiences, esr_mc_step,
-                     scalarized_q_step, value_iteration_scalar)
+from paretoq.orchestrator import _replay_update
+
+from oracles import (NaiveEpisodeBuffer, all_transition_experiences, envelope_row_step,
+                     envelope_step_per_weight, esr_mc_step, scalarized_q_step,
+                     value_iteration_scalar)
 
 WS = Scalarization("weighted-sum")
 
@@ -410,6 +413,83 @@ class TestEnvelopeUpdate:
                 float(lam @ block[l2, a2]) for l2 in range(2) for a2 in range(2))
             plain_best = max(float(lam @ block[l_idx, a2]) for a2 in range(2))
             assert envelope_best >= plain_best - 1e-12
+
+
+class TestWeightIndex:
+    def test_first_match_and_signed_zeros(self):
+        q = QTableEnvelope(2, 2, [(1.0, 0.0), (-0.0, 1.0), (0.0, 1.0)])
+        assert q.weight_index([0.0, 1.0]) == 1
+        assert q.weight_index(np.array([1.0, -0.0])) == 0
+
+    @pytest.mark.parametrize("lam", [[0.5, 0.5], [1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]], 1.0,
+                                     [np.nan, 1.0]])
+    def test_a_weight_not_in_the_set_is_an_error(self, lam):
+        q = QTableEnvelope(2, 2, [(1.0, 0.0), (1.0, 1.0)])
+        with pytest.raises(ValueError, match="not in the envelope weight set"):
+            q.weight_index(lam)
+
+
+# weights per objective count; each pool holds a pair equal up to the sign of a zero
+ENVELOPE_WEIGHTS = {
+    2: [(1.0, 0.0), (0.0, 1.0), (0.3, 0.7), (-0.0, 1.0)],
+    3: [(1.0, 0.0, 0.0), (0.2, 0.3, 0.5), (1 / 3, 1 / 3, 1 / 3), (1.0, -0.0, 0.0)],
+    4: [(0.25, 0.25, 0.25, 0.25), (0.1, 0.2, 0.3, 0.4), (0.0, 0.0, 1.0, 0.0),
+        (0.0, -0.0, 1.0, 0.0)],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.sampled_from([2, 3, 4]), n_actions=st.integers(1, 3),
+       picks=st.lists(st.integers(0, 3), min_size=1, max_size=5),
+       steps=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+                                st.booleans()), max_size=12),
+       integral=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       alpha=st.sampled_from([0.1, 0.5, 1.0]), gamma=st.sampled_from([0.0, 0.9, 1.0]))
+def test_envelope_round_matches_one_step_per_weight(m, n_actions, picks, steps, integral, seed,
+                                                    alpha, gamma):
+    """The run's envelope update (every weight's row in one step) leaves the
+    bytes of one step per weight in set order. Each step is ``(state,
+    action, next state, terminal)`` over three states, so a third are
+    self-loops; ``picks`` may repeat a weight or name a signed-zero twin.
+    Blocks and rewards are integers in -2..2 (many ties) or reals at 1e-3 to 1e3."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** int(rng.integers(-3, 4))
+
+    def values(*shape):
+        return rng.integers(-2, 3, size=shape).astype(float) if integral else (
+            rng.normal(size=shape) * scale)
+
+    weights = [np.array(ENVELOPE_WEIGHTS[m][i]) for i in picks]
+    q = QTableEnvelope(n_actions, m, weights, alpha=alpha, gamma=gamma)
+    for s in range(3):
+        if rng.random() < 0.7:
+            q.table[s] = values(len(weights), n_actions, m)
+    oracle = copy.deepcopy(q)
+    update = _replay_update(q, WS, weights[0])
+    for s, a, ns, terminal in steps:
+        e = Experience(s, a % n_actions, values(m), ns, terminal, np.zeros(m))
+        update(e)
+        envelope_step_per_weight(oracle, e)
+    assert list(q.table) == list(oracle.table)   # rows made in the same order
+    assert [b.tobytes() for b in q.table.values()] == [b.tobytes() for b in oracle.table.values()]
+    assert serialize_table(q) == serialize_table(oracle)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pick=st.integers(0, 3), state=st.integers(0, 1), next_state=st.integers(0, 1),
+       terminal=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_one_weight_step_matches_the_row_step(pick, state, next_state, terminal, seed):
+    """``update_envelope_q`` updates only the first row equal to ``lam``."""
+    rng = np.random.default_rng(seed)
+    weights = [np.array(w) for w in ENVELOPE_WEIGHTS[3]]
+    q = QTableEnvelope(2, 3, weights, alpha=0.3, gamma=0.9)
+    q.table = {s: rng.normal(size=(4, 2, 3)) for s in range(2)}
+    oracle = copy.deepcopy(q)
+    e = Experience(state, 1, rng.normal(size=3), next_state, terminal, np.zeros(3))
+    update_envelope_q(q, e, weights[pick])
+    first = next(i for i, w in enumerate(weights) if np.array_equal(w, weights[pick]))
+    envelope_row_step(oracle, e, weights[pick], first)
+    assert [b.tobytes() for b in q.table.values()] == [b.tobytes() for b in oracle.table.values()]
 
 
 class TestEsrUpdate:

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paretoq import (
     dominates,
@@ -12,9 +13,10 @@ from paretoq import (
     igd,
     sparsity,
 )
-from paretoq.metrics import SAMPLE_BLOCK
+from paretoq.metrics import SAMPLE_BLOCK, _draw_limits
 
-from oracles import brute_force_non_dominated, hypervolume_monte_carlo_chunked
+from oracles import (brute_force_non_dominated, hypervolume_monte_carlo_chunked,
+                     hypervolume_monte_carlo_scaled)
 
 DST_FRONT = [(1, -1), (2, -2), (3, -3), (5, -4), (10, -5)]
 
@@ -109,6 +111,57 @@ class TestMonteCarloBlocks:
             ref = hypervolume_monte_carlo_chunked(pts, z, samples, ref_rng)
             assert np.array(got).tobytes() == np.array(ref).tobytes()
             assert got_rng.random() == ref_rng.random()
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.sampled_from([3, 4]), size=st.integers(1, 6), integral=st.booleans(),
+       scale=st.sampled_from([1e-300, 1e-9, 1.0, 1e6, 1e300]),
+       offset=st.sampled_from([0.0, -7.5, 1e15]), samples=st.integers(1, 3000),
+       seed=st.integers(0, 2**32 - 1))
+def test_draw_limits_give_the_hits_of_scaled_draws(m, size, integral, scale, offset, samples,
+                                                   seed):
+    """Raw draws against their limits give the estimate, standard error and
+    generator state of the estimator that scaled each draw first. Spans
+    run from 1e-300 to 1e300; at offset 1e15 small spans are a few ulps."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, 10.0, size=(size, m))
+    pts = (np.round(pts) if integral else pts) * scale + offset
+    pts = pts[brute_force_non_dominated(pts)]
+    low = pts.min(axis=0)
+    z = np.minimum(low - rng.uniform(0.1, 2.0, size=m) * scale, np.nextafter(low, -np.inf))
+    got_rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    with np.errstate(over="ignore"):   # four spans near 1e300 overflow the volume
+        got = hypervolume_monte_carlo(pts, z, samples=samples, rng=got_rng)
+        ref = hypervolume_monte_carlo_scaled(pts, z, samples, ref_rng)
+    assert np.array(got).tobytes() == np.array(ref).tobytes()
+    assert got_rng.random() == ref_rng.random()
+
+
+def test_an_overflowing_span_hits_nothing_as_scaled_draws_did():
+    pts, z = np.array([(1e308, 1e308, 1e308)]), np.full(3, -1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = hypervolume_monte_carlo(pts, z, samples=100, rng=np.random.default_rng(2))
+        ref = hypervolume_monte_carlo_scaled(pts, z, 100, np.random.default_rng(2))
+    assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+
+FINITE = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=FINITE, p=FINITE, upper=FINITE)
+def test_draw_limit_is_the_last_draw_at_or_below_the_point(z, p, upper):
+    """``z + t * span <= p`` holds at the limit ``t`` and fails one double
+    above it, unless ``t`` is the largest double below 1."""
+    z, p, upper = sorted([z, p, upper])
+    if not z < p:
+        return
+    t = _draw_limits(np.array([[p]]), np.array([z]), np.array([upper - z])).item()
+    span = upper - z
+    assert 0.0 <= t < 1.0
+    assert z + t * span <= p
+    above = np.nextafter(t, 1.0)
+    assert above == 1.0 or not z + above * span <= p
 
 
 class TestIgd:

@@ -329,6 +329,23 @@ class TestMomdpValidation:
         with pytest.raises(ValueError, match=rf"next state {next_state} for state 0, action 0"):
             Momdp(2, 2, 2, transitions, [1.0, 0.0], 2)
 
+    @pytest.mark.parametrize("next_state", [1.7, 0.5, float("nan"), float("inf"), "1"])
+    def test_rejects_a_next_state_that_is_not_an_integer(self, next_state):
+        transitions = self.two_state_transitions([(1.0, next_state, np.zeros(2), True)])
+        with pytest.raises(ValueError, match=rf"next state {next_state!r} for state 0, "
+                                             r"action 0 is not an integer"):
+            Momdp(2, 2, 2, transitions, [1.0, 0.0], 2)
+
+    def test_fractional_next_state_is_not_truncated(self):
+        with pytest.raises(ValueError, match=r"next state 1\.7 for state 0, action 0"):
+            Momdp(2, 1, 1, [[[(1.0, 1.7, [0.0], True)]], [[(1.0, 1, [0.0], True)]]],
+                  [1.0, 0.0], 2)
+
+    def test_integral_next_states_of_any_type_are_kept(self):
+        outcomes = [(0.5, 1.0, np.zeros(2), True), (0.5, np.int64(1), np.ones(2), True)]
+        env = Momdp(2, 2, 2, self.two_state_transitions(outcomes), [1.0, 0.0], 2)
+        assert [type(ns) for _, ns, *_ in env.outcomes(0, 0)] == [int, int]
+
     def test_rejects_a_next_state_past_a_single_state(self):
         transitions = [[[(1.0, 5, np.zeros(1), False)]]]
         with pytest.raises(ValueError, match=r"next state 5 for state 0, action 0 .*\[0, 1\)"):

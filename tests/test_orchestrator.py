@@ -18,7 +18,6 @@ from paretoq import (
     initialize,
     run,
     serialize_table,
-    update_envelope_q,
     update_scalarized_q,
 )
 from paretoq import orchestrator
@@ -29,7 +28,8 @@ from paretoq.orchestrator import (_adapt, _archive_population, _epsilon_schedule
                                   _visible_episodes)
 from paretoq.rng import STREAM_BUFFER, derive_stream
 
-from oracles import improve_esr_pick_by_pick, offer_every_evaluation, scalarized_q_step
+from oracles import (envelope_step_per_weight, improve_esr_pick_by_pick, offer_every_evaluation,
+                     scalarized_q_step)
 
 
 def small_config(**kw):
@@ -307,8 +307,8 @@ class TestVisibleBuffers:
 
 
 class TestEnvelopeImprovement:
-    def test_rows_resolved_once_match_a_lookup_per_update(self, monkeypatch):
-        def improved(per_update_lookup):
+    def test_rows_updated_at_once_match_one_step_per_weight(self, monkeypatch):
+        def improved(per_weight):
             state = initialize(small_config(learner="envelope-q", population_size=3))
             for sp in state.subproblems:  # a duplicate weight updates its first match
                 sp.learner.weights.append(sp.learner.weights[1].copy())
@@ -317,15 +317,16 @@ class TestEnvelopeImprovement:
                 for a in range(env.n_actions):
                     ns, r, term = env.step(s, a)
                     state.buffers[0].push(
-                        [Experience(s, a, r, ns, term, np.zeros(2))])
-            if per_update_lookup:
-                monkeypatch.setattr(orchestrator, "_update_envelope_row",
-                                    lambda q, e, lam, l_idx: update_envelope_q(q, e, lam))
+                        [Experience(s, a, r, ns, term, np.zeros(2)),
+                         Experience(ns, a, r + 0.5, ns, term, np.zeros(2))])  # a self-loop
+            if per_weight:
+                monkeypatch.setattr(orchestrator, "_replay_update",
+                                    lambda q, g, lam: lambda e: envelope_step_per_weight(q, e))
             orchestrator._improve_all(state)
             monkeypatch.undo()
             return [serialize_table(sp.learner) for sp in state.subproblems]
 
-        assert improved(per_update_lookup=False) == improved(per_update_lookup=True)
+        assert improved(per_weight=False) == improved(per_weight=True)
 
 
 class TestArchiveOffers:
