@@ -48,9 +48,8 @@ for lam in generate_weights_uniform(2, 5):
     scalar = QTableScalar(env.n_actions, alpha=1.0, gamma=1.0)
     vector = QTableVector(env.n_actions, 2, alpha=1.0, gamma=1.0)
     for _ in range(10):
-        for e in SWEEP:
-            update_scalarized_q(scalar, e, ws, lam)
-            update_vector_q(vector, e, lam)
+        update_scalarized_q(scalar, SWEEP, ws, lam)
+        update_vector_q(vector, SWEEP, lam)
     v_scalar = evaluate_policy(env, greedy_policy(scalar), 1, 1.0, 0)
     v_vector = evaluate_policy(env, greedy_policy(vector, lam), 1, 1.0, 0)
     best = max(float(lam @ v) for v in optima)

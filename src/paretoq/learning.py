@@ -1,7 +1,7 @@
 """Experience buffers and tabular learners.
 
 Four learner kinds share one interface (zero-initialized tables, an in-place
-update per experience or episode, greedy policy extraction, deep-copy
+update per sampled batch or episode, greedy policy extraction, deep-copy
 transfer, flat-text serialization):
 
 * :class:`QTableScalar` -- classic Q-learning on the scalarized reward.
@@ -15,6 +15,9 @@ transfer, flat-text serialization):
   reward accrued so far, so the scalarization applies to whole episodic
   returns rather than expectations (the criterion that can reach concave
   front points with a non-linear scalarization).
+
+Scalar and ESR rows are lists of Python floats, which step like numpy
+float64 bit for bit at less cost; vector and envelope blocks are arrays.
 
 Buffers store whole episodes. Capacity counts individual steps; ``fifo``
 replacement trims the oldest steps, ``diverse-crowding`` drops the whole
@@ -42,15 +45,12 @@ class _Episode(list):
 class ExperienceBuffer:
     """Bounded store of experiences, grouped by the episode they came from.
 
-    Three plain lists hold the contents: ``_flat`` every stored step, oldest
-    first; ``_episodes`` the same steps, one list per pushed episode (or
-    fragment); ``_complete`` the episodes that end in a terminal step and
-    have lost none of their steps. Pushing and uniform sampling stay cheap
-    with many small episodes. ``fifo`` eviction deletes the oldest steps
-    from ``_flat`` in one slice and drops or cuts the oldest episodes; only
-    the oldest can be cut, so a cut episode is always the head of
-    ``_complete`` if it is there at all. ``diverse-crowding`` eviction sums
-    each episode's return once, into ``_returns``, beside ``_episodes``.
+    Plain lists hold the contents: ``_flat`` every stored step, oldest first;
+    ``_episodes`` the same steps, one list per pushed episode (or fragment);
+    ``_complete`` the terminated episodes that lost no step. ``fifo`` eviction
+    slices the oldest steps off ``_flat`` and drops or cuts the oldest
+    episodes, so a cut episode can only be the head of ``_complete``.
+    ``diverse-crowding`` sums each episode's return once, into ``_returns``.
     """
 
     def __init__(self, capacity: int, replacement: str = FIFO):
@@ -135,36 +135,39 @@ class ExperienceBuffer:
 
 
 class _Table:
-    """Hyper-parameters, rows created at zero on first use, and the text
-    rows of scalar and vector tables. Each kind overrides what differs: its
-    row shape, the preferences its greedy policy reads (the live table by
-    default), its header lines after ``actions=`` and its text rows."""
+    """Hyper-parameters (the objective count too, but for scalar tables), rows
+    created at zero on first use, and the text rows of scalar and vector
+    tables. Each kind overrides what differs: its zero row, the preferences
+    its greedy policy reads (the live table by default), its header lines
+    after ``actions=`` and its text rows."""
 
     _augmented = False  # whether greedy policies key on (state, accrued reward)
 
-    def __init__(self, n_actions: int, alpha: float = 0.1, gamma: float = 1.0):
+    def __init__(self, n_actions: int, n_objectives: int | None,
+                 alpha: float = 0.1, gamma: float = 1.0):
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
         self.n_actions = int(n_actions)
+        self.n_objectives = None if n_objectives is None else int(n_objectives)
         self.alpha = float(alpha)
         self.gamma = float(gamma)
         self.table: dict = {}
 
-    def _shape(self) -> tuple:
-        return (self.n_actions,)
+    def _zeros(self):
+        return [0.0] * self.n_actions
 
-    def _get(self, state) -> np.ndarray:
+    def _get(self, state):
         """The row of ``state``, created at zero on first use."""
         row = self.table.get(state)
         if row is None:
-            row = self.table[state] = np.zeros(self._shape())
+            row = self.table[state] = self._zeros()
         return row
 
     def _preferences(self, lam) -> dict:
         return self.table
 
     def _meta(self) -> list:
-        return [f"objectives={self.n_objectives}"]
+        return [] if self.n_objectives is None else [f"objectives={self.n_objectives}"]
 
     @classmethod
     def _header_args(cls, meta) -> tuple:
@@ -185,8 +188,8 @@ class QTableScalar(_Table):
     kind = "scalar"
     row = _Table._get
 
-    def _meta(self) -> list:
-        return []
+    def __init__(self, n_actions: int, alpha: float = 0.1, gamma: float = 1.0):
+        super().__init__(n_actions, None, alpha, gamma)
 
     @classmethod
     def _header_args(cls, meta) -> tuple:
@@ -199,32 +202,38 @@ class QTableVector(_Table):
     kind = "vector"
     block = _Table._get
 
-    def __init__(self, n_actions: int, n_objectives: int,
-                 alpha: float = 0.1, gamma: float = 1.0):
-        super().__init__(n_actions, alpha, gamma)
-        self.n_objectives = int(n_objectives)
-
-    def _shape(self) -> tuple:
-        return (self.n_actions, self.n_objectives)
+    def _zeros(self) -> np.ndarray:
+        return np.zeros((self.n_actions, self.n_objectives))
 
     def _preferences(self, lam) -> dict:
         lam = np.asarray(lam, dtype=float)
-        return {s: block @ lam for s, block in self.table.items()}
+        return {s: (block @ lam).tolist() for s, block in self.table.items()}
 
 
 class QTableEnvelope(_Table):
-    """Vector table indexed by state, a finite weight set, and action."""
+    """Vector table indexed by state, a finite weight set, and action; ``weights``
+    is a tuple copied from each set assigned, of fixed length once blocks exist."""
 
     kind = "envelope"
     block = _Table._get
 
     def __init__(self, n_actions: int, n_objectives: int, weights,
                  alpha: float = 0.1, gamma: float = 1.0):
+        super().__init__(n_actions, n_objectives, alpha, gamma)
+        self.weights = weights
+
+    @property
+    def weights(self) -> tuple:
+        return self._weights
+
+    @weights.setter
+    def weights(self, weights):
+        weights = tuple(np.array(w, dtype=float) for w in weights)
         if not weights:
             raise ValueError("envelope tables need a non-empty weight set")
-        super().__init__(n_actions, alpha, gamma)
-        self.n_objectives = int(n_objectives)
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
+        if self.table and len(weights) != len(self._weights):
+            raise ValueError(f"{len(weights)} weights do not fit {len(self._weights)}-row blocks")
+        self._weights = weights
 
     def weight_index(self, lam) -> int:
         """The row of ``lam``: its first equal weight in the set (-0.0 == 0.0)."""
@@ -236,14 +245,13 @@ class QTableEnvelope(_Table):
                 return int(match.argmax())
         raise ValueError(f"weight vector {lam} is not in the envelope weight set")
 
-    def _shape(self) -> tuple:
-        # read per row: the weight set may grow after construction
-        return (len(self.weights), self.n_actions, self.n_objectives)
+    def _zeros(self) -> np.ndarray:
+        return np.zeros((len(self.weights), self.n_actions, self.n_objectives))
 
     def _preferences(self, lam) -> dict:
         l_idx = self.weight_index(lam)
         lam = np.asarray(lam, dtype=float)
-        return {s: block[l_idx] @ lam for s, block in self.table.items()}
+        return {s: (block[l_idx] @ lam).tolist() for s, block in self.table.items()}
 
     def _meta(self) -> list:
         return super()._meta() + ["weights=" + ";".join(_fmt_vec(w) for w in self.weights)]
@@ -272,39 +280,40 @@ class QTableEnvelope(_Table):
         _read_values(self._get(int(state))[l_idx], action, values)
 
 
+class _EsrRow(list):
+    """An ESR row: one Python float per action, and ``visits``, one int count per action."""
+
+    __slots__ = ("visits",)
+
+
 class QTableEsr(_Table):
     """Scalar table over (state, accrued reward) augmented keys.
 
     On integer-reward environments the accrued vectors are exact, so no
     discretization is involved; the augmented state is a sufficient statistic
-    for the episodic scalarized return.
+    for the episodic scalarized return. Rows carry their visit counts.
     """
 
     kind = "esr"
     _augmented = True
 
-    def __init__(self, n_actions: int, n_objectives: int,
-                 alpha: float = 0.1, gamma: float = 1.0):
-        super().__init__(n_actions, alpha, gamma)
-        self.n_objectives = int(n_objectives)
-        self.visits: dict[tuple, np.ndarray] = {}
+    @property
+    def visits(self) -> dict:   # a new dict of the rows' own count lists
+        return {key: row.visits for key, row in self.table.items()}
 
-    def row(self, state, accrued) -> np.ndarray:
-        return self._entry(accrued_key(state, accrued))[0]
+    def row(self, state, accrued) -> _EsrRow:
+        return self._get(accrued_key(state, accrued))
 
-    def _entry(self, key):
-        """``(values, visit counts)`` of ``key``, created at zero on first use."""
-        row = self.table.get(key)
-        if row is None:
-            row = self.table[key] = np.zeros(self.n_actions)
-            self.visits[key] = np.zeros(self.n_actions, dtype=np.int64)
-        return row, self.visits[key]
+    def _zeros(self) -> _EsrRow:
+        row = _EsrRow([0.0] * self.n_actions)
+        row.visits = [0] * self.n_actions
+        return row
 
     def _row_lines(self, key) -> list:
         state, accrued = key
         prefix = f"{state}|c{_fmt_vec(accrued) if accrued else ''}"
-        row, visits = self.table[key], self.visits[key]
-        return [f"{prefix}\t{a}\t{_fmt_vec(row[a])}\t{visits[a]}"
+        row = self.table[key]
+        return [f"{prefix}\t{a}\t{_FMT % row[a]}\t{row.visits[a]}"
                 for a in range(self.n_actions)]
 
     def _read_row(self, fields):
@@ -313,41 +322,51 @@ class QTableEsr(_Table):
         accrued = [float(x) for x in accrued.split(",")] if accrued else []
         if len(accrued) != self.n_objectives:
             raise ValueError(f"expected {self.n_objectives} accrued values, got {len(accrued)}")
-        row, counts = self._entry(accrued_key(int(state), accrued))
-        counts[_read_values(row, action, values)] = int(visits)
+        row = self._get(accrued_key(int(state), accrued))
+        row.visits[_read_values(row, action, values)] = int(visits)
 
 
-def update_scalarized_q(q: QTableScalar, e: Experience, g: Scalarization, lam,
+def update_scalarized_q(q: QTableScalar, batch, g: Scalarization, lam,
                         scores: dict | None = None) -> QTableScalar:
-    """One temporal-difference step on the scalarized reward. ``scores``
-    memoises each reward object's score as ``id(reward) -> (reward, score)``
-    (holding the reward keeps its id from reuse); share one dict only while
-    ``lam`` and ``g``'s reference point stay fixed."""
-    reward, scores = e.reward, {} if scores is None else scores
-    entry = scores.get(id(reward))
-    if entry is None or entry[0] is not reward:
-        entry = scores[id(reward)] = (reward, g.score(reward, lam))
-    table, bootstrap = q.table, 0.0
-    if not e.terminal:
-        nxt = table[e.next_state] if e.next_state in table else q.row(e.next_state)
-        bootstrap = nxt.item(nxt.argmax())   # as max(), NaN too; a zero's sign never reaches row
-    row = table[e.state] if e.state in table else q.row(e.state)
-    old = row.item(e.action)
-    row[e.action] = old + q.alpha * (entry[1] + q.gamma * bootstrap - old)
+    """A temporal-difference step on the scalarized reward per experience of
+    ``batch``. ``scores`` memoises each reward object's score as ``id(reward)
+    -> (reward, score)`` (holding the reward keeps its id from reuse); share
+    one dict only while ``lam`` and ``g``'s reference point stay fixed. The
+    bootstrap is ``np.max`` of the next row; a zero's sign never reaches a row."""
+    scores = {} if scores is None else scores
+    alpha, gamma, row_of, score_of = q.alpha, q.gamma, q.table.get, scores.get
+    for e in batch:
+        reward = e.reward
+        entry = score_of(id(reward))
+        if entry is None or entry[0] is not reward:
+            entry = scores[id(reward)] = (reward, g.score(reward, lam))
+        bootstrap = 0.0
+        if not e.terminal:
+            if (nxt := row_of(e.next_state)) is None:
+                nxt = q.row(e.next_state)
+            total = sum(nxt)   # NaN if an entry is; max would skip all but a first NaN
+            bootstrap = max(nxt) if total == total else float(np.max(nxt))
+        if (row := row_of(e.state)) is None:
+            row = q.row(e.state)
+        a = e.action
+        old = row[a]
+        row[a] = old + alpha * (entry[1] + gamma * bootstrap - old)
     return q
 
 
-def update_vector_q(q: QTableVector, e: Experience, lam) -> QTableVector:
-    """Component-wise TD step; the bootstrap action maximizes ``lam @ q``."""
+def update_vector_q(q: QTableVector, batch, lam) -> QTableVector:
+    """Component-wise TD step per experience of ``batch``; each bootstrap
+    action maximizes ``lam @ q``."""
     lam = np.asarray(lam, dtype=float)
-    if e.terminal:
-        target = e.reward
-    else:
-        nxt = q.block(e.next_state)
-        best = int(np.argmax(nxt @ lam))
-        target = e.reward + q.gamma * nxt[best]
-    block = q.block(e.state)
-    block[e.action] += q.alpha * (target - block[e.action])
+    for e in batch:
+        if e.terminal:
+            target = e.reward
+        else:
+            nxt = q.block(e.next_state)
+            best = int(np.argmax(nxt @ lam))
+            target = e.reward + q.gamma * nxt[best]
+        block = q.block(e.state)
+        block[e.action] += q.alpha * (target - block[e.action])
     return q
 
 
@@ -355,11 +374,11 @@ def update_envelope_q(q: QTableEnvelope, e: Experience, lam) -> QTableEnvelope:
     """TD step of the one row ``lam`` resolves to (see :func:`update_envelope_rows`);
     a run updates every weight's row from each replayed experience."""
     lam = np.asarray(lam, dtype=float)
-    return update_envelope_rows(q, e, lam[None], [q.weight_index(lam)])
+    return update_envelope_rows(q, [e], lam[None], [q.weight_index(lam)])
 
 
-def update_envelope_rows(q: QTableEnvelope, e: Experience, weights, rows) -> QTableEnvelope:
-    """TD step of row ``rows[k]`` for each stacked weight ``weights[k]``.
+def update_envelope_rows(q: QTableEnvelope, batch, weights, rows) -> QTableEnvelope:
+    """Per experience of ``batch``, a TD step of row ``rows[k]`` for each weight ``weights[k]``.
 
     Each bootstrap maximizes ``weights[k] @ q`` over next actions and the
     whole weight set; ties resolve to the lowest (action, weight) pair. The
@@ -368,28 +387,30 @@ def update_envelope_rows(q: QTableEnvelope, e: Experience, weights, rows) -> QTa
     row lets an earlier write reach a later read; every other experience
     takes all rows in one batched step, with the same bits.
     """
-    action, terminal = e.action, e.terminal
-    nxt = None if terminal else q.block(e.next_state)   # (L, A, m)
-    block = q.block(e.state)
-    if nxt is block or len(set(rows)) < len(rows):
-        for w, l_idx in zip(weights, rows):
-            if terminal:
-                target = e.reward
-            else:
-                scores = np.einsum("lam,m->al", nxt, w)   # action-major for ties
-                a_best, l_best = divmod(int(scores.argmax()), len(nxt))
-                target = e.reward + q.gamma * nxt[l_best, a_best]
-            old = block[l_idx, action]
-            block[l_idx, action] = old + q.alpha * (target - old)
-        return q
-    if terminal:
-        target = e.reward
-    else:
-        scores = np.einsum("lam,km->kal", nxt, weights)
-        a_best, l_best = np.divmod(scores.reshape(len(weights), -1).argmax(axis=1), len(nxt))
-        target = e.reward + q.gamma * nxt[l_best, a_best]
-    old = block[rows, action]
-    block[rows, action] = old + q.alpha * (target - old)
+    repeated = len(set(rows)) < len(rows)
+    for e in batch:
+        action, terminal = e.action, e.terminal
+        nxt = None if terminal else q.block(e.next_state)   # (L, A, m)
+        block = q.block(e.state)
+        if nxt is block or repeated:
+            for w, l_idx in zip(weights, rows):
+                if terminal:
+                    target = e.reward
+                else:
+                    scores = np.einsum("lam,m->al", nxt, w)   # action-major for ties
+                    a_best, l_best = divmod(int(scores.argmax()), len(nxt))
+                    target = e.reward + q.gamma * nxt[l_best, a_best]
+                old = block[l_idx, action]
+                block[l_idx, action] = old + q.alpha * (target - old)
+            continue
+        if terminal:
+            target = e.reward
+        else:
+            scores = np.einsum("lam,km->kal", nxt, weights)
+            a_best, l_best = np.divmod(scores.reshape(len(weights), -1).argmax(axis=1), len(nxt))
+            target = e.reward + q.gamma * nxt[l_best, a_best]
+        old = block[rows, action]
+        block[rows, action] = old + q.alpha * (target - old)
     return q
 
 
@@ -420,14 +441,13 @@ def update_esr_mc(q: QTableEsr, episode, g: Scalarization, lam,
     target = scores.get(total)
     if target is None:
         target = scores[total] = g.score(np.frombuffer(total), lam)
-    alpha, table, counts = q.alpha, q.table, q.visits
+    alpha, table = q.alpha, q.table
     for key, a in steps:
-        row, visits = table.get(key), counts.get(key)
-        if row is None:
-            row, visits = q._entry(key)
-        old = row.item(a)
+        if (row := table.get(key)) is None:
+            row = q._get(key)
+        old = row[a]
         row[a] = old + alpha * (target - old)
-        visits[a] = visits.item(a) + 1
+        row.visits[a] += 1
     return q
 
 
@@ -437,15 +457,12 @@ def greedy_policy(q, lam=None, *, preferences=None) -> TabularPolicy:
     Vector and envelope tables need the weight vector that scalarizes their
     entries; ESR tables yield a policy keyed on (state, accrued reward).
     States the table never visited fall back to a zero row, i.e. action 0.
-
-    For scalar and ESR tables the policy is a live view: its preferences are
-    the learner's own table, not a copy, so updating the table afterwards
-    changes the policy's actions. Take ``copy.deepcopy(q)`` first to keep a
-    frozen policy. Vector and envelope policies are scalarized snapshots;
-    a caller holding ``q._preferences(lam)`` passes it as ``preferences``.
+    Scalar and ESR policies are live views of the learner's rows (deep-copy
+    ``q`` to freeze one); vector and envelope policies hold scalarized lists,
+    which a caller holding ``q._preferences(lam)`` passes as ``preferences``.
     """
     prefs = q._preferences(lam) if preferences is None else preferences
-    return TabularPolicy(prefs, augmented=q._augmented, default_row=np.zeros(q.n_actions))
+    return TabularPolicy(prefs, augmented=q._augmented, default_row=[0.0] * q.n_actions)
 
 
 # --- flat text serialization -------------------------------------------------
@@ -468,11 +485,11 @@ def _read_values(row, action_txt, values_txt) -> int:
     action = int(action_txt)
     if not 0 <= action < len(row):
         raise ValueError(f"action {action} outside [0, {len(row)})")
-    values = np.array([float(x) for x in values_txt.split(",")])
+    values = [float(x) for x in values_txt.split(",")]
     width = np.size(row[action])
-    if values.size != width:
-        raise ValueError(f"expected {width} values, got {values.size}")
-    row[action] = values.reshape(np.shape(row[action]))
+    if len(values) != width:
+        raise ValueError(f"expected {width} values, got {len(values)}")
+    row[action] = values[0] if isinstance(row, list) else values
     return action
 
 

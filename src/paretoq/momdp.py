@@ -55,7 +55,7 @@ def accrued_key(state, accrued) -> tuple:
     return (state, tuple(accrued.tolist()))
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Experience:
     """One environment step.
 
@@ -145,13 +145,8 @@ class Momdp:
             else ensure_objective(hv_reference_default, self.n_objectives))
         self._support = np.flatnonzero(self.initial_dist)
         self._cdf = np.cumsum(self.initial_dist)
-        self.deterministic = self._is_deterministic()
-
-    def _is_deterministic(self) -> bool:
-        if self._support.size != 1:
-            return False
-        return all(len(self._transitions[s][a]) == 1
-                   for s in range(self.n_states) for a in range(self.n_actions))
+        self.deterministic = self._support.size == 1 and all(
+            len(outcomes) == 1 for row in self._transitions for outcomes in row)
 
     def outcomes(self, state: int, action: int):
         """Outcome list ``[(prob, next_state, reward, terminal), ...]``."""
@@ -183,57 +178,61 @@ class Momdp:
         return outcomes[-1][1:]
 
 
+def greedy_action(row) -> int:
+    """``ndarray.argmax`` of ``row``: its first NaN, else its first maximum. Numpy
+    decides unless ``row`` is a list whose sum is not NaN (``max`` skips a later NaN)."""
+    if isinstance(row, list):
+        total = sum(row)
+        if total == total:
+            return row.index(max(row))
+    return int(np.asarray(row, dtype=float).argmax())
+
+
 @dataclass(slots=True)
 class TabularPolicy:
     """Greedy action preferences per (augmented) state.
 
-    ``preferences`` maps a state key to an array of one real per action;
-    :meth:`action` takes the argmax with ties broken to the lowest action
-    index (``ndarray.argmax``, which skips the dispatch cost of ``np.argmax``
-    on these short rows). For accrued-reward-augmented policies the key is
-    :func:`accrued_key` of ``(state, accrued)``. ``default_row`` backs states
-    absent from the table (learners hand out zero rows so a fresh policy is
-    defined everywhere); without it, visiting an unknown state is an error.
-    The policy reads ``preferences`` on every call and never writes to it,
-    so it may be a learner's live table. Exploration belongs to
-    :func:`rollout`, not to the policy.
+    ``preferences`` maps a state key (for augmented policies
+    :func:`accrued_key` of ``(state, accrued)``) to a row of one real per
+    action: a list of floats as learners hand them out, or an array.
+    :meth:`action` is :func:`greedy_action` of the row, so ties go to the
+    lowest action. ``default_row`` backs states absent from the table;
+    without it, visiting an unknown state is an error. The policy reads
+    ``preferences`` on every call and never writes to it, so it may be a
+    learner's live table. Exploration belongs to :func:`rollout`.
     """
 
     preferences: dict = field(default_factory=dict)
     augmented: bool = False
-    default_row: np.ndarray | None = None
+    default_row: list | np.ndarray | None = None
 
     def key(self, state, accrued=None):
-        if not self.augmented:
-            return state
-        return accrued_key(state, accrued)
+        return accrued_key(state, accrued) if self.augmented else state
 
-    def row(self, state, accrued=None) -> np.ndarray:
+    def row(self, state, accrued=None):
         prefs = self.preferences.get(self.key(state, accrued))
-        if prefs is None:
-            if self.default_row is None:
-                raise ValueError(
-                    f"unreachable-state policy gap: no preferences for state "
-                    f"{self.key(state, accrued)!r}")
-            prefs = self.default_row
-        return prefs
+        if prefs is None and self.default_row is None:
+            raise ValueError(f"unreachable-state policy gap: no preferences for state "
+                             f"{self.key(state, accrued)!r}")
+        return self.default_row if prefs is None else prefs
 
     def action(self, state, accrued=None) -> int:
-        return int(np.asarray(self.row(state, accrued)).argmax())
+        prefs = self.preferences.get(accrued_key(state, accrued) if self.augmented else state)
+        return greedy_action(self.row(state, accrued) if prefs is None else prefs)
 
 
 def rollout(env: Momdp, policy: TabularPolicy, rng_seed=0, epsilon=None, explore=None):
     """Run one episode; returns ``(trace, episodic_return)``.
 
-    The trace is a list of :class:`Experience`; the return is the
-    component-wise (undiscounted) sum of its rewards. Episodes stop on a
-    terminal transition or after ``env.max_episode_steps`` steps, whichever
-    comes first; truncation is recorded as terminal in the trace.
-
-    ``epsilon``, when given, maps a step's index in the episode to an
-    exploration probability: each step draws exactly one coin from
-    ``explore`` (by default the env generator, ``default_rng(rng_seed)``),
-    plus one uniform action when the coin explores. This fixed pattern keeps
+    The trace is a list of :class:`Experience`, which the learners' update
+    functions take as one batch; the return is the component-wise
+    (undiscounted) sum of its rewards. Episodes stop on a terminal
+    transition or after ``env.max_episode_steps`` steps; truncation is
+    recorded as terminal. ``epsilon``, when given, maps a step's index in
+    the episode to an exploration probability: each step draws exactly one
+    coin from ``explore`` (by default the env generator,
+    ``default_rng(rng_seed)``), plus one uniform action when the coin
+    explores; other steps take ``policy.action``. This fixed pattern keeps
     runs with equal seeds identical. Without ``epsilon`` no coin is drawn.
     """
     rng = np.random.default_rng(rng_seed)

@@ -56,7 +56,7 @@ from .learning import (
     update_vector_q,
 )
 from .momdp import (ENUMERATION_LIMIT, Momdp, enumerate_deterministic_policies, evaluate_policy,
-                    make_env, rollout)
+                    greedy_action, make_env, rollout)
 from .rng import RunStreams
 
 LEARNERS = ("scalarized-q", "vector-q", "envelope-q", "esr-mc")
@@ -214,8 +214,7 @@ def _make_learner(config: RunConfig, env: Momdp, weights):
     if config.learner == "vector-q":
         return QTableVector(env.n_actions, env.n_objectives, config.alpha, config.gamma)
     if config.learner == "envelope-q":
-        return QTableEnvelope(env.n_actions, env.n_objectives,
-                              [w.copy() for w in weights], config.alpha, config.gamma)
+        return QTableEnvelope(env.n_actions, env.n_objectives, weights, config.alpha, config.gamma)
     return QTableEsr(env.n_actions, env.n_objectives, config.alpha, config.gamma)
 
 
@@ -314,11 +313,11 @@ def evaluate_population(subproblems, env: Momdp, episodes: int, gamma: float, rn
     """Evaluate every subproblem's greedy policy; refresh ``last_eval``. On a
     deterministic env, ``walks`` keeps each last greedy walk ((state key, action)
     pairs) and its value, reused while every greedy row (zeros if missing) gives its action."""
-    cache, zero = (walks if env.deterministic else None), np.zeros(1)   # greedy action 0
+    cache, zero = (walks if env.deterministic else None), [0.0]   # greedy action 0
     for sp in subproblems:
         path, value = cache.get(sp.index, ((), None)) if cache is not None else ((), None)
         rows = None if value is None else sp.learner._preferences(sp.weight)
-        if rows is not None and all(rows.get(key, zero).argmax() == a for key, a in path):
+        if rows is not None and all(greedy_action(rows.get(key, zero)) == a for key, a in path):
             sp.last_eval = value
             continue
         path = None if cache is None else []
@@ -386,10 +385,8 @@ def _epsilon_schedule(config: RunConfig):
 
 
 class _Chain:
-    """Read-only view of several sequences end to end, built without copying.
-
-    Index ``i`` reads what the concatenated list would hold at ``i``.
-    """
+    """Read-only view of several sequences end to end, built without copying:
+    index ``i`` reads what the concatenated list would hold at ``i``."""
 
     def __init__(self, parts):
         self.parts = parts
@@ -422,19 +419,19 @@ def _visible_episodes(visible):
 
 
 def _replay_update(q, g: Scalarization, lam):
-    """The update of table ``q`` from one replayed experience, chosen once
-    per round. Scalar tables share a score memo for the round. Envelope
-    tables refresh the row of every weight in their set in one step. Weights,
-    the set and the reference point only change in _adapt, so the stacked
+    """The update of table ``q`` from one sampled batch, chosen once per
+    round. Scalar tables share a score memo for the round. Envelope tables
+    refresh the row of every weight in their set in one step. Weights, the
+    set and the reference point only change in _adapt, so the stacked
     weights and each one's row (its first match) are resolved here once."""
     if isinstance(q, QTableScalar):
         scores = {}
-        return lambda e: update_scalarized_q(q, e, g, lam, scores)
+        return lambda batch: update_scalarized_q(q, batch, g, lam, scores)
     if isinstance(q, QTableVector):
-        return lambda e: update_vector_q(q, e, lam)
+        return lambda batch: update_vector_q(q, batch, lam)
     weights = np.array(q.weights)
     rows = [q.weight_index(w) for w in weights]
-    return lambda e: update_envelope_rows(q, e, weights, rows)
+    return lambda batch: update_envelope_rows(q, batch, weights, rows)
 
 
 def _improve_all(state: RunState):
@@ -451,8 +448,7 @@ def _improve_all(state: RunState):
             batch = _sample_visible(visible, cfg.batch_size, state.streams.buffer)
             if not batch:
                 break
-            for e in batch:
-                update(e)
+            update(batch)
 
 
 def _improve_esr(state: RunState):
@@ -492,7 +488,7 @@ def _adapt(state: RunState):
         state.neighborhood = build_neighborhood(weights, state.config.neighborhood_k)
         for sp in state.subproblems:
             if isinstance(sp.learner, QTableEnvelope):
-                sp.learner.weights = [w.copy() for w in weights]
+                sp.learner.weights = weights
 
 
 def _record_checkpoint(report: RunReport, state: RunState):

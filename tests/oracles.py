@@ -9,7 +9,9 @@ episode buffer that re-derives its views after every push, trajectory
 enumeration for the worst return, an archive step that checks every
 offer, the scalarized TD step without its score memo, the envelope
 improvement as one step per weight, the ESR update and
-its improvement round without plans, memos or a one-call pick draw, the
+its improvement round without plans, memos or a one-call pick draw (the
+scalar and ESR steps on tables of numpy rows, as the learners kept them
+before their rows became float lists), the
 two episode loops (and the epsilon-greedy policy) that ``rollout`` replaced,
 and a hand-rolled single-objective Q-learning loop that mirrors the
 training schedule step for step.
@@ -21,7 +23,7 @@ import math
 
 import numpy as np
 
-from paretoq.learning import ExperienceBuffer
+from paretoq.learning import ExperienceBuffer, QTableEsr, QTableScalar
 from paretoq.momdp import Experience, Momdp, make_env
 from paretoq.orchestrator import RunConfig
 from paretoq.rng import RunStreams
@@ -318,6 +320,43 @@ def offer_every_evaluation(archive, subproblems, step, offers):
                            subproblem=sp.index, step=step)
 
 
+class NumpyRowScalar(QTableScalar):
+    """A scalar table whose rows are numpy arrays, for :func:`scalarized_q_step`."""
+
+    def _zeros(self) -> np.ndarray:
+        return np.zeros(self.n_actions)
+
+
+class NumpyRowEsr(QTableEsr):
+    """An ESR table of numpy rows, with int64 visit counts in a dict beside
+    them, for :func:`esr_mc_step`; its text rows are written out here."""
+
+    def __init__(self, n_actions: int, n_objectives: int, alpha: float = 0.1,
+                 gamma: float = 1.0):
+        super().__init__(n_actions, n_objectives, alpha, gamma)
+        self.counts = {}
+
+    @property
+    def visits(self) -> dict:
+        return self.counts
+
+    def _get(self, key):
+        return self._entry(key)[0]
+
+    def _entry(self, key):
+        row = self.table.get(key)
+        if row is None:
+            row = self.table[key] = np.zeros(self.n_actions)
+            self.counts[key] = np.zeros(self.n_actions, dtype=np.int64)
+        return row, self.counts[key]
+
+    def _row_lines(self, key) -> list:
+        state, accrued = key
+        prefix = f"{state}|c" + ",".join("%.17g" % c for c in accrued)
+        row, visits = self.table[key], self.counts[key]
+        return [f"{prefix}\t{a}\t{'%.17g' % row[a]}\t{visits[a]}" for a in range(self.n_actions)]
+
+
 def scalarized_q_step(q, e, g, lam, scores=None):
     """The scalarized TD step as it read before replay shared a score memo
     and read rows directly: one full ``g.score`` per experience and a
@@ -326,6 +365,13 @@ def scalarized_q_step(q, e, g, lam, scores=None):
     bootstrap = 0.0 if e.terminal else float(q.row(e.next_state).max())
     row = q.row(e.state)
     row[e.action] += q.alpha * (reward + q.gamma * bootstrap - row[e.action])
+    return q
+
+
+def scalarized_q_batch(q, batch, g, lam, scores=None):
+    """:func:`scalarized_q_step` once per experience of ``batch``, in order."""
+    for e in batch:
+        scalarized_q_step(q, e, g, lam)
     return q
 
 
@@ -361,7 +407,7 @@ def envelope_step_per_weight(q, e):
 def esr_mc_step(q, episode, g, lam, scores=None, plans=None):
     """The ESR Monte-Carlo update as it read before replay plans and score
     memos: keys built and the return scored on every call, numpy-scalar row
-    steps (``scores`` and ``plans`` are ignored)."""
+    steps on a :class:`NumpyRowEsr` (``scores`` and ``plans`` are ignored)."""
     from paretoq.momdp import accrued_key
 
     episode = list(episode)

@@ -128,7 +128,7 @@ def test_criterion_04_learners_reach_dynamic_programming_fixed_points():
                 best = max(float(lam @ v) for v in optima)
 
                 scalar = QTableScalar(env.n_actions, alpha=1.0, gamma=1.0)
-                _sweep(scalar, env, lambda q, e: update_scalarized_q(q, e, ws, lam))
+                _sweep(scalar, env, lambda q, e: update_scalarized_q(q, [e], ws, lam))
                 exact = value_iteration_scalar(env, lam, 1.0)
                 for s in range(env.n_states):
                     np.testing.assert_allclose(scalar.row(s), exact[s], atol=1e-9)
@@ -136,7 +136,7 @@ def test_criterion_04_learners_reach_dynamic_programming_fixed_points():
                 assert abs(float(lam @ value) - best) <= 1e-9
 
                 vector = QTableVector(env.n_actions, 2, alpha=1.0, gamma=1.0)
-                _sweep(vector, env, lambda q, e: update_vector_q(q, e, lam))
+                _sweep(vector, env, lambda q, e: update_vector_q(q, [e], lam))
                 exact_vec = value_iteration_vector(env, lam, 1.0)
                 for s in range(env.n_states):
                     np.testing.assert_allclose(vector.block(s), exact_vec[s], atol=1e-9)

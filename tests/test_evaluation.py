@@ -318,7 +318,13 @@ def _edit(data, sps, env, walks):
     if what in ("set", "flip"):
         key = data.draw(st.sampled_from(_keys(q, env, walks.get(sp.index, ((), None)))))
         row = q.row(*key) if isinstance(q, QTableEsr) else q._get(key)
-        if what == "flip":
+        if isinstance(row, list):   # scalar and ESR rows are float lists
+            if what == "flip":
+                row.reverse()
+            else:
+                values = st.lists(st.integers(-2, 2), min_size=len(row), max_size=len(row))
+                row[:] = [float(v) for v in data.draw(values)]
+        elif what == "flip":
             row[:] = np.flip(row, axis=-2 if row.ndim > 1 else 0).copy()
         else:
             row[:] = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=row.size,
@@ -378,7 +384,7 @@ def test_cached_population_evaluation_builds_preferences_at_most_once(kind, monk
             (key, a), *_ = walks[0][0]
             q = sps[0].learner
             row = q.row(*key) if isinstance(q, QTableEsr) else q._get(key)
-            row[(..., 1 - a) if row.ndim == 1 else (..., 1 - a, slice(None))] = 1.0
+            row[1 - a if isinstance(row, list) else (..., 1 - a, slice(None))] = 1.0
         before, calls[:] = walks.get(0), []
         evaluate_population(sps, env, 3, 1.0, rng, walks)
         assert len(calls) == len(sps)

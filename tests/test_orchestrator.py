@@ -28,8 +28,8 @@ from paretoq.orchestrator import (_adapt, _archive_population, _epsilon_schedule
                                   _visible_episodes)
 from paretoq.rng import STREAM_BUFFER, derive_stream
 
-from oracles import (envelope_step_per_weight, improve_esr_pick_by_pick, offer_every_evaluation,
-                     scalarized_q_step)
+from oracles import (NumpyRowEsr, NumpyRowScalar, envelope_step_per_weight,
+                     improve_esr_pick_by_pick, offer_every_evaluation, scalarized_q_batch)
 
 
 def small_config(**kw):
@@ -255,12 +255,12 @@ class TestCooperate:
         state = initialize(small_config(cooperation="transfer"))
         donor, fresh = state.subproblems[0], state.subproblems[1]
         e = Experience(0, 1, np.array([1.0, -1.0]), 0, True, np.zeros(2))
-        update_scalarized_q(donor.learner, e, Scalarization(), donor.weight)
+        update_scalarized_q(donor.learner, [e], Scalarization(), donor.weight)
         donor.trained = True
         cooperate(state)
         assert fresh.transferred
         np.testing.assert_array_equal(fresh.learner.row(0), donor.learner.row(0))
-        update_scalarized_q(fresh.learner, e, Scalarization(), fresh.weight)
+        update_scalarized_q(fresh.learner, [e], Scalarization(), fresh.weight)
         assert not np.array_equal(fresh.learner.row(0), donor.learner.row(0))
 
     def test_transfer_fires_only_once(self):
@@ -311,7 +311,7 @@ class TestEnvelopeImprovement:
         def improved(per_weight):
             state = initialize(small_config(learner="envelope-q", population_size=3))
             for sp in state.subproblems:  # a duplicate weight updates its first match
-                sp.learner.weights.append(sp.learner.weights[1].copy())
+                sp.learner.weights = (*sp.learner.weights, sp.learner.weights[1])
             env = dst_corridor()
             for s in range(4):
                 for a in range(env.n_actions):
@@ -321,7 +321,8 @@ class TestEnvelopeImprovement:
                          Experience(ns, a, r + 0.5, ns, term, np.zeros(2))])  # a self-loop
             if per_weight:
                 monkeypatch.setattr(orchestrator, "_replay_update",
-                                    lambda q, g, lam: lambda e: envelope_step_per_weight(q, e))
+                                    lambda q, g, lam: lambda batch: [
+                                        envelope_step_per_weight(q, e) for e in batch])
             orchestrator._improve_all(state)
             monkeypatch.undo()
             return [serialize_table(sp.learner) for sp in state.subproblems]
@@ -394,7 +395,8 @@ class TestScoreMemo:
         config = small_config(learner="scalarized-q", psa_period_steps=60, **overrides)
         report = run(config)
         memoised = len(scores)
-        monkeypatch.setattr(orchestrator, "update_scalarized_q", scalarized_q_step)
+        monkeypatch.setattr(orchestrator, "QTableScalar", NumpyRowScalar)
+        monkeypatch.setattr(orchestrator, "update_scalarized_q", scalarized_q_batch)
         expected = run(config)
         assert memoised < len(scores) - memoised  # the memo took effect
         assert [(e.eval.tobytes(), e.payload, e.subproblem, e.step) for e in report.archive] == \
@@ -462,6 +464,7 @@ class TestEsrReplay:
                               total_steps=900, **overrides)
         report = run(config)
         memoised = len(scores)
+        monkeypatch.setattr(orchestrator, "QTableEsr", NumpyRowEsr)
         monkeypatch.setattr(orchestrator, "_improve_all", improve_esr_pick_by_pick)
         expected = run(config)
         assert memoised < len(scores) - memoised  # the memo took effect
@@ -570,9 +573,10 @@ class TestBenchmarkTracer:
         assert ExperienceBuffer.push is push
 
     @pytest.mark.parametrize("cooperation", ["none", "shared-buffer-neighborhood"])
-    def test_one_scalar_update_span_per_replayed_experience(self, cooperation, monkeypatch):
-        """Counted apart from the tracer, so batching the step or calling it
-        by another name than ``orchestrator.update_scalarized_q`` fails here."""
+    def test_one_scalar_update_span_per_sampled_batch(self, cooperation, monkeypatch):
+        """Counted apart from the tracer, so splitting a batch into several
+        calls or calling the step by another name than
+        ``orchestrator.update_scalarized_q`` fails here."""
         replayed = []
         sample = orchestrator._sample_visible
 
@@ -589,7 +593,7 @@ class TestBenchmarkTracer:
         finally:
             tracer.uninstall()
         spans, _, _ = tracer.merged()
-        assert spans["learning.update.scalar"][0] == sum(replayed) > 0
+        assert spans["learning.update.scalar"][0] == len([n for n in replayed if n]) > 0
 
     @pytest.mark.parametrize("cooperation", ["none", "shared-buffer-neighborhood"])
     def test_one_esr_update_span_per_pick(self, cooperation, monkeypatch):
