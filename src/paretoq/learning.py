@@ -37,16 +37,17 @@ DIVERSE_CROWDING = "diverse-crowding"
 
 
 class _Episode(list):
-    """A stored episode; ``replay`` keeps its :func:`update_esr_mc` plan."""
+    """An interned episode, the one read-only copy that every buffer holding it
+    shares; ``replay`` keeps its :func:`update_esr_mc` plan once built."""
 
-    __slots__ = ("replay",)
+    replay = None
 
 
 class ExperienceBuffer:
     """Bounded store of experiences, grouped by the episode they came from.
 
     Plain lists hold the contents: ``_flat`` every stored step, oldest first;
-    ``_episodes`` the same steps, one list per pushed episode (or fragment);
+    ``_episodes`` the same steps, one list per push (interned ones may recur);
     ``_complete`` the terminated episodes that lost no step. ``fifo`` eviction
     slices the oldest steps off ``_flat`` and drops or cuts the oldest
     episodes, so a cut episode can only be the head of ``_complete``.
@@ -80,11 +81,11 @@ class ExperienceBuffer:
         return self._complete
 
     def push(self, experiences) -> "ExperienceBuffer":
-        """Append one episode (or fragment) and enforce capacity."""
-        steps = _Episode(experiences)
+        """Append one episode (or fragment) and enforce capacity. An :class:`_Episode` is
+        stored by reference, in any number of buffers; any other sequence is copied."""
+        steps = experiences if type(experiences) is _Episode else list(experiences)
         if not steps:
             return self
-        steps.replay = None
         self._episodes.append(steps)
         self._flat.extend(steps)
         if steps[-1].terminal:
@@ -415,27 +416,22 @@ def update_envelope_rows(q: QTableEnvelope, batch, weights, rows) -> QTableEnvel
 
 
 def update_esr_mc(q: QTableEsr, episode, g: Scalarization, lam,
-                  scores: dict | None = None, plans: dict | None = None) -> QTableEsr:
+                  scores: dict | None = None) -> QTableEsr:
     """Monte-Carlo update of a complete episode toward its scalarized return.
 
     It replays a plan: each step's (accrued key, action), the return's bytes.
-    With ``plans`` it interns the plan by exact content (0.0 and -0.0 apart) and
-    keeps it on an episode a buffer stores (read-only); else it plans per call.
+    An :class:`_Episode` keeps its plan, built on its first replay, for every
+    table that replays it; any other episode is planned on each call.
     ``scores`` memoises return scores while ``lam`` and the reference stay put."""
     plan = episode.replay if type(episode) is _Episode else None
     if plan is None:
         steps = list(episode)
         if not steps or not steps[-1].terminal:
             raise ValueError("incomplete episode: ESR updates need a finished episode")
-        total = np.asarray(steps[-1].accrued + steps[-1].reward, dtype=float).tobytes()
-        content = plans is not None and (total, *[(e.state, e.action, np.asarray(
-            e.accrued, dtype=float).tobytes()) for e in steps])
-        plan = (plans.get(content) if content else None) or (
-            tuple([(accrued_key(e.state, e.accrued), e.action) for e in steps]), total)
-        if content:
-            plans[content] = plan
-            if type(episode) is _Episode:
-                episode.replay = plan
+        plan = (tuple([(accrued_key(e.state, e.accrued), e.action) for e in steps]),
+                np.asarray(steps[-1].accrued + steps[-1].reward, dtype=float).tobytes())
+        if type(episode) is _Episode:
+            episode.replay = plan
     steps, total = plan
     scores = {} if scores is None else scores
     target = scores.get(total)

@@ -296,8 +296,9 @@ def _discounted_return(env: Momdp, policy: TabularPolicy, gamma: float,
     return value
 
 
-def enumerate_deterministic_policies(env: Momdp, gamma: float):
-    """Exhaustive (policy, exact value) pairs for every deterministic policy.
+def enumerate_deterministic_policies(env: Momdp, gamma: float) -> list:
+    """Exhaustive ``(actions, exact value)`` pairs for every deterministic
+    policy, ``actions[s]`` the action it takes in state ``s``.
 
     Values come from exact finite-horizon dynamic programming over the
     horizon ``env.max_episode_steps`` with truncation treated as
@@ -312,17 +313,14 @@ def enumerate_deterministic_policies(env: Momdp, gamma: float):
             f"oracle too large: {env.n_actions}^{env.n_states} = {count} "
             f"deterministic policies exceeds the {ENUMERATION_LIMIT} bound")
     table = _OutcomeTable(env)
-    one_hot = np.eye(env.n_actions)
     assignments = itertools.product(range(env.n_actions), repeat=env.n_states)
     results = []
     while block := list(itertools.islice(assignments, POLICY_BLOCK)):
         actions = np.array(block, dtype=np.intp)
-        values = table.policy_values(actions, gamma)
         # one product per contiguous (state, objective) block: numpy sums a
         # batched or strided product in another order
-        for prefs, u in zip(one_hot[actions], values):
-            policy = TabularPolicy(dict(enumerate(prefs)))
-            results.append((policy, env.initial_dist @ u))
+        results += [(row, env.initial_dist @ u)
+                    for row, u in zip(actions, table.policy_values(actions, gamma))]
     return results
 
 

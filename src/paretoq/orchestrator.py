@@ -54,6 +54,7 @@ from .learning import (
     update_esr_mc,
     update_scalarized_q,
     update_vector_q,
+    _Episode,
 )
 from .momdp import (ENUMERATION_LIMIT, Momdp, enumerate_deterministic_policies, evaluate_policy,
                     greedy_action, make_env, rollout)
@@ -204,7 +205,7 @@ class RunState:
     _adapt_marker: int = 0
     walks: dict = field(default_factory=dict)    # subproblem index -> last greedy walk
     offers: dict = field(default_factory=dict)   # subproblem index -> last archive check
-    plans: dict = field(default_factory=dict)    # interned ESR replay plans
+    episodes: dict = field(default_factory=dict)  # action tuple -> episode, see _intern
     scores: dict = field(default_factory=dict)   # subproblem index -> ESR score memo
 
 
@@ -372,6 +373,20 @@ def cooperate(state: RunState):
         sp.transferred = True
 
 
+def _intern(state: RunState, trace):
+    """The one stored copy of ``trace``'s episode on a deterministic env, where the
+    actions fix every field of every step (accrued bytes too); else ``trace``."""
+    if not state.env.deterministic:
+        return trace
+    key = tuple([e.action for e in trace])
+    episode = state.episodes.get(key)
+    if episode is None:
+        if len(state.episodes) >= state.config.buffer_capacity:
+            state.episodes.clear()
+        episode = state.episodes[key] = _Episode(trace)
+    return episode
+
+
 def _epsilon_schedule(config: RunConfig):
     span = config.epsilon_decay_fraction * config.total_steps
     start, low = config.epsilon_start, config.epsilon_min
@@ -453,24 +468,20 @@ def _improve_all(state: RunState):
 
 def _improve_esr(state: RunState):
     """One replayed episode per pass for each ESR subproblem that sees any, from
-    one draw per round equal to a call per pick. Memos and plans last until _adapt
-    (plans also until buffer_capacity); only deterministic envs, where episodes
-    repeat, intern and keep plans."""
-    if len(state.plans) >= state.config.buffer_capacity:
-        state.plans.clear()
-    plans = state.plans if state.env.deterministic else None
+    one draw per round equal to a call per pick. Score memos last until _adapt;
+    plans, which read no weight, live on the interned episodes."""
     rounds = [(sp, episodes) for sp, episodes in
               zip(state.subproblems, map(_visible_episodes, state.visible))
               if episodes for _ in range(state.config.update_passes)]
     picks = state.streams.buffer.integers(0, [len(episodes) for _, episodes in rounds]).tolist()
     for (sp, episodes), pick in zip(rounds, picks):
         update_esr_mc(sp.learner, episodes[pick], state.scalarization, sp.weight,
-                      state.scores.setdefault(sp.index, {}), plans)
+                      state.scores.setdefault(sp.index, {}))
 
 
 def _adapt(state: RunState):
     """Periodic reference-point update and (optionally) weight adaptation."""
-    state.scores, state.plans = {}, {}   # scores read the weights and the reference point
+    state.scores = {}   # scores read the weights and the reference point
     archive_evals = [entry.eval for entry in state.archive]
     state.reference.update(archive_evals)
     if not state.config.psa_enabled:
@@ -525,7 +536,7 @@ def run(config: RunConfig) -> RunReport:
         while state.steps_done < target:   # the table stays as it is while sampling
             episode, _ = rollout(state.env, behavior, state.streams.env,
                                  lambda t: epsilon_fn(state.steps_done + t), state.streams.explore)
-            state.buffers[sp.index].push(episode)
+            state.buffers[sp.index].push(_intern(state, episode))
             sp.trained = True
             state.steps_done += len(episode)
             state.episodes_done += 1

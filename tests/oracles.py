@@ -84,6 +84,16 @@ def exact_policy_value(env: Momdp, assignment, gamma: float) -> np.ndarray:
     return env.initial_dist @ u
 
 
+def deterministic_policies(env: Momdp, gamma: float) -> list:
+    """``enumerate_deterministic_policies`` with each action row made a
+    :class:`TabularPolicy` of one-hot preference rows, one array per state."""
+    from paretoq.momdp import TabularPolicy, enumerate_deterministic_policies
+
+    one_hot = np.eye(env.n_actions)
+    return [(TabularPolicy(dict(enumerate(one_hot[row]))), value)
+            for row, value in enumerate_deterministic_policies(env, gamma)]
+
+
 def crowding_distance_loop(front) -> np.ndarray:
     """NSGA-II crowding distance with a Python loop over sorted positions."""
     pts = np.atleast_2d(np.asarray(front, dtype=float))
@@ -404,10 +414,10 @@ def envelope_step_per_weight(q, e):
     return q
 
 
-def esr_mc_step(q, episode, g, lam, scores=None, plans=None):
+def esr_mc_step(q, episode, g, lam, scores=None):
     """The ESR Monte-Carlo update as it read before replay plans and score
     memos: keys built and the return scored on every call, numpy-scalar row
-    steps on a :class:`NumpyRowEsr` (``scores`` and ``plans`` are ignored)."""
+    steps on a :class:`NumpyRowEsr` (``scores`` is ignored)."""
     from paretoq.momdp import accrued_key
 
     episode = list(episode)

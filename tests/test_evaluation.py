@@ -30,7 +30,6 @@ from paretoq import (
     ReferencePoint,
     Scalarization,
     TabularPolicy,
-    enumerate_deterministic_policies,
     evaluate_policy,
     evaluate_population,
     greedy_policy,
@@ -42,8 +41,9 @@ from paretoq import (
 from paretoq.momdp import tiny_tree
 from paretoq.orchestrator import Subproblem, _worst_return
 
-from oracles import (EpsilonGreedyPolicy, rollout_discounted_mean, rollout_with_policy_draws,
-                     sample_episode, tchebycheff_numpy, worst_return_by_enumeration)
+from oracles import (EpsilonGreedyPolicy, deterministic_policies, rollout_discounted_mean,
+                     rollout_with_policy_draws, sample_episode, tchebycheff_numpy,
+                     worst_return_by_enumeration)
 
 WS = Scalarization("weighted-sum")
 
@@ -218,7 +218,7 @@ def test_policies_have_no_exploration_settings():
 @settings(max_examples=40, deadline=None)
 @given(env=small_momdps(deterministic=True), gamma=st.sampled_from([1.0, 0.9, 0.0]))
 def test_evaluation_matches_dynamic_programming_on_deterministic_envs(env, gamma):
-    for policy, exact in enumerate_deterministic_policies(env, gamma):
+    for policy, exact in deterministic_policies(env, gamma):
         value = evaluate_policy(env, policy, 3, gamma, 0)
         np.testing.assert_allclose(value, exact, rtol=0, atol=1e-12)
 

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 import pickle
 
 import numpy as np
@@ -27,6 +28,7 @@ from paretoq import (
     update_scalarized_q,
     update_vector_q,
 )
+from paretoq.learning import _Episode
 from paretoq.momdp import Experience, accrued_key, greedy_action
 
 from paretoq.orchestrator import _replay_update
@@ -109,6 +111,24 @@ class TestBuffer:
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < 27.877  # chi-square critical value, 9 dof, p = 0.001
 
+    def test_push_keeps_an_interned_episode_and_its_plan(self):
+        interned = _Episode([exp(action=1, reward=(2, -2))])
+        update_esr_mc(QTableEsr(2, 2), interned, WS, (0.5, 0.5))
+        plan = interned.replay
+        buf = ExperienceBuffer(capacity=4).push(interned).push(interned)
+        assert [type(ep) for ep in buf._episodes] == [_Episode, _Episode]
+        assert all(ep is interned for ep in buf.complete_episodes())
+        assert interned.replay is plan is not None and len(buf) == 2
+
+    def test_push_copies_a_plain_list_into_a_new_one(self):
+        steps = [exp(state=0), exp(state=1)]
+        buf = ExperienceBuffer(capacity=4).push(steps)
+        stored = buf.complete_episodes()[0]
+        assert type(stored) is list and stored is not steps
+        assert all(a is b for a, b in zip(stored, steps))   # steps by reference
+        steps.append(exp(state=2))
+        assert len(stored) == len(buf) == 2
+
     def test_complete_episodes_exclude_trimmed_ones(self):
         buf = ExperienceBuffer(capacity=3)
         buf.push([exp(state=0, terminal=False), exp(state=1)])
@@ -122,26 +142,38 @@ class TestBuffer:
 @given(capacity=st.integers(1, 12),
        replacement=st.sampled_from(["fifo", "diverse-crowding"]),
        pushes=st.lists(st.tuples(st.integers(0, 6), st.booleans(),
-                                 st.integers(0, 3), st.integers(0, 3)), max_size=12),
+                                 st.integers(0, 3), st.integers(0, 3),
+                                 st.sampled_from(["plain", "interned", "again"])), max_size=12),
        seed=st.integers(0, 2**32 - 1))
 def test_buffer_matches_a_naive_model(capacity, replacement, pushes, seed):
     """Views and seeded draws equal the naive model's after every push.
 
-    Each push is ``(length, fragment, r0, r1)``: ``length`` steps of reward
-    ``(r0, r1)``, the last one terminal unless the push is a fragment.
+    Each push is ``(length, fragment, r0, r1, how)``: ``length`` steps of
+    reward ``(r0, r1)``, the last one terminal unless the push is a fragment,
+    pushed as a plain list, as a new :class:`_Episode`, or (``again``) as
+    the last interned object once more, as runs share one object per
+    episode. So one object may be cut at the head while later copies of it
+    stay complete, which eviction's identity checks must tell apart.
     """
     buf = ExperienceBuffer(capacity, replacement)
     naive = NaiveEpisodeBuffer(capacity, replacement)
-    first = 0
-    for length, fragment, r0, r1 in pushes:
+    first, interned = 0, []
+    for length, fragment, r0, r1, how in pushes:
         steps = [exp(state=first + t, reward=(r0, r1), terminal=t == length - 1 and not fragment)
                  for t in range(length)]
         first += length
+        if how == "again" and interned:
+            steps = interned[-1]
+        elif how != "plain":
+            steps = _Episode(steps)
+            interned.append(steps)
         buf.push(steps)
         naive.push(steps)
         assert len(buf) == len(naive.flat)
         assert list(buf.experiences()) == naive.flat
         assert buf.complete_episodes() == naive.complete
+        assert all(type(ep) is list or any(ep is obj for obj in interned)
+                   for ep in buf._episodes)
         rng, model_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         if naive.flat:
             assert buf.sample(5, rng) == naive.sample(5, model_rng)
@@ -617,24 +649,26 @@ class TestEsrUpdate:
         _, ret = rollout(env, greedy_policy(q), 0)
         np.testing.assert_allclose(ret, [2.0, -2.0])
 
-
-    def test_stored_episodes_keep_their_plan_only_with_an_intern_map(self):
+    def test_only_an_interned_episode_keeps_its_plan(self):
+        """Only an interned episode keeps a plan; a pushed list is stored as
+        a plain copy, planned on every call like any other sequence."""
         q, g = QTableEsr(2, 2, alpha=1.0), CountingScalarization("weighted-sum")
-        buf = ExperienceBuffer(capacity=10).push([exp(action=1, reward=(2, -2))])
+        buf = ExperienceBuffer(capacity=10).push([exp(action=0, reward=(2, -2))])
         stored = buf.complete_episodes()[0]
         update_esr_mc(q, stored, g, (0.5, 0.5))
-        assert stored.replay is None            # without a map, planned on every call
-        update_esr_mc(q, stored, g, (0.5, 0.5), plans={})
-        plan = stored.replay
-        assert plan is not None
+        stored[0].action = 1                    # not interned: planned on every call
         update_esr_mc(q, stored, g, (0.5, 0.5))
-        assert stored.replay is plan and q.visits[(0, (0.0, 0.0))] == [0, 3]
-        plain = [exp(action=0, reward=(2, -2))]
-        update_esr_mc(q, plain, g, (0.5, 0.5), plans={})
-        plain[0].action = 1                     # planned again on every call
-        update_esr_mc(q, plain, g, (0.5, 0.5), plans={})
-        assert q.visits[(0, (0.0, 0.0))] == [1, 4]
-        assert type(plain) is list and g.calls == 5  # no memo: every call scores
+        assert type(stored) is list and q.visits[(0, (0.0, 0.0))] == [1, 1]
+        interned = _Episode([exp(action=1, reward=(2, -2))])
+        assert buf.push(interned).complete_episodes()[-1] is interned
+        assert interned.replay is None
+        update_esr_mc(q, interned, g, (0.5, 0.5))
+        plan = interned.replay
+        assert plan is not None
+        interned[0].action = 0                  # the kept plan replays, not the steps
+        update_esr_mc(q, interned, g, (0.5, 0.5))
+        assert interned.replay is plan and q.visits[(0, (0.0, 0.0))] == [1, 3]
+        assert g.calls == 4                     # no memo: every call scores
 
     def test_fifo_cuts_leave_plain_fragments_outside_complete_episodes(self):
         buf = ExperienceBuffer(capacity=3).push(episode(0, 2, (1.0, 0.0)))
@@ -643,14 +677,18 @@ class TestEsrUpdate:
         assert [e.state for e in head] == [1] and type(head) is list
         assert all(ep is not head for ep in buf.complete_episodes())
 
-    def test_equal_plans_are_interned_and_signed_zeros_kept_apart(self):
-        q, plans = QTableEsr(2, 2, alpha=1.0), {}
-        episodes = [ExperienceBuffer(4).push([exp(action=1, reward=(2, -2), accrued=(z, 0.0))])
-                    .complete_episodes()[0] for z in (0.0, 0.0, -0.0)]
+    def test_each_interned_episode_plans_from_its_own_bytes(self):
+        """Each interned episode plans once from its own bytes: equal episodes
+        build equal plans, and a -0.0 keeps its sign in the key and return."""
+        q = QTableEsr(2, 2, alpha=1.0)
+        episodes = [_Episode([exp(action=1, reward=(-0.0, -2), accrued=(z, 0.0))])
+                    for z in (0.0, 0.0, -0.0)]
         for ep in episodes:
-            update_esr_mc(q, ep, WS, (0.5, 0.5), {}, plans)
+            update_esr_mc(q, ep, WS, (0.5, 0.5), {})
         first, same, negative = (ep.replay for ep in episodes)
-        assert same is first and negative is not first and len(plans) == 2
+        assert same == first and same is not first
+        assert negative[1] == np.array([-0.0, -2.0]).tobytes() != first[1]
+        assert math.copysign(1.0, negative[0][0][0][1][0]) == -1.0
         assert serialize_table(q).count("\t") == 6   # one key row: 0.0 == -0.0 as a key
 
 
@@ -684,9 +722,10 @@ def test_planned_esr_update_matches_the_oracle(n_actions, pool, replays, rows, k
                                                reference, alpha):
     """Plans, interning and one score memo per table over a whole replay
     sequence leave the bits the oracle step leaves. Each replay is ``(table,
-    episode)``; two tables share the interned plans, as subproblems do. Each pool entry is ``(steps, r0,
-    r1, stored)``: steps ``(state, action, accrued0, accrued1)``, the last
-    step's reward ``(r0, r1)``, and whether a buffer stores the episode. A
+    episode)``; two tables share the plans of interned episodes, as
+    subproblems do. Each pool entry is ``(steps, r0, r1, interned)``: steps
+    ``(state, action, accrued0, accrued1)``, the last step's reward ``(r0,
+    r1)``, and whether a buffer stores the episode as interned. A
     fresh copy of every entry joins the pool, and one with the sign of every
     accrued zero flipped, so equal episodes and equal keys of unequal bytes
     meet."""
@@ -699,10 +738,10 @@ def test_planned_esr_update_matches_the_oracle(n_actions, pool, replays, rows, k
 
     buf = ExperienceBuffer(capacity=1000)
     episodes = []
-    for flip, (steps, r0, r1, stored) in [(flip, entry) for flip in (False, False, True)
-                                          for entry in pool]:
-        if stored:
-            buf.push(build(steps, r0, r1, flip))
+    for flip, (steps, r0, r1, interned) in [(flip, entry) for flip in (False, False, True)
+                                            for entry in pool]:
+        if interned:
+            buf.push(_Episode(build(steps, r0, r1, flip)))
             episodes.append(buf.complete_episodes()[-1])
         else:
             episodes.append(build(steps, r0, r1, flip))
@@ -716,10 +755,10 @@ def test_planned_esr_update_matches_the_oracle(n_actions, pool, replays, rows, k
             q.visits[accrued_key(s, (c0, c1))][:] = [1] * n_actions
         tables.append(q)
     planned, bare, oracle = tables[:2], tables[2:4], tables[4:]
-    scores, plans = ({}, {}), {}
+    scores = ({}, {})
     for k, i in replays:
         ep = episodes[i % len(episodes)]
-        update_esr_mc(planned[k], ep, g, lam, scores[k], plans)
+        update_esr_mc(planned[k], ep, g, lam, scores[k])
         update_esr_mc(bare[k], ep, Scalarization(kind, ref), lam)
         esr_mc_step(oracle[k], ep, Scalarization(kind, ref), lam)
     for q in zip(planned, bare, oracle):

@@ -17,7 +17,7 @@ from paretoq import (
 )
 from paretoq.momdp import POLICY_BLOCK, Momdp
 
-from oracles import exact_policy_value
+from oracles import deterministic_policies, exact_policy_value
 
 ADVANCE, DESCEND = 0, 1
 
@@ -106,7 +106,7 @@ class TestEvaluatePolicy:
     @pytest.mark.parametrize("gamma", [1.0, 0.9])
     def test_matches_dynamic_programming_on_both_envs(self, gamma):
         for env in (dst_corridor(), tiny_tree()):
-            for policy, exact in enumerate_deterministic_policies(env, gamma):
+            for policy, exact in deterministic_policies(env, gamma):
                 sampled = evaluate_policy(env, policy, episodes=1, gamma=gamma, rng_seed=7)
                 np.testing.assert_allclose(sampled, exact, atol=1e-12)
 
@@ -180,16 +180,19 @@ class TestEnumerationAgainstPerPolicyDp:
     def assert_matches_oracle(env, gamma):
         pairs = enumerate_deterministic_policies(env, gamma)
         assignments = list(itertools.product(range(env.n_actions), repeat=env.n_states))
-        assert len(pairs) == len(assignments)
-        for (policy, value), assignment in zip(pairs, assignments):
+        assert [tuple(row.tolist()) for row, _ in pairs] == assignments
+        for (_, value), assignment in zip(pairs, assignments):
+            assert value.shape == (env.n_objectives,)
+            assert value.tobytes() == exact_policy_value(env, assignment, gamma).tobytes()
+        for (policy, value), (_, expected), assignment in zip(
+                deterministic_policies(env, gamma), pairs, assignments):
             assert [policy.action(s) for s in range(env.n_states)] == list(assignment)
             assert sorted(policy.preferences) == list(range(env.n_states))
             for s, a in enumerate(assignment):
                 expected_row = np.zeros(env.n_actions)
                 expected_row[a] = 1.0
                 assert policy.preferences[s].tobytes() == expected_row.tobytes()
-            assert value.shape == (env.n_objectives,)
-            assert value.tobytes() == exact_policy_value(env, assignment, gamma).tobytes()
+            assert value.tobytes() == expected.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(env=random_momdps(), gamma=st.sampled_from([0.0, 0.5, 0.9, 1.0]))
@@ -211,7 +214,7 @@ class TestEnumerationAgainstPerPolicyDp:
         self.assert_matches_oracle(env, 0.9)
 
     def test_policies_do_not_share_rows(self):
-        pairs = enumerate_deterministic_policies(tiny_tree(), 1.0)
+        pairs = deterministic_policies(tiny_tree(), 1.0)
         pairs[0][0].preferences[0][:] = 7.0
         assert pairs[1][0].preferences[0].tolist() == [1.0, 0.0]
         assert pairs[0][0].preferences[1].tolist() == [1.0, 0.0]

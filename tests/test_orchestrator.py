@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import pickle
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from paretoq import (
 from paretoq import orchestrator
 from paretoq.archive import ParetoArchive
 from paretoq.decomposition import Scalarization
-from paretoq.momdp import Experience, Momdp, register_env, rollout
+from paretoq.learning import _Episode
+from paretoq.momdp import Experience, Momdp, TabularPolicy, register_env, rollout
 from paretoq.orchestrator import (_adapt, _archive_population, _epsilon_schedule, _sample_visible,
                                   _visible_episodes)
 from paretoq.rng import STREAM_BUFFER, derive_stream
@@ -485,30 +487,74 @@ class TestEsrReplay:
 
     @staticmethod
     def intern_map_sizes(monkeypatch, env):
-        """The intern map's size after each round of a run with PSA off, so
-        no _adapt clears it before the end."""
+        """The intern map's size after each sampled episode of a run."""
         sizes = []
-        improve = orchestrator._improve_all
-        monkeypatch.setattr(orchestrator, "_improve_all",
-                            lambda state: improve(state) or sizes.append(len(state.plans)))
+        intern = orchestrator._intern
+        monkeypatch.setattr(orchestrator, "_intern", lambda state, trace: (
+            intern(state, trace), sizes.append(len(state.episodes)))[0])
         config = small_config(env=env, learner="esr-mc", scalarization="tchebycheff",
                               buffer_capacity=30, psa_period_steps=10_000, total_steps=1200)
         run(config)
         return config, sizes
 
     def test_interned_plans_stay_bounded_by_the_buffer_capacity(self, monkeypatch):
-        """Only the capacity bound clears the plans of ever-new episodes."""
+        """Only the capacity bound clears the interned episodes (and their
+        plans) of ever-new action sequences."""
         assert branching_chain().deterministic
         config, sizes = self.intern_map_sizes(monkeypatch, "branching-chain-test-env")
-        new_per_round = config.population_size * config.update_passes
-        assert max(sizes) < config.buffer_capacity + new_per_round
-        assert max(sizes) >= config.buffer_capacity              # the bound was reached
-        assert any(b < a for a, b in zip(sizes, sizes[1:]))      # and cleared the plans
+        assert max(sizes) == config.buffer_capacity             # reached, never passed
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))     # and cleared the map
 
     def test_stochastic_envs_intern_no_plans(self, monkeypatch):
         assert not noisy_corridor().deterministic
         _, sizes = self.intern_map_sizes(monkeypatch, "noisy-corridor-test-env")
         assert sizes and max(sizes) == 0
+
+    def test_a_corridor_run_keeps_one_object_and_one_plan_per_episode(self, monkeypatch):
+        """Every buffer holds the map's one object per action sequence, and
+        each interned episode is planned on its first replay only."""
+        states, replays = [], []
+        intern, update = orchestrator._intern, orchestrator.update_esr_mc
+
+        def replay(q, episode, *args):
+            before = episode.replay
+            update(q, episode, *args)
+            replays.append((episode, before, episode.replay))
+
+        monkeypatch.setattr(orchestrator, "_intern",
+                            lambda state, trace: states.append(state) or intern(state, trace))
+        monkeypatch.setattr(orchestrator, "update_esr_mc", replay)
+        run(small_config(learner="esr-mc", scalarization="tchebycheff", buffer_capacity=40))
+        state = states[0]
+        assert 1 < len(state.episodes) <= 6   # dst-corridor has six action sequences
+        for buf in state.buffers:
+            for ep in buf.complete_episodes():
+                assert ep is state.episodes[tuple(e.action for e in ep)]
+        builds = {}
+        for episode, before, after in replays:
+            assert type(episode) is _Episode and after is not None
+            assert before in (None, after)
+            builds[id(episode)] = builds.get(id(episode), 0) + (before is None)
+        assert set(builds.values()) == {1} and len(builds) <= len(state.episodes)
+
+    @pytest.mark.parametrize("learner", ["esr-mc", "scalarized-q"])
+    def test_runs_with_interning_off_report_the_same(self, learner, monkeypatch):
+        """Evicting 40-step buffers shared with neighbors, PSA and Tchebycheff."""
+        config = small_config(learner=learner, scalarization="tchebycheff", psa_enabled=True,
+                              psa_period_steps=60, buffer_capacity=40,
+                              cooperation="shared-buffer-neighborhood", total_steps=900)
+        hits, intern = [], orchestrator._intern
+        monkeypatch.setattr(orchestrator, "_intern", lambda state, trace: (
+            episode := intern(state, trace), hits.append(episode is not trace))[0])
+        report = run(config)
+        assert any(hits)                          # interning took effect
+        monkeypatch.setattr(orchestrator, "_intern", lambda state, trace: trace)
+        expected = run(config)
+        assert [(e.eval.tobytes(), e.payload, e.subproblem, e.step) for e in report.archive] == \
+               [(e.eval.tobytes(), e.payload, e.subproblem, e.step) for e in expected.archive]
+        assert report.checkpoints == expected.checkpoints
+        assert [serialize_table(sp.learner) for sp in report.subproblems] == \
+               [serialize_table(sp.learner) for sp in expected.subproblems]
 
     def test_sampled_steps_do_not_share_accrued_arrays(self):
         env = dst_corridor()
@@ -524,6 +570,42 @@ class TestEsrReplay:
                    [np.sum([e.reward for e in trace[:t]], axis=0).tolist() if t else [0.0, 0.0]
                     for t in range(len(trace))]
         assert max(len(trace) for trace in traces) > 1
+
+
+@st.composite
+def deterministic_momdps(draw):
+    """A random deterministic MOMDP: up to 4 states, 3 actions, 3 objectives
+    and 6 steps, with rewards whose sums keep signed zeros and round."""
+    n_states, n_actions, m = (draw(st.integers(1, k)) for k in (4, 3, 3))
+    reward = st.lists(st.sampled_from([0.0, -0.0, 0.1, 1.0, -2.5, 1e-300, 1e300, -1e300]),
+                      min_size=m, max_size=m)
+    state = st.integers(0, n_states - 1)
+    transitions = [[[(1.0, draw(state), draw(reward), draw(st.booleans()))]
+                    for _ in range(n_actions)] for _ in range(n_states)]
+    mu0 = np.zeros(n_states)
+    mu0[draw(state)] = 1.0
+    return Momdp(n_states, n_actions, m, transitions, mu0, draw(st.integers(1, 6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(env=deterministic_momdps(), seed=st.integers(0, 2**32 - 1),
+       epsilon=st.sampled_from([0.2, 0.5, 1.0]))
+def test_an_interned_episode_equals_every_trace_it_stands_for(env, seed, epsilon):
+    """Field by field: states, actions, terminal flags, the very reward
+    objects, and the accrued bytes."""
+    assert env.deterministic
+    state = SimpleNamespace(env=env, episodes={}, config=RunConfig(buffer_capacity=10**6))
+    rng = np.random.default_rng(seed)
+    policy = TabularPolicy(default_row=[0.0] * env.n_actions)
+    for _ in range(20):
+        trace, _ = rollout(env, policy, rng, lambda t: epsilon, rng)
+        episode = orchestrator._intern(state, trace)
+        assert type(episode) is _Episode and len(episode) == len(trace)
+        for kept, seen in zip(episode, trace):
+            assert (kept.state, kept.action, kept.next_state, kept.terminal) == \
+                   (seen.state, seen.action, seen.next_state, seen.terminal)
+            assert kept.reward is seen.reward
+            assert kept.accrued.tobytes() == seen.accrued.tobytes()
 
 
 class TestReportPickle:
