@@ -70,16 +70,12 @@ def scalarize_tch(f, lam, z) -> float:
 class ReferencePoint:
     """Utopian anchor for Tchebycheff scalarization.
 
-    In adaptive mode the point starts at a -inf sentinel and, on every
-    update, moves to the per-objective maximum observed so far plus the
-    margin ``tau``; it never decreases. Fixed mode keeps the constructor
-    values forever.
+    The point starts at ``values``, else at a -inf sentinel, and on every
+    update moves to the per-objective maximum observed so far plus the
+    margin ``tau``; it never decreases. A point never updated stays fixed.
     """
 
-    def __init__(self, m: int | None = None, mode: str = "adaptive",
-                 tau: float = 0.5, values=None):
-        if mode not in ("adaptive", "fixed"):
-            raise ValueError(f"unknown reference point mode {mode!r}")
+    def __init__(self, m: int | None = None, tau: float = 0.5, values=None):
         if tau < 0:
             raise ValueError("tau must be >= 0")
         if values is not None:
@@ -88,17 +84,10 @@ class ReferencePoint:
             self.values = np.full(m, -np.inf)
         else:
             raise ValueError("either m or explicit values are required")
-        self.mode = mode
         self.tau = float(tau)
-
-    @property
-    def initialized(self) -> bool:
-        return bool(np.all(np.isfinite(self.values)))
 
     def update(self, observed) -> "ReferencePoint":
         """Raise each component to ``max(observed) + tau``; monotone."""
-        if self.mode != "adaptive":
-            raise ValueError("reference point updates require adaptive mode")
         observed = [ensure_objective(v, self.values.shape[0]) for v in observed]
         if observed:
             best = np.max(np.array(observed), axis=0)
@@ -124,29 +113,28 @@ class Scalarization:
         return -scalarize_tch(f, lam, self.reference)
 
 
-def generate_weights_uniform(m: int, n: int):
-    """``n`` evenly spread weight vectors on the ``m``-simplex.
+def lattice_divisions(m: int, n: int) -> int | None:
+    """``H`` with ``C(H+m-1, m-1) == n``: the divisions per objective of the
+    ``m``-simplex lattice of ``n`` points, or None if no lattice of two or
+    more points has ``n``."""
+    h = n - 1 if m == 2 else 1
+    while m > 2 and math.comb(h + m - 1, m - 1) < n:
+        h += 1
+    return h if m >= 2 and n >= 2 and math.comb(h + m - 1, m - 1) == n else None
 
-    For two objectives this is the exact uniform lattice
-    ``(i/(n-1), 1-i/(n-1))``. For three or more it is the simplex lattice
-    with gap ``1/H`` where ``C(H+m-1, m-1) == n``; counts that no lattice
-    produces are rejected.
-    """
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    if n < 2:
-        raise ValueError("n must be >= 2")
+
+def generate_weights_uniform(m: int, n: int):
+    """``n >= 2`` evenly spread weight vectors on the ``m``-simplex: its lattice
+    of gap ``1/H`` (:func:`lattice_divisions`), for two objectives
+    ``(i/(n-1), 1-i/(n-1))``. Counts that no lattice produces are rejected."""
+    h = lattice_divisions(m, n)
+    if h is None:
+        raise ValueError(f"unsupported weight count: no simplex lattice of dimension {m} "
+                         f"has exactly {n} >= 2 points")
     if m == 2:
         # complement built from the mirrored index so the set is exactly
         # symmetric under objective swap
         return [np.array([i / (n - 1), (n - 1 - i) / (n - 1)]) for i in range(n)]
-    h = 1
-    while math.comb(h + m - 1, m - 1) < n:
-        h += 1
-    if math.comb(h + m - 1, m - 1) != n:
-        raise ValueError(
-            f"unsupported weight count for m>2: no simplex lattice of dimension "
-            f"{m} has exactly {n} points")
     weights = []
     for combo in itertools.combinations(range(h + m - 1), m - 1):
         parts = np.diff((-1,) + combo + (h + m - 1,)) - 1

@@ -30,17 +30,10 @@ import numpy as np
 
 from .archive import crowding_distance
 from .decomposition import Scalarization
-from .momdp import Experience, TabularPolicy, accrued_key
+from .momdp import Experience, TabularPolicy, _Episode, accrued_key
 
 FIFO = "fifo"
 DIVERSE_CROWDING = "diverse-crowding"
-
-
-class _Episode(list):
-    """An interned episode, the one read-only copy that every buffer holding it
-    shares; ``replay`` keeps its :func:`update_esr_mc` plan once built."""
-
-    replay = None
 
 
 class ExperienceBuffer:

@@ -209,19 +209,18 @@ class TabularPolicy:
     def key(self, state, accrued=None):
         return accrued_key(state, accrued) if self.augmented else state
 
-    def row(self, state, accrued=None):
-        prefs = self.preferences.get(self.key(state, accrued))
+    def row_at(self, key):
+        prefs = self.preferences.get(key)
         if prefs is None and self.default_row is None:
-            raise ValueError(f"unreachable-state policy gap: no preferences for state "
-                             f"{self.key(state, accrued)!r}")
+            raise ValueError(f"unreachable-state policy gap: no preferences for state {key!r}")
         return self.default_row if prefs is None else prefs
 
     def action(self, state, accrued=None) -> int:
         prefs = self.preferences.get(accrued_key(state, accrued) if self.augmented else state)
-        return greedy_action(self.row(state, accrued) if prefs is None else prefs)
+        return greedy_action(self.row_at(self.key(state, accrued)) if prefs is None else prefs)
 
 
-def rollout(env: Momdp, policy: TabularPolicy, rng_seed=0, epsilon=None, explore=None):
+def rollout(env: Momdp, policy: TabularPolicy, rng_seed=0, epsilon=None, explore=None, tree=None):
     """Run one episode; returns ``(trace, episodic_return)``.
 
     The trace is a list of :class:`Experience`, which the learners' update
@@ -234,9 +233,17 @@ def rollout(env: Momdp, policy: TabularPolicy, rng_seed=0, epsilon=None, explore
     ``default_rng(rng_seed)``), plus one uniform action when the coin
     explores; other steps take ``policy.action``. This fixed pattern keeps
     runs with equal seeds identical. Without ``epsilon`` no coin is drawn.
+
+    Given a :class:`StepTree` of ``env``, the episode walks it with equal draws
+    and actions; a prefix walked before costs no env step, and the trace is
+    the one shared, read-only :class:`_Episode` of its action sequence.
     """
     rng = np.random.default_rng(rng_seed)
     explore = rng if explore is None else explore
+    if tree is not None:
+        if tree.env is not env:
+            raise ValueError(f"a step tree of {tree.env.name!r} cannot walk {env.name!r}")
+        return tree.walk(policy, epsilon, explore)
     state = env.initial_state(rng)
     accrued = np.zeros(env.n_objectives)
     trace: list[Experience] = []
@@ -252,6 +259,65 @@ def rollout(env: Momdp, policy: TabularPolicy, rng_seed=0, epsilon=None, explore
         state = next_state
         if done:
             return trace, accrued
+
+
+class _Episode(list):
+    """An interned episode, the one read-only copy that every buffer holding it
+    shares; ``replay`` keeps its :func:`update_esr_mc` plan once built."""
+
+    replay = None
+
+
+class _Node:
+    """An action prefix: the state it reaches, the reward accrued on the way and its
+    key, its last step and parent, its children by action, and once terminal its episode."""
+
+    __slots__ = ("state", "accrued", "key", "step", "parent", "children", "episode")
+
+    def __init__(self, state, accrued, step=None, parent=None):
+        self.state, self.accrued, self.key = state, accrued, accrued_key(state, accrued)
+        self.step, self.parent, self.children, self.episode = step, parent, {}, None
+
+
+class StepTree:
+    """The sampled action prefixes of a deterministic env, each stepped once (the actions
+    fix every field of every step there); past ``capacity`` steps, a walk restarts it."""
+
+    def __init__(self, env: Momdp, capacity: int):
+        if not env.deterministic:
+            raise ValueError(f"environment {env.name!r} is not deterministic")
+        self.env, self.capacity, self.root, self.size = env, capacity, None, 0
+
+    def walk(self, policy: TabularPolicy, epsilon, explore):
+        """:func:`rollout`'s draws and actions; rows are read at each node's key."""
+        env, prefs, augmented = self.env, policy.preferences, policy.augmented
+        if self.root is None or self.size > self.capacity:   # a fresh root
+            self.root, self.size = _Node(env.initial_state(), np.zeros(env.n_objectives)), 0
+        node, depth = self.root, 0
+        while node.episode is None:
+            if epsilon is not None and explore.random() < epsilon(depth):
+                action = int(explore.integers(env.n_actions))
+            else:
+                key = node.key if augmented else node.state
+                row = prefs.get(key)
+                action = greedy_action(policy.row_at(key) if row is None else row)
+            node = node.children.get(action) or self._grow(node, action, depth)
+            depth += 1
+        return node.episode, node.accrued
+
+    def _grow(self, node: _Node, action: int, depth: int) -> _Node:
+        next_state, reward, terminal = self.env.step(node.state, action)
+        done = terminal or depth + 1 >= self.env.max_episode_steps
+        step = Experience(node.state, action, reward, next_state, done, node.accrued)
+        child = node.children[action] = _Node(next_state, node.accrued + reward, step, node)
+        self.size += 1
+        if done:
+            steps, at = [], child
+            while at.step is not None:
+                steps.append(at.step)
+                at = at.parent
+            child.episode = _Episode(reversed(steps))
+        return child
 
 
 def evaluate_policy(env: Momdp, policy: TabularPolicy, episodes: int,

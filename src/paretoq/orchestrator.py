@@ -3,13 +3,15 @@
 One run maintains ``n`` subproblems, each a weight vector and a learner
 table. The run state, not the subproblems, holds the experience buffers
 (one per subproblem, or one shared by all) and the buffers each subproblem
-replays from, so a report carries no buffer. Every iteration rotates the
-sampling role through the population, gathers whole episodes with that
-subproblem's epsilon-greedy policy, improves *all* subproblems from their
-visible buffers, evaluates every greedy policy, and folds the evaluations
-into the external Pareto archive. Weight and reference-point adaptation
-fire on a fixed environment-step period; cooperation (buffer sharing or
-one-shot table transfer) runs at the end of each iteration.
+replays from, so a report carries no buffer. On a deterministic env it also
+holds a step tree, which the sampled episodes walk (see ``momdp.rollout``).
+Every iteration rotates the sampling role through the population, gathers
+whole episodes with that subproblem's epsilon-greedy policy, improves *all*
+subproblems from their visible buffers, evaluates every greedy policy, and
+folds the evaluations into the external Pareto archive. Weight and
+reference-point adaptation fire on a fixed environment-step period;
+cooperation (buffer sharing or one-shot table transfer) runs at the end of
+each iteration.
 
 Runs are deterministic functions of their config (seed included): all
 randomness flows through the named streams in :mod:`paretoq.rng`, so two
@@ -37,6 +39,7 @@ from .decomposition import (
     adapt_weights_psa,
     build_neighborhood,
     generate_weights_uniform,
+    lattice_divisions,
     nearest_objective_neighbor,
     select_subproblem,
 )
@@ -54,10 +57,9 @@ from .learning import (
     update_esr_mc,
     update_scalarized_q,
     update_vector_q,
-    _Episode,
 )
-from .momdp import (ENUMERATION_LIMIT, Momdp, enumerate_deterministic_policies, evaluate_policy,
-                    greedy_action, make_env, rollout)
+from .momdp import (ENUMERATION_LIMIT, Momdp, StepTree, enumerate_deterministic_policies,
+                    evaluate_policy, greedy_action, make_env, rollout)
 from .rng import RunStreams
 
 LEARNERS = ("scalarized-q", "vector-q", "envelope-q", "esr-mc")
@@ -140,6 +142,10 @@ class RunConfig:
             if not ok:
                 raise ValueError(message)
         env = make_env(self.env)  # raises a descriptive error for unknown ids
+        for key in ("population_size", "eum_weights"):   # one subproblem sits at the center
+            n = getattr(self, key)
+            if n > 1 and lattice_divisions(env.n_objectives, n) is None:
+                raise ValueError(f"{key} = {n} fits no weight set of {env.n_objectives} objectives")
         ref = _hv_reference(self, env)
         if ref.shape != (env.n_objectives,):
             raise ValueError(f"hv_reference has {ref.size} entries; environment {self.env!r} "
@@ -205,7 +211,7 @@ class RunState:
     _adapt_marker: int = 0
     walks: dict = field(default_factory=dict)    # subproblem index -> last greedy walk
     offers: dict = field(default_factory=dict)   # subproblem index -> last archive check
-    episodes: dict = field(default_factory=dict)  # action tuple -> episode, see _intern
+    tree: StepTree | None = None                 # deterministic envs only; see rollout
     scores: dict = field(default_factory=dict)   # subproblem index -> ESR score memo
 
 
@@ -269,12 +275,9 @@ def initialize(config: RunConfig, streams: RunStreams | None = None) -> RunState
     streams = streams or RunStreams(config.seed)
     n, m = config.population_size, env.n_objectives
     hv_reference = _hv_reference(config, env)
-    if n == 1:
-        weights = [np.full(m, 1.0 / m)]
-    else:
-        weights = generate_weights_uniform(m, n)
+    weights = [np.full(m, 1.0 / m)] if n == 1 else generate_weights_uniform(m, n)
 
-    reference = ReferencePoint(m=m, mode="adaptive", tau=config.tau)
+    reference = ReferencePoint(m=m, tau=config.tau)
     scalarization = Scalarization(
         config.scalarization,
         reference if config.scalarization == TCHEBYCHEFF else None)
@@ -304,6 +307,7 @@ def initialize(config: RunConfig, streams: RunStreams | None = None) -> RunState
         neighborhood=neighborhood, hv_reference=hv_reference,
         eum_weight_set=generate_weights_uniform(m, config.eum_weights),
         reference_front=_true_front(env, config.gamma), walks=walks, offers=offers,
+        tree=StepTree(env, config.buffer_capacity) if env.deterministic else None,
     )
     cooperate(state)
     return state
@@ -371,20 +375,6 @@ def cooperate(state: RunState):
         _, _, donor = min(donors, key=lambda item: (item[0], item[1]))
         sp.learner = copy.deepcopy(donor.learner)
         sp.transferred = True
-
-
-def _intern(state: RunState, trace):
-    """The one stored copy of ``trace``'s episode on a deterministic env, where the
-    actions fix every field of every step (accrued bytes too); else ``trace``."""
-    if not state.env.deterministic:
-        return trace
-    key = tuple([e.action for e in trace])
-    episode = state.episodes.get(key)
-    if episode is None:
-        if len(state.episodes) >= state.config.buffer_capacity:
-            state.episodes.clear()
-        episode = state.episodes[key] = _Episode(trace)
-    return episode
 
 
 def _epsilon_schedule(config: RunConfig):
@@ -535,8 +525,9 @@ def run(config: RunConfig) -> RunReport:
         behavior = greedy_policy(sp.learner, sp.weight) if state.steps_done < target else None
         while state.steps_done < target:   # the table stays as it is while sampling
             episode, _ = rollout(state.env, behavior, state.streams.env,
-                                 lambda t: epsilon_fn(state.steps_done + t), state.streams.explore)
-            state.buffers[sp.index].push(_intern(state, episode))
+                                 lambda t: epsilon_fn(state.steps_done + t), state.streams.explore,
+                                 tree=state.tree)
+            state.buffers[sp.index].push(episode)
             sp.trained = True
             state.steps_done += len(episode)
             state.episodes_done += 1

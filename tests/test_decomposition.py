@@ -12,7 +12,7 @@ from paretoq import (
     scalarize_ws,
     select_subproblem,
 )
-from paretoq.decomposition import nearest_objective_neighbor
+from paretoq.decomposition import lattice_divisions, nearest_objective_neighbor
 
 DST_FRONT = [(1.0, -1.0), (2.0, -2.0), (3.0, -3.0), (5.0, -4.0), (10.0, -5.0)]
 
@@ -99,7 +99,7 @@ class TestTchebycheff:
             assert not any(dominates(p, best) for p in front)
 
     def test_scalarization_adapter_negates_tchebycheff(self):
-        z = ReferencePoint(values=self.Z, mode="fixed")
+        z = ReferencePoint(values=self.Z)
         g = Scalarization("tchebycheff", z)
         assert g.score((2, -2), (0.5, 0.5)) == pytest.approx(-4.25)
         assert Scalarization("weighted-sum").score((2, 4), (0.5, 0.5)) == pytest.approx(3.0)
@@ -122,6 +122,17 @@ class TestWeightGeneration:
     def test_unsupported_lattice_count(self):
         with pytest.raises(ValueError, match="unsupported weight count"):
             generate_weights_uniform(3, 7)
+
+    def test_lattice_divisions_size_the_weight_sets(self):
+        for m, n in [(2, 2), (2, 11), (3, 6), (3, 10), (3, 91), (4, 20)]:
+            h = lattice_divisions(m, n)
+            assert len(generate_weights_uniform(m, n)) == n
+            assert min(w for ws in generate_weights_uniform(m, n) for w in ws if w) == 1 / h
+        assert lattice_divisions(2, 10**6) == 10**6 - 1   # no lattice is built
+        for m, n in [(1, 2), (2, 1), (2, 0), (3, 1), (3, 7), (3, 101)]:
+            assert lattice_divisions(m, n) is None
+            with pytest.raises(ValueError, match="unsupported weight count"):
+                generate_weights_uniform(m, n)
 
     def test_all_weights_on_simplex_and_distinct(self):
         for m, n in [(2, 11), (3, 10), (4, 20)]:
@@ -175,7 +186,7 @@ class TestPsaAdaptation:
 class TestReferencePoint:
     def test_first_observation_sets_max_plus_margin(self):
         z = ReferencePoint(m=2, tau=0.5)
-        assert not z.initialized
+        assert np.isneginf(z.values).all()
         z.update([(1, -1), (10, -5)])
         np.testing.assert_allclose(z.values, [10.5, -0.5])
 
@@ -192,10 +203,11 @@ class TestReferencePoint:
         z.update([(11, -6)])
         np.testing.assert_allclose(z.values, [11.5, -0.5])
 
-    def test_fixed_mode_rejects_updates(self):
-        z = ReferencePoint(values=(1.0, 1.0), mode="fixed")
-        with pytest.raises(ValueError):
-            z.update([(5, 5)])
+    def test_given_values_are_the_start_of_an_update(self):
+        z = ReferencePoint(values=(1.0, 1.0), tau=0.5)
+        np.testing.assert_array_equal(z.values, [1.0, 1.0])
+        z.update([(5, 0)])
+        np.testing.assert_array_equal(z.values, [5.5, 1.0])
 
 
 class TestNeighborhood:

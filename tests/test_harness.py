@@ -426,6 +426,36 @@ class TestMain:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,value", [("population_size", 7), ("eum_weights", 101)])
+    def test_a_weight_count_no_lattice_has_is_a_config_error(self, tmp_path, capsys, key, value):
+        """Three objectives: 7 and 101 lie between lattice sizes (6, 10; 91, 105)."""
+        def three_exits():
+            transitions = [[[(1.0, 0, np.eye(3)[a], True)] for a in range(3)]]
+            return Momdp(1, 3, 3, transitions, np.ones(1), 1, name="three-exits",
+                         hv_reference_default=(-1.0, -1.0, -1.0))
+
+        register_env("three-exits-test-env", three_exits)
+        counts = {"population_size": 6, "eum_weights": 91}
+        assert RunConfig(env="three-exits-test-env", **counts).validate()
+        counts[key] = value
+        with pytest.raises(ValueError, match=f"{key} = {value} fits no weight set of 3 objectives"):
+            RunConfig(env="three-exits-test-env", **counts).validate()
+        out = tmp_path / "lattice"
+        path = write(tmp_path, f"""
+[run]
+env = three-exits-test-env
+population_size = {counts["population_size"]}
+total_steps = 12
+[metrics]
+eum_weights = {counts["eum_weights"]}
+[experiment]
+seeds = 1, 2
+out_dir = {out}
+""")
+        assert main(["--config", path]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {key} = {value}")
+        assert not list(tmp_path.glob("**/error.log")) and not out.exists()
+
     def test_override_seed_validation(self, tmp_path):
         path = write(tmp_path, MINIMAL)
         assert main(["--config", path, "--seeds", "4,4"]) == 1

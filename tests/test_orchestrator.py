@@ -24,8 +24,8 @@ from paretoq import (
 from paretoq import orchestrator
 from paretoq.archive import ParetoArchive
 from paretoq.decomposition import Scalarization
-from paretoq.learning import _Episode
-from paretoq.momdp import Experience, Momdp, TabularPolicy, register_env, rollout
+from paretoq.momdp import (Experience, Momdp, StepTree, TabularPolicy, _Episode, register_env,
+                           rollout)
 from paretoq.orchestrator import (_adapt, _archive_population, _epsilon_schedule, _sample_visible,
                                   _visible_episodes)
 from paretoq.rng import STREAM_BUFFER, derive_stream
@@ -486,69 +486,88 @@ class TestEsrReplay:
         assert one.bit_generator.state == each.bit_generator.state
 
     @staticmethod
-    def intern_map_sizes(monkeypatch, env):
-        """The intern map's size after each sampled episode of a run."""
-        sizes = []
-        intern = orchestrator._intern
-        monkeypatch.setattr(orchestrator, "_intern", lambda state, trace: (
-            intern(state, trace), sizes.append(len(state.episodes)))[0])
-        config = small_config(env=env, learner="esr-mc", scalarization="tchebycheff",
-                              buffer_capacity=30, psa_period_steps=10_000, total_steps=1200)
-        run(config)
-        return config, sizes
+    def sampled_with_trees(monkeypatch, config):
+        """Run ``config``; return its report, and per sampled episode the tree
+        it walked and that tree's size after it."""
+        walks = []
 
-    def test_interned_plans_stay_bounded_by_the_buffer_capacity(self, monkeypatch):
-        """Only the capacity bound clears the interned episodes (and their
-        plans) of ever-new action sequences."""
-        assert branching_chain().deterministic
-        config, sizes = self.intern_map_sizes(monkeypatch, "branching-chain-test-env")
-        assert max(sizes) == config.buffer_capacity             # reached, never passed
-        assert any(b < a for a, b in zip(sizes, sizes[1:]))     # and cleared the map
+        def recorded(*args, tree=None):
+            result = rollout(*args, tree=tree)
+            walks.append((tree, tree and tree.size))
+            return result
 
-    def test_stochastic_envs_intern_no_plans(self, monkeypatch):
+        monkeypatch.setattr(orchestrator, "rollout", recorded)
+        return run(config), walks
+
+    def test_the_step_tree_stays_bounded_by_the_buffer_capacity(self, monkeypatch):
+        """Only the capacity bound restarts the tree (and drops its episodes'
+        plans) of ever-new action sequences; it checks between episodes."""
+        env = branching_chain()
+        assert env.deterministic
+        config = small_config(env="branching-chain-test-env", learner="esr-mc",
+                              scalarization="tchebycheff", buffer_capacity=30,
+                              psa_period_steps=10_000, total_steps=1200)
+        _, walks = self.sampled_with_trees(monkeypatch, config)
+        sizes = [size for _, size in walks]
+        assert len({id(tree) for tree, _ in walks}) == 1
+        assert max(sizes) <= config.buffer_capacity + env.max_episode_steps
+        assert max(sizes) > config.buffer_capacity              # passed between checks
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))     # and restarted
+
+    def test_stochastic_envs_build_no_tree(self, monkeypatch):
         assert not noisy_corridor().deterministic
-        _, sizes = self.intern_map_sizes(monkeypatch, "noisy-corridor-test-env")
-        assert sizes and max(sizes) == 0
+        config = small_config(env="noisy-corridor-test-env", learner="esr-mc",
+                              scalarization="tchebycheff", buffer_capacity=30)
+        assert initialize(config).tree is None
+        _, walks = self.sampled_with_trees(monkeypatch, config)
+        assert walks and {tree for tree, _ in walks} == {None}
+        with pytest.raises(ValueError, match="not deterministic"):
+            StepTree(noisy_corridor(), 10)
 
     def test_a_corridor_run_keeps_one_object_and_one_plan_per_episode(self, monkeypatch):
-        """Every buffer holds the map's one object per action sequence, and
-        each interned episode is planned on its first replay only."""
+        """Every buffer holds the tree's one object per action sequence, and
+        each episode is planned on its first replay only."""
         states, replays = [], []
-        intern, update = orchestrator._intern, orchestrator.update_esr_mc
+        init, update = orchestrator.initialize, orchestrator.update_esr_mc
 
         def replay(q, episode, *args):
             before = episode.replay
             update(q, episode, *args)
             replays.append((episode, before, episode.replay))
 
-        monkeypatch.setattr(orchestrator, "_intern",
-                            lambda state, trace: states.append(state) or intern(state, trace))
+        monkeypatch.setattr(orchestrator, "initialize",
+                            lambda config: states.append(init(config)) or states[-1])
         monkeypatch.setattr(orchestrator, "update_esr_mc", replay)
         run(small_config(learner="esr-mc", scalarization="tchebycheff", buffer_capacity=40))
-        state = states[0]
-        assert 1 < len(state.episodes) <= 6   # dst-corridor has six action sequences
-        for buf in state.buffers:
+        tree = states[0].tree
+        terminals, stack = [], [tree.root]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children.values())
+            terminals += [node.episode] if node.episode is not None else []
+        assert 1 < len(terminals) <= 6   # dst-corridor has six action sequences
+        for buf in states[0].buffers:
             for ep in buf.complete_episodes():
-                assert ep is state.episodes[tuple(e.action for e in ep)]
+                node = tree.root
+                for e in ep:
+                    node = node.children[e.action]
+                assert ep is node.episode
         builds = {}
         for episode, before, after in replays:
             assert type(episode) is _Episode and after is not None
             assert before in (None, after)
             builds[id(episode)] = builds.get(id(episode), 0) + (before is None)
-        assert set(builds.values()) == {1} and len(builds) <= len(state.episodes)
+        assert set(builds.values()) == {1} and len(builds) <= len(terminals)
 
     @pytest.mark.parametrize("learner", ["esr-mc", "scalarized-q"])
-    def test_runs_with_interning_off_report_the_same(self, learner, monkeypatch):
+    def test_runs_with_the_step_tree_off_report_the_same(self, learner, monkeypatch):
         """Evicting 40-step buffers shared with neighbors, PSA and Tchebycheff."""
         config = small_config(learner=learner, scalarization="tchebycheff", psa_enabled=True,
                               psa_period_steps=60, buffer_capacity=40,
                               cooperation="shared-buffer-neighborhood", total_steps=900)
-        hits, intern = [], orchestrator._intern
-        monkeypatch.setattr(orchestrator, "_intern", lambda state, trace: (
-            episode := intern(state, trace), hits.append(episode is not trace))[0])
-        report = run(config)
-        assert any(hits)                          # interning took effect
-        monkeypatch.setattr(orchestrator, "_intern", lambda state, trace: trace)
+        report, walks = self.sampled_with_trees(monkeypatch, config)
+        assert walks and all(tree is not None for tree, _ in walks)
+        monkeypatch.setattr(orchestrator, "rollout", lambda *args, tree=None: rollout(*args))
         expected = run(config)
         assert [(e.eval.tobytes(), e.payload, e.subproblem, e.step) for e in report.archive] == \
                [(e.eval.tobytes(), e.payload, e.subproblem, e.step) for e in expected.archive]
@@ -589,23 +608,42 @@ def deterministic_momdps(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(env=deterministic_momdps(), seed=st.integers(0, 2**32 - 1),
-       epsilon=st.sampled_from([0.2, 0.5, 1.0]))
-def test_an_interned_episode_equals_every_trace_it_stands_for(env, seed, epsilon):
+       epsilon=st.sampled_from([None, 0.2, 0.5, 1.0]), augmented=st.booleans())
+def test_a_tree_walk_equals_the_plain_rollout(env, seed, epsilon, augmented):
     """Field by field: states, actions, terminal flags, the very reward
-    objects, and the accrued bytes."""
+    objects and the accrued bytes; the return's bytes, and the generators'
+    states after each episode. The exploration probability alternates with
+    the step index, and the policy learns a random row for each key it
+    visited, so greedy actions vary and read stored keys."""
     assert env.deterministic
-    state = SimpleNamespace(env=env, episodes={}, config=RunConfig(buffer_capacity=10**6))
-    rng = np.random.default_rng(seed)
-    policy = TabularPolicy(default_row=[0.0] * env.n_actions)
+    tree = StepTree(env, capacity=10**6)
+    plain_rng, tree_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    rows = np.random.default_rng(seed + 1)
+    policy = TabularPolicy(augmented=augmented, default_row=[0.0] * env.n_actions)
+    schedule = None if epsilon is None else (lambda t: epsilon if t % 2 else 1.0 - epsilon)
     for _ in range(20):
-        trace, _ = rollout(env, policy, rng, lambda t: epsilon, rng)
-        episode = orchestrator._intern(state, trace)
+        trace, total = rollout(env, policy, plain_rng, schedule, plain_rng)
+        episode, walked = rollout(env, policy, tree_rng, schedule, tree_rng, tree=tree)
         assert type(episode) is _Episode and len(episode) == len(trace)
         for kept, seen in zip(episode, trace):
             assert (kept.state, kept.action, kept.next_state, kept.terminal) == \
                    (seen.state, seen.action, seen.next_state, seen.terminal)
             assert kept.reward is seen.reward
             assert kept.accrued.tobytes() == seen.accrued.tobytes()
+        assert walked.tobytes() == total.tobytes()
+        assert plain_rng.bit_generator.state == tree_rng.bit_generator.state
+        for e in trace:
+            policy.preferences[policy.key(e.state, e.accrued)] = rows.random(env.n_actions).tolist()
+
+
+def test_a_walk_reports_a_policy_gap_like_the_plain_rollout():
+    env = dst_corridor()
+    gap = TabularPolicy({0: [0.0, 1.0]})   # dives at once; any advance meets a gap
+    with pytest.raises(ValueError, match="policy gap: no preferences for state 1"):
+        rollout(env, TabularPolicy({0: [1.0, 0.0]}), tree=StepTree(env, 100))
+    assert rollout(env, gap, tree=StepTree(env, 100))[0][0].action == 1
+    with pytest.raises(ValueError, match="step tree of 'tiny-tree' cannot walk"):
+        rollout(env, gap, tree=StepTree(orchestrator.make_env("tiny-tree"), 100))
 
 
 class TestReportPickle:
