@@ -72,7 +72,7 @@ for lam in lattice:
 # The accrued-reward Monte-Carlo learner scalarizes whole episodic returns,
 # so with a Tchebycheff objective it can prefer a concave front point that
 # no weighted sum would pick.
-z = ReferencePoint(values=(10.5, -0.5))
+z = ReferencePoint(values=(10.5, -0.5), mode="fixed")
 tch = Scalarization("tchebycheff", z)
 lam = np.array([0.2, 0.8])
 esr = QTableEsr(env.n_actions, 2, alpha=0.2, gamma=1.0)

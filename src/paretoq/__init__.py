@@ -40,7 +40,6 @@ from .metrics import expected_utility, hypervolume, hypervolume_monte_carlo, igd
 from .momdp import (
     Experience,
     Momdp,
-    StepTree,
     TabularPolicy,
     dst_corridor,
     enumerate_deterministic_policies,

@@ -209,15 +209,22 @@ class TabularPolicy:
     def key(self, state, accrued=None):
         return accrued_key(state, accrued) if self.augmented else state
 
-    def row_at(self, key):
+    def row(self, state, accrued=None):
+        return self._row_at(self.key(state, accrued))
+
+    def _row_at(self, key):
         prefs = self.preferences.get(key)
         if prefs is None and self.default_row is None:
             raise ValueError(f"unreachable-state policy gap: no preferences for state {key!r}")
         return self.default_row if prefs is None else prefs
 
     def action(self, state, accrued=None) -> int:
-        prefs = self.preferences.get(accrued_key(state, accrued) if self.augmented else state)
-        return greedy_action(self.row_at(self.key(state, accrued)) if prefs is None else prefs)
+        return self.action_at(accrued_key(state, accrued) if self.augmented else state)
+
+    def action_at(self, key) -> int:
+        """:meth:`action` at the table key ``key`` (see :meth:`key`)."""
+        prefs = self.preferences.get(key)
+        return greedy_action(self._row_at(key) if prefs is None else prefs)
 
 
 def rollout(env: Momdp, policy: TabularPolicy, rng_seed=0, epsilon=None, explore=None, tree=None):
@@ -235,8 +242,9 @@ def rollout(env: Momdp, policy: TabularPolicy, rng_seed=0, epsilon=None, explore
     runs with equal seeds identical. Without ``epsilon`` no coin is drawn.
 
     Given a :class:`StepTree` of ``env``, the episode walks it with equal draws
-    and actions; a prefix walked before costs no env step, and the trace is
-    the one shared, read-only :class:`_Episode` of its action sequence.
+    and actions; a prefix walked before costs no env step. The trace is then
+    the one :class:`_Episode` of its action sequence and the return its last
+    node's accrued array: both are shared with later walks, so read-only.
     """
     rng = np.random.default_rng(rng_seed)
     explore = rng if explore is None else explore
@@ -289,8 +297,8 @@ class StepTree:
         self.env, self.capacity, self.root, self.size = env, capacity, None, 0
 
     def walk(self, policy: TabularPolicy, epsilon, explore):
-        """:func:`rollout`'s draws and actions; rows are read at each node's key."""
-        env, prefs, augmented = self.env, policy.preferences, policy.augmented
+        """:func:`rollout`'s draws and actions; the policy acts at each node's key."""
+        env, action_at, augmented = self.env, policy.action_at, policy.augmented
         if self.root is None or self.size > self.capacity:   # a fresh root
             self.root, self.size = _Node(env.initial_state(), np.zeros(env.n_objectives)), 0
         node, depth = self.root, 0
@@ -298,9 +306,7 @@ class StepTree:
             if epsilon is not None and explore.random() < epsilon(depth):
                 action = int(explore.integers(env.n_actions))
             else:
-                key = node.key if augmented else node.state
-                row = prefs.get(key)
-                action = greedy_action(policy.row_at(key) if row is None else row)
+                action = action_at(node.key if augmented else node.state)
             node = node.children.get(action) or self._grow(node, action, depth)
             depth += 1
         return node.episode, node.accrued

@@ -275,9 +275,12 @@ def initialize(config: RunConfig, streams: RunStreams | None = None) -> RunState
     streams = streams or RunStreams(config.seed)
     n, m = config.population_size, env.n_objectives
     hv_reference = _hv_reference(config, env)
-    weights = [np.full(m, 1.0 / m)] if n == 1 else generate_weights_uniform(m, n)
+    if n == 1:
+        weights = [np.full(m, 1.0 / m)]
+    else:
+        weights = generate_weights_uniform(m, n)
 
-    reference = ReferencePoint(m=m, tau=config.tau)
+    reference = ReferencePoint(m=m, mode="adaptive", tau=config.tau)
     scalarization = Scalarization(
         config.scalarization,
         reference if config.scalarization == TCHEBYCHEFF else None)

@@ -267,7 +267,7 @@ class EpsilonGreedyPolicy:
         self.greedy, self.epsilon = greedy, epsilon
 
     def row(self, state, accrued=None):
-        return self.greedy.row_at(self.greedy.key(state, accrued))
+        return self.greedy.row(state, accrued)
 
     def action(self, state, accrued=None, rng=None) -> int:
         prefs = self.row(state, accrued)

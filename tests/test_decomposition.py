@@ -99,7 +99,7 @@ class TestTchebycheff:
             assert not any(dominates(p, best) for p in front)
 
     def test_scalarization_adapter_negates_tchebycheff(self):
-        z = ReferencePoint(values=self.Z)
+        z = ReferencePoint(values=self.Z, mode="fixed")
         g = Scalarization("tchebycheff", z)
         assert g.score((2, -2), (0.5, 0.5)) == pytest.approx(-4.25)
         assert Scalarization("weighted-sum").score((2, 4), (0.5, 0.5)) == pytest.approx(3.0)
@@ -186,7 +186,7 @@ class TestPsaAdaptation:
 class TestReferencePoint:
     def test_first_observation_sets_max_plus_margin(self):
         z = ReferencePoint(m=2, tau=0.5)
-        assert np.isneginf(z.values).all()
+        assert not z.initialized
         z.update([(1, -1), (10, -5)])
         np.testing.assert_allclose(z.values, [10.5, -0.5])
 
@@ -203,11 +203,10 @@ class TestReferencePoint:
         z.update([(11, -6)])
         np.testing.assert_allclose(z.values, [11.5, -0.5])
 
-    def test_given_values_are_the_start_of_an_update(self):
-        z = ReferencePoint(values=(1.0, 1.0), tau=0.5)
-        np.testing.assert_array_equal(z.values, [1.0, 1.0])
-        z.update([(5, 0)])
-        np.testing.assert_array_equal(z.values, [5.5, 1.0])
+    def test_fixed_mode_rejects_updates(self):
+        z = ReferencePoint(values=(1.0, 1.0), mode="fixed")
+        with pytest.raises(ValueError):
+            z.update([(5, 5)])
 
 
 class TestNeighborhood:

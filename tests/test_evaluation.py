@@ -266,7 +266,7 @@ def test_scalarize_tch_rejects_vectors_that_are_not_1d():
 
 
 def test_tchebycheff_score_keeps_its_length_check():
-    g = Scalarization("tchebycheff", ReferencePoint(values=(1.0, 1.0)))
+    g = Scalarization("tchebycheff", ReferencePoint(values=(1.0, 1.0), mode="fixed"))
     with pytest.raises(ValueError, match="length mismatch"):
         g.score((1.0, 2.0, 3.0), (0.5, 0.5))
 

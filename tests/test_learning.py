@@ -341,7 +341,7 @@ def test_memoised_scalar_step_matches_the_oracle(n_actions, rows, steps, kind, l
     batch = [Experience(s, a % n_actions, shared[r] if r >= 0 else np.array(SHARED_REWARDS[-r - 1]),
                         nxt, terminal, np.zeros(2))
              for s, a, r, nxt, terminal in steps]
-    ref = ReferencePoint(values=reference)
+    ref = ReferencePoint(mode="fixed", values=reference)
     g, oracle_g = CountingScalarization(kind, ref), Scalarization(kind, ref)
     tables = []
     for cls in (QTableScalar, QTableScalar, NumpyRowScalar):
@@ -608,7 +608,7 @@ def test_one_weight_step_matches_the_row_step(pick, state, next_state, terminal,
 
 
 class TestEsrUpdate:
-    Z = ReferencePoint(values=(10.5, -0.5))
+    Z = ReferencePoint(values=(10.5, -0.5), mode="fixed")
     TCH = Scalarization("tchebycheff", Z)
 
     def test_single_step_episode_negated_tchebycheff(self):
@@ -744,7 +744,7 @@ def test_planned_esr_update_matches_the_oracle(n_actions, pool, replays, rows, k
             episodes.append(buf.complete_episodes()[-1])
         else:
             episodes.append(build(steps, r0, r1, flip))
-    ref = ReferencePoint(values=reference)
+    ref = ReferencePoint(mode="fixed", values=reference)
     g = CountingScalarization(kind, ref)
     tables = []
     for cls in [QTableEsr] * 4 + [NumpyRowEsr] * 2:
