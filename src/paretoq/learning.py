@@ -18,6 +18,10 @@ transfer, flat-text serialization):
 
 Scalar and ESR rows are lists of Python floats, which step like numpy
 float64 bit for bit at less cost; vector and envelope blocks are arrays.
+An ESR row also keeps its greedy action and its table counts the changes
+(``flips``), so its values change only through :func:`update_esr_mc`,
+deserialization or a fresh :meth:`QTableEsr.row` hand-out: never write to a
+row held across an update.
 
 Buffers store whole episodes. Capacity counts individual steps; ``fifo``
 replacement trims the oldest steps, ``diverse-crowding`` drops the whole
@@ -30,7 +34,7 @@ import numpy as np
 
 from .archive import crowding_distance
 from .decomposition import Scalarization
-from .momdp import Experience, TabularPolicy, _Episode, accrued_key
+from .momdp import Experience, TabularPolicy, _EsrRow, _Episode, accrued_key, greedy_action
 
 FIFO = "fifo"
 DIVERSE_CROWDING = "diverse-crowding"
@@ -136,6 +140,7 @@ class _Table:
     after ``actions=`` and its text rows."""
 
     _augmented = False  # whether greedy policies key on (state, accrued reward)
+    flips = None        # greedy-action changes; counted by ESR tables only
 
     def __init__(self, n_actions: int, n_objectives: int | None,
                  alpha: float = 0.1, gamma: float = 1.0):
@@ -274,12 +279,6 @@ class QTableEnvelope(_Table):
         _read_values(self._get(int(state))[l_idx], action, values)
 
 
-class _EsrRow(list):
-    """An ESR row: one Python float per action, and ``visits``, one int count per action."""
-
-    __slots__ = ("visits",)
-
-
 class QTableEsr(_Table):
     """Scalar table over (state, accrued reward) augmented keys.
 
@@ -290,17 +289,23 @@ class QTableEsr(_Table):
 
     kind = "esr"
     _augmented = True
+    flips = 0
 
     @property
     def visits(self) -> dict:   # a new dict of the rows' own count lists
         return {key: row.visits for key, row in self.table.items()}
 
     def row(self, state, accrued) -> _EsrRow:
-        return self._get(accrued_key(state, accrued))
+        """The live row of ``(state, accrued)``, which the caller may write until
+        the next update: its greedy action becomes unknown and counts as changed."""
+        row = self._get(accrued_key(state, accrued))
+        row.greedy = None
+        self.flips += 1
+        return row
 
     def _zeros(self) -> _EsrRow:
         row = _EsrRow([0.0] * self.n_actions)
-        row.visits = [0] * self.n_actions
+        row.visits, row.greedy = [0] * self.n_actions, 0
         return row
 
     def _row_lines(self, key) -> list:
@@ -318,6 +323,7 @@ class QTableEsr(_Table):
             raise ValueError(f"expected {self.n_objectives} accrued values, got {len(accrued)}")
         row = self._get(accrued_key(int(state), accrued))
         row.visits[_read_values(row, action, values)] = int(visits)
+        row.greedy = None
 
 
 def update_scalarized_q(q: QTableScalar, batch, g: Scalarization, lam,
@@ -415,7 +421,8 @@ def update_esr_mc(q: QTableEsr, episode, g: Scalarization, lam,
     It replays a plan: each step's (accrued key, action), the return's bytes.
     An :class:`_Episode` keeps its plan, built on its first replay, for every
     table that replays it; any other episode is planned on each call.
-    ``scores`` memoises return scores while ``lam`` and the reference stay put."""
+    ``scores`` memoises return scores while ``lam`` and the reference stay put.
+    Written rows keep their greedy action; ``q.flips`` counts each change (from unknown too)."""
     plan = episode.replay if type(episode) is _Episode else None
     if plan is None:
         steps = list(episode)
@@ -430,13 +437,20 @@ def update_esr_mc(q: QTableEsr, episode, g: Scalarization, lam,
     target = scores.get(total)
     if target is None:
         target = scores[total] = g.score(np.frombuffer(total), lam)
-    alpha, table = q.alpha, q.table
+    alpha, table, flips = q.alpha, q.table, 0
     for key, a in steps:
         if (row := table.get(key)) is None:
             row = q._get(key)
-        old = row[a]
-        row[a] = old + alpha * (target - old)
+        old, kept = row[a], row.greedy
+        row[a] = new = old + alpha * (target - old)
         row.visits[a] += 1
+        # the kept action stays if its value did not fall, or if another's is below it
+        if kept == a and new >= old or kept is not None and new < row[kept]:
+            continue
+        row.greedy = None   # recompute; if only the kept max fell, the row has no NaN
+        row.greedy = best = row.index(max(row)) if kept == a and new < old else greedy_action(row)
+        flips += best != kept
+    q.flips += flips
     return q
 
 

@@ -178,9 +178,19 @@ class Momdp:
         return outcomes[-1][1:]
 
 
+class _EsrRow(list):
+    """An ESR row: one Python float per action, ``visits``, one int count per action,
+    and ``greedy``, its :func:`greedy_action` kept by its writer, or None if unknown."""
+
+    __slots__ = ("visits", "greedy")
+
+
 def greedy_action(row) -> int:
-    """``ndarray.argmax`` of ``row``: its first NaN, else its first maximum. Numpy
-    decides unless ``row`` is a list whose sum is not NaN (``max`` skips a later NaN)."""
+    """``ndarray.argmax`` of ``row``: its first NaN, else its first maximum; an ESR
+    row's kept action when known (see :mod:`paretoq.learning`). Numpy decides
+    unless ``row`` is a list whose sum is not NaN (``max`` skips a later NaN)."""
+    if type(row) is _EsrRow and row.greedy is not None:
+        return row.greedy
     if isinstance(row, list):
         total = sum(row)
         if total == total:

@@ -320,19 +320,28 @@ def evaluate_population(subproblems, env: Momdp, episodes: int, gamma: float, rn
                         walks: dict | None = None):
     """Evaluate every subproblem's greedy policy; refresh ``last_eval``. On a
     deterministic env, ``walks`` keeps each last greedy walk ((state key, action)
-    pairs) and its value, reused while every greedy row (zeros if missing) gives its action."""
+    pairs), its value, its table and the table's ``flips``. The value is reused
+    while that table counts flips (ESR; see :mod:`paretoq.learning`) and the count
+    stays put, else while every greedy row (zeros if missing) gives its action."""
     cache, zero = (walks if env.deterministic else None), [0.0]   # greedy action 0
     for sp in subproblems:
-        path, value = cache.get(sp.index, ((), None)) if cache is not None else ((), None)
-        rows = None if value is None else sp.learner._preferences(sp.weight)
-        if rows is not None and all(greedy_action(rows.get(key, zero)) == a for key, a in path):
+        q = sp.learner
+        path, value, table, flips = (cache or {}).get(sp.index, ((), None, None, None))
+        same = table is q and flips == q.flips
+        if value is not None and same and flips is not None:
             sp.last_eval = value
             continue
+        rows = None if value is None else q._preferences(sp.weight)
+        if rows is not None and all(greedy_action(rows.get(key, zero)) == a for key, a in path):
+            sp.last_eval = value
+            if not same:
+                cache[sp.index] = (path, value, q, q.flips)
+            continue
         path = None if cache is None else []
-        policy = greedy_policy(sp.learner, sp.weight, preferences=rows)
+        policy = greedy_policy(q, sp.weight, preferences=rows)
         sp.last_eval = evaluate_policy(env, policy, episodes, gamma, rng, path)
         if cache is not None:
-            cache[sp.index] = (path, sp.last_eval)
+            cache[sp.index] = (path, sp.last_eval, q, q.flips)
     return [sp.last_eval for sp in subproblems]
 
 
@@ -380,16 +389,14 @@ def cooperate(state: RunState):
         sp.transferred = True
 
 
-def _epsilon_schedule(config: RunConfig):
+def _epsilon_schedule(config: RunConfig, first: int = 0):
+    """The exploration probability of step ``t`` of an episode whose step 0 is the
+    run's step ``first``: linear from ``epsilon_start`` to ``epsilon_min``."""
     span = config.epsilon_decay_fraction * config.total_steps
     start, low = config.epsilon_start, config.epsilon_min
-
-    def epsilon(step: int) -> float:
-        if span <= 0:
-            return low
-        return start + min(1.0, step / span) * (low - start)
-
-    return epsilon
+    if span <= 0:
+        return lambda t: low
+    return lambda t: start + min(1.0, (first + t) / span) * (low - start)
 
 
 class _Chain:
@@ -520,7 +527,6 @@ def run(config: RunConfig) -> RunReport:
     report = RunReport(config=cfg)
     _record_checkpoint(report, state)
 
-    epsilon_fn = _epsilon_schedule(cfg)
     iterations = math.ceil(cfg.total_steps / cfg.steps_per_iteration) if cfg.total_steps else 0
     for iteration in range(iterations):
         sp = state.subproblems[select_subproblem(iteration, cfg.population_size)]
@@ -528,7 +534,7 @@ def run(config: RunConfig) -> RunReport:
         behavior = greedy_policy(sp.learner, sp.weight) if state.steps_done < target else None
         while state.steps_done < target:   # the table stays as it is while sampling
             episode, _ = rollout(state.env, behavior, state.streams.env,
-                                 lambda t: epsilon_fn(state.steps_done + t), state.streams.explore,
+                                 _epsilon_schedule(cfg, state.steps_done), state.streams.explore,
                                  tree=state.tree)
             state.buffers[sp.index].push(episode)
             sp.trained = True

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from paretoq.learning import ExperienceBuffer, QTableEsr, QTableScalar
-from paretoq.momdp import Experience, Momdp, make_env
+from paretoq.momdp import Experience, Momdp, accrued_key, make_env
 from paretoq.orchestrator import RunConfig
 from paretoq.rng import RunStreams
 
@@ -339,7 +339,11 @@ class NumpyRowScalar(QTableScalar):
 
 class NumpyRowEsr(QTableEsr):
     """An ESR table of numpy rows, with int64 visit counts in a dict beside
-    them, for :func:`esr_mc_step`; its text rows are written out here."""
+    them, for :func:`esr_mc_step`; its text rows are written out here. It keeps
+    no greedy actions and counts no flips, so a cached greedy walk of it is
+    always checked row by row, as before ESR tables counted flips."""
+
+    flips = None
 
     def __init__(self, n_actions: int, n_objectives: int, alpha: float = 0.1,
                  gamma: float = 1.0):
@@ -352,6 +356,9 @@ class NumpyRowEsr(QTableEsr):
 
     def _get(self, key):
         return self._entry(key)[0]
+
+    def row(self, state, accrued):
+        return self._get(accrued_key(state, accrued))
 
     def _entry(self, key):
         row = self.table.get(key)
@@ -374,7 +381,8 @@ def scalarized_q_step(q, e, g, lam, scores=None):
     reward = g.score(e.reward, lam)
     bootstrap = 0.0 if e.terminal else float(q.row(e.next_state).max())
     row = q.row(e.state)
-    row[e.action] += q.alpha * (reward + q.gamma * bootstrap - row[e.action])
+    with np.errstate(invalid="ignore"):   # -inf - -inf: NaN is the value meant
+        row[e.action] += q.alpha * (reward + q.gamma * bootstrap - row[e.action])
     return q
 
 
@@ -418,8 +426,6 @@ def esr_mc_step(q, episode, g, lam, scores=None):
     """The ESR Monte-Carlo update as it read before replay plans and score
     memos: keys built and the return scored on every call, numpy-scalar row
     steps on a :class:`NumpyRowEsr` (``scores`` is ignored)."""
-    from paretoq.momdp import accrued_key
-
     episode = list(episode)
     if not episode or not episode[-1].terminal:
         raise ValueError("incomplete episode: ESR updates need a finished episode")
@@ -427,7 +433,8 @@ def esr_mc_step(q, episode, g, lam, scores=None):
     target = g.score(total, lam)
     for e in episode:
         row, visits = q._entry(accrued_key(e.state, e.accrued))
-        row[e.action] += q.alpha * (target - row[e.action])
+        with np.errstate(invalid="ignore"):   # -inf - -inf: NaN is the value meant
+            row[e.action] += q.alpha * (target - row[e.action])
         visits[e.action] += 1
     return q
 

@@ -311,13 +311,16 @@ def _keys(q, env, walk):
 
 def _edit(data, sps, env, walks):
     """One random edit: a row set (possibly where the default row stood in),
-    a row reversed (an argmax flip), a PSA-style weight change, or a transfer."""
+    a row reversed (an argmax flip), a PSA-style weight change, a transfer,
+    or on an ESR table a few replays of one sampled episode, whose targets
+    may be -inf or NaN (Tchebycheff from a -inf reference, a zero weight)."""
     sp = data.draw(st.sampled_from(sps))
     q = sp.learner
-    what = data.draw(st.sampled_from(["set", "flip", "weight", "transfer"]))
+    esr = isinstance(q, QTableEsr)
+    what = data.draw(st.sampled_from(["set", "flip", "weight", "transfer"] + ["replay"] * esr))
     if what in ("set", "flip"):
         key = data.draw(st.sampled_from(_keys(q, env, walks.get(sp.index, ((), None)))))
-        row = q.row(*key) if isinstance(q, QTableEsr) else q._get(key)
+        row = q.row(*key) if esr else q._get(key)
         if isinstance(row, list):   # scalar and ESR rows are float lists
             if what == "flip":
                 row.reverse()
@@ -329,6 +332,13 @@ def _edit(data, sps, env, walks):
         else:
             row[:] = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=row.size,
                                                  max_size=row.size))).reshape(row.shape)
+    elif what == "replay":
+        episode, _ = rollout(env, greedy_policy(q), data.draw(st.integers(0, 2**16)), lambda t: 0.5)
+        z = data.draw(st.sampled_from([None, -np.inf, 0.0]))
+        g = WS if z is None else Scalarization(
+            "tchebycheff", ReferencePoint(values=[z] * env.n_objectives, mode="fixed"))
+        for _ in range(data.draw(st.integers(1, 4))):
+            update_esr_mc(q, episode, g, sp.weight)
     elif what == "weight":
         sp.weight = _simplex_weight(data, env.n_objectives)
         weights = [other.weight for other in sps]
@@ -341,7 +351,7 @@ def _edit(data, sps, env, walks):
         sp.learner = copy.deepcopy(data.draw(st.sampled_from([fresh] + [o.learner for o in sps])))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(env=small_momdps(deterministic=True), kind=st.sampled_from(KINDS),
        n=st.integers(1, 3), gamma=st.sampled_from([1.0, 0.9, 0.5]), data=st.data())
 def test_cached_population_evaluation_is_a_fresh_walk(env, kind, n, gamma, data):
@@ -356,7 +366,9 @@ def test_cached_population_evaluation_is_a_fresh_walk(env, kind, n, gamma, data)
             _edit(data, sps, env, walks)
         evals = evaluate_population(sps, env, 3, gamma, rng, walks)
         for sp, value in zip(sps, evals):
-            fresh = evaluate_policy(env, greedy_policy(sp.learner, sp.weight), 3, gamma, 0)
+            # plain lists: the fresh walk reads no action an ESR row keeps
+            rows = {key: list(row) for key, row in sp.learner._preferences(sp.weight).items()}
+            fresh = evaluate_policy(env, greedy_policy(sp.learner, preferences=rows), 3, gamma, 0)
             assert value.tobytes() == fresh.tobytes()
             assert sp.last_eval is value
         if edits == 0 and previous is not None:
@@ -370,7 +382,8 @@ def test_cached_population_evaluation_is_a_fresh_walk(env, kind, n, gamma, data)
 def test_cached_population_evaluation_builds_preferences_at_most_once(kind, monkeypatch):
     """A first walk, a reused walk and a re-walk after an argmax flip each
     build every subproblem's greedy preferences once (vector and envelope
-    tables build them by one matmul per state)."""
+    tables build them by one matmul per state). An ESR table whose flip count
+    stayed put builds none, so after the flip only the flipped table does."""
     env = tiny_tree()
     weights = [np.array([0.5, 0.5]), np.array([1.0, 0.0])]
     sps = [Subproblem(i, w, _new_table(kind, env, weights)) for i, w in enumerate(weights)]
@@ -387,8 +400,23 @@ def test_cached_population_evaluation_builds_preferences_at_most_once(kind, monk
             row[1 - a if isinstance(row, list) else (..., 1 - a, slice(None))] = 1.0
         before, calls[:] = walks.get(0), []
         evaluate_population(sps, env, 3, 1.0, rng, walks)
-        assert len(calls) == len(sps)
+        assert len(calls) == (int(flip) if kind == "esr" and before is not None else len(sps))
         assert (walks[0] is before) == (before is not None and not flip)
+
+
+def test_a_transferred_esr_table_with_an_equal_flip_count_is_walked_again():
+    """A deep copy is another table: its walk is checked even when its flip
+    count equals the count cached with the replaced table's walk."""
+    env = tiny_tree()
+    sps = [Subproblem(i, np.array(w), QTableEsr(2, 2)) for i, w in enumerate([(0.5, 0.5), (1, 0)])]
+    for sp, values in zip(sps, ([1.0, 0.0], [0.0, 1.0])):
+        sp.learner.row(0, (0.0, 0.0))[:] = values   # one flip each: left, right
+    walks, rng = {}, np.random.default_rng(0)
+    assert [v.tolist() for v in evaluate_population(sps, env, 1, 1.0, rng, walks)] == \
+           [[4.0, 0.0], [1.0, 3.0]]
+    sps[0].learner = copy.deepcopy(sps[1].learner)
+    assert sps[0].learner.flips == walks[0][3]
+    assert evaluate_population(sps, env, 1, 1.0, rng, walks)[0].tolist() == [1.0, 3.0]
 
 
 @settings(max_examples=50, deadline=None)

@@ -28,7 +28,7 @@ from paretoq import (
     update_scalarized_q,
     update_vector_q,
 )
-from paretoq.momdp import Experience, _Episode, accrued_key, greedy_action
+from paretoq.momdp import Experience, _EsrRow, _Episode, accrued_key, greedy_action
 
 from paretoq.orchestrator import _replay_update
 
@@ -353,7 +353,8 @@ def test_memoised_scalar_step_matches_the_oracle(n_actions, rows, steps, kind, l
     by_hand = QTableScalar(n_actions, alpha=alpha, gamma=gamma)   # numpy rows still work
     by_hand.table = {s: np.array(values[:n_actions]) for s, values in rows.items()}
     update_scalarized_q(memo_q, batch, g, lam, {})
-    update_scalarized_q(by_hand, batch, Scalarization(kind, ref), lam)
+    with np.errstate(invalid="ignore"):   # numpy rows flag the NaN that -inf - -inf is
+        update_scalarized_q(by_hand, batch, Scalarization(kind, ref), lam)
     for e in batch:
         update_scalarized_q(plain_q, [e], Scalarization(kind, ref), lam)
         scalarized_q_step(oracle_q, e, oracle_g, lam)
@@ -769,6 +770,68 @@ def test_planned_esr_update_matches_the_oracle(n_actions, pool, replays, rows, k
     returns = {(k, (ep[-1].accrued + ep[-1].reward).tobytes())
                for k, ep in ((k, episodes[i % len(episodes)]) for k, i in replays)}
     assert g.calls == len(returns)
+
+
+ESR_OPS = st.one_of(
+    st.tuples(st.just("update"),
+              st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2), st.sampled_from([0.0, 1.0])),
+                       min_size=1, max_size=3),
+              st.sampled_from(ESR_REWARDS), st.sampled_from(ESR_REWARDS)),
+    st.tuples(st.just("hand-out"), st.integers(0, 1), st.sampled_from([0.0, 1.0]),
+              st.lists(st.sampled_from(TABLE_VALUES + [-np.inf]), min_size=3, max_size=3)),
+    st.tuples(st.just("deserialize")), st.tuples(st.just("copy")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_actions=st.integers(1, 3), ops=st.lists(ESR_OPS, max_size=20),
+       kind=st.sampled_from(["weighted-sum", "tchebycheff"]),
+       lam=st.sampled_from([(0.5, 0.5), (0.0, 1.0), (0.3, 0.7)]),
+       reference=st.sampled_from([(-np.inf, -np.inf), (2.0, 2.0)]),
+       alpha=st.sampled_from([0.1, 1.0]))
+def test_esr_rows_keep_their_greedy_action_and_count_its_changes(n_actions, ops, kind, lam,
+                                                                  reference, alpha):
+    """After every update, row hand-out, deserialization and deep copy, each
+    row's kept action is unknown or the greedy action of its values; an update
+    leaves every row it wrote known, and whenever an update or a hand-out
+    changes some row's greedy action (a new row's from 0), ``flips`` moves.
+    An update op is an episode of ``(state, action, accrued0)`` steps and its
+    last reward; a hand-out op writes values to the row of ``(state, (c, 0))``.
+    Ties, NaN and -inf rows all occur (a -inf reference scores -inf or NaN)."""
+    g = Scalarization(kind, ReferencePoint(mode="fixed", values=reference))
+    q = QTableEsr(n_actions, 2, alpha=alpha)
+
+    def actions(q):
+        return {key: greedy_action(list(row)) for key, row in q.table.items()}
+
+    for op, *args in ops:
+        before, flips = actions(q), q.flips
+        if op == "update":
+            steps, r0, r1 = args
+            last = len(steps) - 1
+            episode = [Experience(s, a % n_actions, np.array((r0, r1) if t == last else (0.0, 0.0)),
+                                  s, t == last, np.array([c, 0.0]))
+                       for t, (s, a, c) in enumerate(steps)]
+            update_esr_mc(q, episode, g, lam)
+            assert all(q.table[accrued_key(e.state, e.accrued)].greedy is not None
+                       for e in episode)
+        elif op == "hand-out":
+            s, c, values = args
+            q.row(s, (c, 0.0))[:] = values[:n_actions]
+        elif op == "deserialize":
+            q = deserialize_table(serialize_table(q))
+            assert all(row.greedy is None for row in q.table.values())
+        else:
+            copied = copy.deepcopy(q)
+            assert copied.flips == q.flips
+            assert [row.greedy for row in copied.table.values()] == \
+                   [row.greedy for row in q.table.values()]
+            q = copied
+        for row in q.table.values():
+            assert type(row) is _EsrRow
+            assert row.greedy is None or row.greedy == greedy_action(list(row))
+        after = actions(q)
+        if op in ("update", "hand-out") and any(a != before.get(k, 0) for k, a in after.items()):
+            assert q.flips > flips
 
 
 class TestGreedyPolicy:
