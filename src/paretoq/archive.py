@@ -30,14 +30,20 @@ def prune(candidates):
 
     Every entry dominated by some other input entry is dropped, as is any
     later entry whose evaluation exactly repeats an earlier one. Input order
-    of the survivors is preserved. The pairs are inserted in turn into a
-    fresh :class:`ParetoArchive`, which gives the same result as a full
-    pairwise filter.
+    of the survivors is preserved. One stable sort (descending, column 0 first)
+    puts each point after every point >= it everywhere; one sweep then keeps a
+    point unless a kept point is >= it everywhere (so is one if a dropped one is).
     """
-    archive = ParetoArchive()
-    for eval_, payload in candidates:
-        archive.insert(eval_, payload)
-    return [(e.eval, e.payload) for e in archive]
+    pairs = [(ensure_objective(eval_), payload) for eval_, payload in candidates]
+    if len({len(vec) for vec, _ in pairs}) > 1:
+        raise ValueError("objective vectors have mismatched lengths")
+    rows = [vec.tolist() for vec, _ in pairs]
+    kept, survivors = np.empty((len(rows), len(rows[0]) if rows else 0)), []
+    for i in sorted(range(len(rows)), key=rows.__getitem__, reverse=True):   # stable
+        if not (kept[:len(survivors)] >= pairs[i][0]).all(axis=1).any():
+            kept[len(survivors)] = pairs[i][0]
+            survivors.append(i)
+    return [pairs[i] for i in sorted(survivors)]
 
 
 def crowding_distance(front) -> np.ndarray:

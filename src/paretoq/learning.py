@@ -210,8 +210,9 @@ class QTableVector(_Table):
 
 
 class QTableEnvelope(_Table):
-    """Vector table indexed by state, a finite weight set, and action; ``weights``
-    is a tuple copied from each set assigned, of fixed length once blocks exist."""
+    """Vector table indexed by state, a finite weight set, and action; ``weights`` is a
+    tuple copied from each set assigned (``stacked``: one read-only array of it), of
+    fixed length once blocks exist."""
 
     kind = "envelope"
     block = _Table._get
@@ -232,14 +233,13 @@ class QTableEnvelope(_Table):
             raise ValueError("envelope tables need a non-empty weight set")
         if self.table and len(weights) != len(self._weights):
             raise ValueError(f"{len(weights)} weights do not fit {len(self._weights)}-row blocks")
-        self._weights = weights
+        self._weights, self.stacked = weights, np.array(weights)
 
     def weight_index(self, lam) -> int:
         """The row of ``lam``: its first equal weight in the set (-0.0 == 0.0)."""
         lam = np.asarray(lam, dtype=float)
-        stacked = np.array(self.weights)
-        if lam.shape == stacked.shape[1:]:
-            match = (stacked == lam).all(axis=1)
+        if lam.shape == self.stacked.shape[1:]:
+            match = (self.stacked == lam).all(axis=1)
             if match.any():
                 return int(match.argmax())
         raise ValueError(f"weight vector {lam} is not in the envelope weight set")
@@ -248,8 +248,7 @@ class QTableEnvelope(_Table):
         return np.zeros((len(self.weights), self.n_actions, self.n_objectives))
 
     def _preferences(self, lam) -> dict:
-        l_idx = self.weight_index(lam)
-        lam = np.asarray(lam, dtype=float)
+        l_idx, lam = self.weight_index(lam), np.asarray(lam, dtype=float)
         return {s: (block[l_idx] @ lam).tolist() for s, block in self.table.items()}
 
     def _meta(self) -> list:
@@ -373,8 +372,7 @@ def update_vector_q(q: QTableVector, batch, lam) -> QTableVector:
 def update_envelope_q(q: QTableEnvelope, e: Experience, lam) -> QTableEnvelope:
     """TD step of the one row ``lam`` resolves to (see :func:`update_envelope_rows`);
     a run updates every weight's row from each replayed experience."""
-    lam = np.asarray(lam, dtype=float)
-    return update_envelope_rows(q, [e], lam[None], [q.weight_index(lam)])
+    return update_envelope_rows(q, [e], np.array([lam], dtype=float), [q.weight_index(lam)])
 
 
 def update_envelope_rows(q: QTableEnvelope, batch, weights, rows) -> QTableEnvelope:
@@ -386,31 +384,36 @@ def update_envelope_rows(q: QTableEnvelope, batch, weights, rows) -> QTableEnvel
     table as the steps before it left it. Only a self-loop or a repeated
     row lets an earlier write reach a later read; every other experience
     takes all rows in one batched step, with the same bits.
+
+    The batched ``einsum("lam,km->kal")`` gives each score the bits of the
+    per-weight ``einsum("lam,m->al")``, which the in-order path calls once per
+    weight with one ``argmax``, then steps on Python floats (numpy's IEEE bits).
     """
+    n_rows, m, rows = len(q.weights), q.n_objectives, list(rows)
     repeated = len(set(rows)) < len(rows)
+    index = slice(None) if rows == list(range(n_rows)) else np.array(rows, dtype=np.intp)
+    # score index a * L + l (action-major, for ties) -> bootstrap index l * A + a
+    remap = np.arange(n_rows * q.n_actions).reshape(n_rows, -1).T.ravel()
     for e in batch:
-        action, terminal = e.action, e.terminal
-        nxt = None if terminal else q.block(e.next_state)   # (L, A, m)
+        nxt = None if e.terminal else q.block(e.next_state)   # (L, A, m)
         block = q.block(e.state)
         if nxt is block or repeated:
+            reward = e.reward.tolist()
             for w, l_idx in zip(weights, rows):
-                if terminal:
-                    target = e.reward
-                else:
-                    scores = np.einsum("lam,m->al", nxt, w)   # action-major for ties
-                    a_best, l_best = divmod(int(scores.argmax()), len(nxt))
-                    target = e.reward + q.gamma * nxt[l_best, a_best]
-                old = block[l_idx, action]
-                block[l_idx, action] = old + q.alpha * (target - old)
+                target = reward
+                if nxt is not None:
+                    best = int(np.einsum("lam,m->al", nxt, w).argmax())
+                    boot = nxt[best % n_rows, best // n_rows].tolist()
+                    target = [r + q.gamma * v for r, v in zip(reward, boot)]
+                old = block[l_idx, e.action].tolist()
+                block[l_idx, e.action] = [o + q.alpha * (t - o) for o, t in zip(old, target)]
             continue
-        if terminal:
-            target = e.reward
-        else:
-            scores = np.einsum("lam,km->kal", nxt, weights)
-            a_best, l_best = np.divmod(scores.reshape(len(weights), -1).argmax(axis=1), len(nxt))
-            target = e.reward + q.gamma * nxt[l_best, a_best]
-        old = block[rows, action]
-        block[rows, action] = old + q.alpha * (target - old)
+        target = e.reward
+        if nxt is not None:
+            best = np.einsum("lam,km->kal", nxt, weights).reshape(len(rows), -1).argmax(axis=1)
+            target = e.reward + q.gamma * nxt.reshape(-1, m)[remap[best]]
+        old = block[index, e.action]
+        block[index, e.action] = old + q.alpha * (target - old)
     return q
 
 

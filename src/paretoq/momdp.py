@@ -350,26 +350,26 @@ def evaluate_policy(env: Momdp, policy: TabularPolicy, episodes: int,
         raise ValueError("episodes must be >= 1")
     rng = np.random.default_rng(rng_seed)
     runs = 1 if env.deterministic else episodes
-    total = np.zeros(env.n_objectives)
+    total = [0.0] * env.n_objectives
     for _ in range(runs):
-        total += _discounted_return(env, policy, gamma, rng, path)
-    return total / runs
+        total = [t + v for t, v in zip(total, _discounted_return(env, policy, gamma, rng, path))]
+    return np.array(total) / runs
 
 
 def _discounted_return(env: Momdp, policy: TabularPolicy, gamma: float,
-                       rng: np.random.Generator, path: list | None = None) -> np.ndarray:
-    """One episode's discounted vector return, under rollout's draw pattern."""
+                       rng: np.random.Generator, path: list | None = None) -> list:
+    """One episode's discounted vector return, as Python floats, under rollout's draw pattern."""
     state = env.initial_state(rng)
     # only an augmented policy reads the accrued reward
     accrued = np.zeros(env.n_objectives) if policy.augmented else None
-    value = np.zeros(env.n_objectives)
+    value = [0.0] * env.n_objectives
     discount = 1.0
     for _ in range(env.max_episode_steps):
         action = policy.action(state, accrued)
         if path is not None:
             path.append((policy.key(state, accrued), action))
         state, reward, terminal = env.step(state, action, rng)
-        value += discount * reward
+        value = [v + discount * r for v, r in zip(value, reward.tolist())]
         if terminal:
             break
         discount *= gamma

@@ -20,10 +20,9 @@ runs with equal configs produce identical reports on any platform.
 
 from __future__ import annotations
 
-import bisect
 import copy
 import dataclasses
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -399,53 +398,44 @@ def _epsilon_schedule(config: RunConfig, first: int = 0):
     return lambda t: start + min(1.0, (first + t) / span) * (low - start)
 
 
-class _Chain:
-    """Read-only view of several sequences end to end, built without copying:
-    index ``i`` reads what the concatenated list would hold at ``i``."""
+def _item(parts, i: int):
+    """Item ``i`` of the sequences ``parts`` read end to end."""
+    for part in parts:
+        if i < len(part):
+            return part[i]
+        i -= len(part)
 
-    def __init__(self, parts):
-        self.parts = parts
-        self.ends = list(itertools.accumulate(len(part) for part in parts))
 
-    def __len__(self) -> int:
-        return self.ends[-1] if self.ends else 0
-
-    def __getitem__(self, index: int):
-        k = bisect.bisect_right(self.ends, index)
-        return self.parts[k][index - self.ends[k] + len(self.parts[k])]
+def _episodes(visible):
+    """``(item, count)`` of the complete episodes of ``visible``, read end to end."""
+    if len(visible) == 1:
+        episodes = visible[0].complete_episodes()
+        return episodes.__getitem__, len(episodes)
+    parts = [buf.complete_episodes() for buf in visible]
+    return functools.partial(_item, parts), sum(map(len, parts))
 
 
 def _sample_visible(visible, batch: int, rng):
     if len(visible) == 1:
-        if len(visible[0]) == 0:
-            return []
-        return visible[0].sample(batch, rng)
-    flat = _Chain(visible)
-    if not len(flat):
-        return []
-    idx = rng.integers(0, len(flat), size=int(batch))
-    return [flat[i] for i in idx.tolist()]
-
-
-def _visible_episodes(visible):
-    if len(visible) == 1:
-        return visible[0].complete_episodes()
-    return _Chain([buf.complete_episodes() for buf in visible])
+        return visible[0].sample(batch, rng) if len(visible[0]) else []
+    size = sum(map(len, visible))
+    draws = rng.integers(0, size, size=int(batch)).tolist() if size else []
+    return [_item(visible, i) for i in draws]
 
 
 def _replay_update(q, g: Scalarization, lam):
     """The update of table ``q`` from one sampled batch, chosen once per
     round. Scalar tables share a score memo for the round. Envelope tables
     refresh the row of every weight in their set in one step. Weights, the
-    set and the reference point only change in _adapt, so the stacked
-    weights and each one's row (its first match) are resolved here once."""
+    set and the reference point only change in _adapt, so each weight's row
+    (its first match) is resolved here once; the table keeps the set stacked."""
     if isinstance(q, QTableScalar):
         scores = {}
         return lambda batch: update_scalarized_q(q, batch, g, lam, scores)
     if isinstance(q, QTableVector):
         return lambda batch: update_vector_q(q, batch, lam)
-    weights = np.array(q.weights)
-    rows = [q.weight_index(w) for w in weights]
+    weights = q.stacked   # each one's row is its first equal weight, as in weight_index
+    rows = (weights[:, None] == weights).all(axis=2).argmax(axis=1).tolist()
     return lambda batch: update_envelope_rows(q, batch, weights, rows)
 
 
@@ -470,13 +460,14 @@ def _improve_esr(state: RunState):
     """One replayed episode per pass for each ESR subproblem that sees any, from
     one draw per round equal to a call per pick. Score memos last until _adapt;
     plans, which read no weight, live on the interned episodes."""
-    rounds = [(sp, episodes) for sp, episodes in
-              zip(state.subproblems, map(_visible_episodes, state.visible))
-              if episodes for _ in range(state.config.update_passes)]
-    picks = state.streams.buffer.integers(0, [len(episodes) for _, episodes in rounds]).tolist()
-    for (sp, episodes), pick in zip(rounds, picks):
-        update_esr_mc(sp.learner, episodes[pick], state.scalarization, sp.weight,
-                      state.scores.setdefault(sp.index, {}))
+    rounds, g, passes = [], state.scalarization, state.config.update_passes
+    for sp, (item, count) in zip(state.subproblems, map(_episodes, state.visible)):
+        if count:   # the learner, weight and memo hold for the round
+            memo = state.scores.setdefault(sp.index, {})
+            rounds += [(sp.learner, item, sp.weight, count, memo)] * passes
+    picks = state.streams.buffer.integers(0, [count for _, _, _, count, _ in rounds]).tolist()
+    for (q, item, lam, _, memo), pick in zip(rounds, picks):
+        update_esr_mc(q, item(pick), g, lam, memo)
 
 
 def _adapt(state: RunState):

@@ -7,8 +7,11 @@ per-point loops for crowding distance and Monte-Carlo hypervolume (and
 the Monte-Carlo loop that scaled every draw before comparing it), an
 episode buffer that re-derives its views after every push, trajectory
 enumeration for the worst return, an archive step that checks every
-offer, the scalarized TD step without its score memo, the envelope
-improvement as one step per weight, the ESR update and
+offer, pruning by inserting into an archive one point at a time, the
+scalarized TD step without its score memo, the envelope improvement as one
+step per weight and its scores as one ``einsum`` per weight, policy
+evaluation summing into numpy arrays, multi-buffer sampling through a
+chained view of the buffers, the ESR update and
 its improvement round without plans, memos or a one-call pick draw (the
 scalar and ESR steps on tables of numpy rows, as the learners kept them
 before their rows became float lists), the
@@ -19,10 +22,13 @@ training schedule step for step.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 
 import numpy as np
 
+from paretoq.archive import ParetoArchive
 from paretoq.learning import ExperienceBuffer, QTableEsr, QTableScalar
 from paretoq.momdp import Experience, Momdp, accrued_key, make_env
 from paretoq.orchestrator import RunConfig
@@ -47,6 +53,15 @@ def brute_force_non_dominated(points):
             continue
         survivors.append(i)
     return survivors
+
+
+def prune_by_insertion(candidates):
+    """``archive.prune`` as it read before it sorted once: each ``(eval, payload)``
+    pair inserted in turn into a fresh :class:`ParetoArchive`."""
+    archive = ParetoArchive()
+    for eval_, payload in candidates:
+        archive.insert(eval_, payload)
+    return [(e.eval, e.payload) for e in archive]
 
 
 def brute_force_non_dominated_matrix(points):
@@ -259,6 +274,33 @@ def rollout_discounted_mean(env: Momdp, policy, episodes: int, gamma: float, rng
     return total / runs
 
 
+def evaluate_policy_on_arrays(env: Momdp, policy, episodes: int, gamma: float,
+                              rng_seed=0, path: list | None = None) -> np.ndarray:
+    """``evaluate_policy`` as it read while it summed each return, and the mean,
+    into numpy arrays: the same draws, keys and actions, step for step."""
+    rng = np.random.default_rng(rng_seed)
+    runs = 1 if env.deterministic else episodes
+    total = np.zeros(env.n_objectives)
+    for _ in range(runs):
+        state = env.initial_state(rng)
+        accrued = np.zeros(env.n_objectives) if policy.augmented else None
+        value = np.zeros(env.n_objectives)
+        discount = 1.0
+        for _ in range(env.max_episode_steps):
+            action = policy.action(state, accrued)
+            if path is not None:
+                path.append((policy.key(state, accrued), action))
+            state, reward, terminal = env.step(state, action, rng)
+            value += discount * reward
+            if terminal:
+                break
+            discount *= gamma
+            if accrued is not None:
+                accrued = accrued + reward
+        total += value
+    return total / runs
+
+
 class EpsilonGreedyPolicy:
     """A greedy policy's rows under the epsilon-greedy ``action`` that
     policies had before ``rollout`` drew exploration itself (verbatim)."""
@@ -411,6 +453,11 @@ def envelope_row_step(q, e, lam, l_idx: int):
     return q
 
 
+def envelope_scores_per_weight(nxt, weights) -> np.ndarray:
+    """The (weight, action, row) scores of one block, one ``einsum`` per weight."""
+    return np.array([np.einsum("lam,m->al", nxt, w) for w in weights])
+
+
 def envelope_step_per_weight(q, e):
     """The update of every weight's row from one replayed experience, one
     weight after another in set order, each row its weight's first match."""
@@ -442,15 +489,38 @@ def esr_mc_step(q, episode, g, lam, scores=None):
 def improve_esr_pick_by_pick(state):
     """The ESR improvement round as it read before a round's picks came
     from one draw: one scalar ``integers`` call per pick, and the step above."""
-    from paretoq.orchestrator import _visible_episodes
-
     for sp, visible in zip(state.subproblems, state.visible):
-        episodes = _visible_episodes(visible)
+        episodes = [episode for buf in visible for episode in buf.complete_episodes()]
         if not episodes:
             continue
         for _ in range(state.config.update_passes):
             pick = int(state.streams.buffer.integers(0, len(episodes)))
             esr_mc_step(sp.learner, episodes[pick], state.scalarization, sp.weight)
+
+
+class Chain:
+    """Read-only view of several sequences end to end, built without copying:
+    index ``i`` reads what the concatenated list would hold at ``i``."""
+
+    def __init__(self, parts):
+        self.parts = parts
+        self.ends = list(itertools.accumulate(len(part) for part in parts))
+
+    def __len__(self) -> int:
+        return self.ends[-1] if self.ends else 0
+
+    def __getitem__(self, index: int):
+        k = bisect.bisect_right(self.ends, index)
+        return self.parts[k][index - self.ends[k] + len(self.parts[k])]
+
+
+def sample_through_chain(visible, batch: int, rng) -> list:
+    """Multi-buffer sampling as it read while the buffers were indexed through
+    a view: one ``integers`` call over a :class:`Chain` of the buffers."""
+    flat = Chain(visible)
+    if not len(flat):
+        return []
+    return [flat[i] for i in rng.integers(0, len(flat), size=int(batch)).tolist()]
 
 
 def tchebycheff_numpy(f, lam, z) -> float:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paretoq import ParetoArchive, crowding_distance, dominates, prune
 
-from oracles import brute_force_non_dominated, crowding_distance_loop
+from oracles import brute_force_non_dominated, crowding_distance_loop, prune_by_insertion
 
 
 class TestDominates:
@@ -70,6 +71,32 @@ class TestPrune:
     def test_late_dominator_removes_earlier_entries(self):
         kept = prune([((1, 1), 0), ((3, 0), 1), ((2, 2), 2)])
         assert [tuple(v) for v, _ in kept] == [(3, 0), (2, 2)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 4), n=st.integers(0, 60), real=st.booleans())
+    def test_one_sort_and_sweep_keeps_what_insertion_keeps(self, data, m, n, real):
+        """The same survivors, payloads and evaluation bytes, in the same order,
+        as inserting the pairs one by one. Few distinct values (signed zeros
+        among them) give duplicates and ties; reals give mostly distinct points."""
+        value = (st.floats(-1e3, 1e3, allow_subnormal=False) if real
+                 else st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0]))
+        pts = data.draw(st.lists(st.lists(value, min_size=m, max_size=m), min_size=n, max_size=n))
+        pairs = [(p if i % 2 else np.array(p), object()) for i, p in enumerate(pts)]
+        kept, expected = prune(iter(pairs)), prune_by_insertion(pairs)
+        assert [payload for _, payload in kept] == [payload for _, payload in expected]
+        assert [v.tobytes() for v, _ in kept] == [v.tobytes() for v, _ in expected]
+
+    def test_thousands_of_points_on_few_fronts(self):
+        """Many ties, duplicates and dominated points; few survivors."""
+        rng = np.random.default_rng(5)
+        pts = np.round(rng.normal(size=(3000, 3)), 1)
+        pairs = [(p, i) for i, p in enumerate(pts)]
+        kept, expected = prune(pairs), prune_by_insertion(pairs)
+        assert [i for _, i in kept] == [i for _, i in expected]
+
+    def test_rejects_vectors_of_different_lengths(self):
+        with pytest.raises(ValueError, match="mismatched lengths"):
+            prune([((1.0, 2.0), "a"), ((1.0,), "b")])
 
 
 class TestCrowdingDistance:

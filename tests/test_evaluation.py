@@ -41,24 +41,25 @@ from paretoq import (
 from paretoq.momdp import tiny_tree
 from paretoq.orchestrator import Subproblem, _worst_return
 
-from oracles import (EpsilonGreedyPolicy, deterministic_policies, rollout_discounted_mean,
-                     rollout_with_policy_draws, sample_episode, tchebycheff_numpy,
-                     worst_return_by_enumeration)
+from oracles import (EpsilonGreedyPolicy, deterministic_policies, evaluate_policy_on_arrays,
+                     rollout_discounted_mean, rollout_with_policy_draws, sample_episode,
+                     tchebycheff_numpy, worst_return_by_enumeration)
 
 WS = Scalarization("weighted-sum")
 
 
 @st.composite
-def small_momdps(draw, deterministic=None):
-    """A random MOMDP with up to 4 states, 3 actions, 3 objectives."""
+def small_momdps(draw, deterministic=None, real=False):
+    """A random MOMDP with up to 4 states, 3 actions, 3 objectives; rewards are
+    integers in -3..3, or reals (``real``) of magnitude up to 1e3."""
     if deterministic is None:
         deterministic = draw(st.booleans())
     n_states = draw(st.integers(1, 4))
     n_actions = draw(st.integers(1, 3))
     m = draw(st.integers(1, 3))
     horizon = draw(st.integers(1, 5))
-    reward = st.lists(st.integers(-3, 3), min_size=m, max_size=m).map(
-        lambda r: np.array(r, dtype=float))
+    entry = st.floats(-1e3, 1e3, allow_subnormal=False) if real else st.integers(-3, 3)
+    reward = st.lists(entry, min_size=m, max_size=m).map(lambda r: np.array(r, dtype=float))
     state = st.integers(0, n_states - 1)
     transitions = []
     for _ in range(n_states):
@@ -120,6 +121,24 @@ def test_evaluation_repeats_recorded_rollouts_and_their_draws(env, policy_seed, 
     expected = rollout_discounted_mean(env, policy, episodes, gamma, oracle_rng)
     np.testing.assert_array_equal(value, expected)
     # the draw pattern is frozen: the walk leaves the stream where rollouts do
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@settings(max_examples=150, deadline=None)
+@given(env=small_momdps(deterministic=False, real=True), policy_seed=st.integers(0, 2**16),
+       augmented=st.booleans(), episodes=st.integers(1, 5),
+       gamma=st.sampled_from([0.99, 0.9, 0.5, 0.1]), rng_seed=st.integers(0, 2**16))
+def test_evaluation_has_the_bytes_of_the_array_loop(env, policy_seed, augmented, episodes,
+                                                    gamma, rng_seed):
+    """Summing on Python floats returns the bytes of summing into numpy arrays,
+    walks the same keys and actions and leaves the generator where it did."""
+    policy = _policy(env, policy_seed, augmented)
+    rng, oracle_rng = np.random.default_rng(rng_seed), np.random.default_rng(rng_seed)
+    path, oracle_path = [], []
+    value = evaluate_policy(env, policy, episodes, gamma, rng, path)
+    expected = evaluate_policy_on_arrays(env, policy, episodes, gamma, oracle_rng, oracle_path)
+    assert value.dtype == expected.dtype and value.tobytes() == expected.tobytes()
+    assert path == oracle_path
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 

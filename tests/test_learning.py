@@ -33,8 +33,8 @@ from paretoq.momdp import Experience, _EsrRow, _Episode, accrued_key, greedy_act
 from paretoq.orchestrator import _replay_update
 
 from oracles import (NaiveEpisodeBuffer, NumpyRowEsr, NumpyRowScalar, all_transition_experiences,
-                     envelope_row_step, envelope_step_per_weight, esr_mc_step, scalarized_q_step,
-                     value_iteration_scalar)
+                     envelope_row_step, envelope_scores_per_weight, envelope_step_per_weight,
+                     esr_mc_step, scalarized_q_step, value_iteration_scalar)
 
 WS = Scalarization("weighted-sum")
 
@@ -589,6 +589,28 @@ def test_envelope_round_matches_one_step_per_weight(m, n_actions, picks, steps, 
         assert [b.tobytes() for b in q.table.values()] == \
             [b.tobytes() for b in other.table.values()]
         assert serialize_table(q) == serialize_table(other)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_rows=st.integers(1, 8), n_actions=st.integers(1, 4), m=st.integers(1, 6),
+       n_weights=st.integers(1, 8), integral=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_batched_envelope_scores_have_the_per_weight_bits(n_rows, n_actions, m, n_weights,
+                                                          integral, seed):
+    """Every entry of the batched ``einsum("lam,km->kal")`` has the bits of the
+    per-weight ``einsum("lam,m->al")``, on which the split between the batched
+    and the in-order envelope steps rests. Blocks are integers in -2..2 or
+    reals at 1e-3 to 1e3; weights are simplex points, some with zero entries."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** int(rng.integers(-3, 4))
+    shape = (n_rows, n_actions, m)
+    nxt = (rng.integers(-2, 3, size=shape).astype(float) if integral
+           else rng.normal(size=shape) * scale)
+    weights = rng.dirichlet(np.ones(m), size=n_weights)
+    weights[rng.random(size=weights.shape) < 0.2] = 0.0
+    q = QTableEnvelope(n_actions, m, weights)
+    for stacked in (weights, q.stacked):
+        batched = np.einsum("lam,km->kal", nxt, stacked)
+        assert batched.tobytes() == envelope_scores_per_weight(nxt, stacked).tobytes()
 
 
 @settings(max_examples=100, deadline=None)

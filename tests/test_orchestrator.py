@@ -26,12 +26,13 @@ from paretoq.archive import ParetoArchive
 from paretoq.decomposition import Scalarization
 from paretoq.momdp import (Experience, Momdp, StepTree, TabularPolicy, _Episode, register_env,
                            rollout)
-from paretoq.orchestrator import (_adapt, _archive_population, _epsilon_schedule, _sample_visible,
-                                  _visible_episodes)
+from paretoq.orchestrator import (_adapt, _archive_population, _episodes, _epsilon_schedule,
+                                  _item, _sample_visible)
 from paretoq.rng import STREAM_BUFFER, derive_stream
 
 from oracles import (NumpyRowEsr, NumpyRowScalar, envelope_step_per_weight,
-                     improve_esr_pick_by_pick, offer_every_evaluation, scalarized_q_batch)
+                     improve_esr_pick_by_pick, offer_every_evaluation, sample_through_chain,
+                     scalarized_q_batch)
 
 
 def small_config(**kw):
@@ -296,16 +297,33 @@ class TestVisibleBuffers:
     def test_episodes_index_like_the_concatenated_list(self):
         bufs = self.buffers()
         expected = [ep for buf in bufs for ep in buf.complete_episodes()]
-        chained = _visible_episodes(bufs)
-        assert len(chained) == len(expected) == 6
-        assert [chained[i] for i in range(len(chained))] == expected
+        assert len(expected) == 6
+        item, count = _episodes(bufs)
+        assert count == 6
+        assert [item(i) for i in range(count)] == expected
+        assert [_item([buf.complete_episodes() for buf in bufs], i) for i in range(6)] == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(lengths=st.lists(st.integers(0, 5), min_size=2, max_size=5),
+           batch=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+    def test_sampling_repeats_the_chained_view(self, lengths, batch, seed):
+        """The same experiences as sampling through a chained view of the
+        buffers, with the generator left in the same state; empty buffers too."""
+        bufs = [ExperienceBuffer(capacity=10) for _ in lengths]
+        for k, length in enumerate(lengths):
+            for t in range(length):
+                bufs[k].push([Experience(10 * k + t, 0, np.zeros(2), 0, True, np.zeros(2))])
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert _sample_visible(bufs, batch, rng) == sample_through_chain(bufs, batch, oracle_rng)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     def test_all_empty_draws_nothing(self):
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
         assert _sample_visible([ExperienceBuffer(4), ExperienceBuffer(4)], 5, rng) == []
         assert rng.bit_generator.state == state
-        assert len(_visible_episodes([ExperienceBuffer(4), ExperienceBuffer(4)])) == 0
+        assert _episodes([ExperienceBuffer(4), ExperienceBuffer(4)])[1] == 0
 
 
 class TestEnvelopeImprovement:
@@ -720,14 +738,13 @@ class TestBenchmarkTracer:
         """Counted apart from the tracer: a round picks ``update_passes``
         episodes for each subproblem that sees any."""
         seen = []
-        episodes_of = orchestrator._visible_episodes
+        improve = orchestrator._improve_esr
 
-        def counted_episodes(visible):
-            episodes = episodes_of(visible)
-            seen.append(bool(episodes))
-            return episodes
+        def counted_improve(state):
+            seen.extend(any(buf.complete_episodes() for buf in visible) for visible in state.visible)
+            return improve(state)
 
-        monkeypatch.setattr(orchestrator, "_visible_episodes", counted_episodes)
+        monkeypatch.setattr(orchestrator, "_improve_esr", counted_improve)
         config = small_config(cooperation=cooperation, learner="esr-mc",
                               scalarization="tchebycheff", total_steps=120)
         tracer = self.tracing().Tracer().install()
