@@ -27,7 +27,7 @@ front = archive.evals()
 print("\nfinal archive front:", sorted(tuple(map(float, v)) for v in front))
 
 # Crowding distance measures how isolated each point is; boundary points are
-# infinitely uncrowded, which is what capacity-bounded eviction relies on.
+# infinitely uncrowded, so diverse-crowding buffers evict interior episodes first.
 print("crowding distances:", crowding_distance(front))
 
 # Hypervolume: exact sweep for two objectives, cross-checked by the

@@ -61,9 +61,7 @@ for lam in generate_weights_uniform(2, 5):
 lattice = generate_weights_uniform(2, 3)
 envelope = QTableEnvelope(env.n_actions, 2, lattice, alpha=1.0, gamma=1.0)
 for _ in range(10):
-    for e in SWEEP:
-        for lam in lattice:
-            update_envelope_q(envelope, e, lam)
+    update_envelope_q(envelope, SWEEP)
 print("\nenvelope learner:")
 for lam in lattice:
     value = evaluate_policy(env, greedy_policy(envelope, lam), 1, 1.0, 0)
@@ -72,7 +70,7 @@ for lam in lattice:
 # The accrued-reward Monte-Carlo learner scalarizes whole episodic returns,
 # so with a Tchebycheff objective it can prefer a concave front point that
 # no weighted sum would pick.
-z = ReferencePoint(values=(10.5, -0.5), mode="fixed")
+z = ReferencePoint(values=(10.5, -0.5))
 tch = Scalarization("tchebycheff", z)
 lam = np.array([0.2, 0.8])
 esr = QTableEsr(env.n_actions, 2, alpha=0.2, gamma=1.0)

@@ -2,9 +2,7 @@
 
 The archive keeps every (evaluation, policy snapshot) pair whose evaluation
 is not Pareto-dominated by any other kept evaluation. Snapshots are opaque
-byte payloads so the archive never depends on learner internals. An optional
-capacity is enforced by evicting the entry with the smallest crowding
-distance.
+byte payloads so the archive never depends on learner internals.
 """
 
 from __future__ import annotations
@@ -81,15 +79,12 @@ class ParetoArchive:
     """Mutually non-dominated store of evaluations with opaque payloads.
 
     Treat ``entries`` as read-only: acceptance checks read the evaluations
-    as one cached matrix, which every insert drops (evictions happen only
-    inside an insert). ``inserts`` counts accepted inserts: while it holds
+    as one cached matrix, which every accepted insert drops (only an insert
+    removes entries). ``inserts`` counts accepted inserts: while it holds
     still, so does the archive.
     """
 
-    def __init__(self, capacity: int | None = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be positive when set")
-        self.capacity = capacity
+    def __init__(self):
         self.entries: list[ArchiveEntry] = []
         self._mat: np.ndarray | None = None
         self.inserts = 0
@@ -125,9 +120,7 @@ class ParetoArchive:
     def insert(self, eval_, payload, subproblem: int = -1, step: int = 0) -> bool:
         """Insert if non-dominated and new; evict entries it dominates.
 
-        Returns whether the candidate was accepted. When a capacity is set
-        and exceeded, the entry with the smallest crowding distance is
-        evicted (oldest first among ties).
+        Returns whether the candidate was accepted.
         """
         vec = ensure_objective(eval_)
         if not self.would_accept(vec):
@@ -136,9 +129,6 @@ class ParetoArchive:
             beaten = (self._mat <= vec).all(axis=1).tolist()
             self.entries = [e for e, gone in zip(self.entries, beaten) if not gone]
         self.entries.append(ArchiveEntry(vec, payload, subproblem, step))
-        while self.capacity is not None and len(self.entries) > self.capacity:
-            victim = int(np.argmin(crowding_distance(self.evals())))
-            del self.entries[victim]
-        self._mat = None  # rebuilt by the next check, after any eviction
+        self._mat = None  # rebuilt by the next check
         self.inserts += 1
         return True

@@ -70,16 +70,12 @@ def scalarize_tch(f, lam, z) -> float:
 class ReferencePoint:
     """Utopian anchor for Tchebycheff scalarization.
 
-    In adaptive mode the point starts at a -inf sentinel and, on every
-    update, moves to the per-objective maximum observed so far plus the
-    margin ``tau``; it never decreases. Fixed mode keeps the constructor
-    values forever.
+    The point starts at ``values``, or at a -inf sentinel given only ``m``,
+    and on every update moves to the per-objective maximum observed so far
+    plus the margin ``tau``; it never decreases.
     """
 
-    def __init__(self, m: int | None = None, mode: str = "adaptive",
-                 tau: float = 0.5, values=None):
-        if mode not in ("adaptive", "fixed"):
-            raise ValueError(f"unknown reference point mode {mode!r}")
+    def __init__(self, m: int | None = None, tau: float = 0.5, values=None):
         if tau < 0:
             raise ValueError("tau must be >= 0")
         if values is not None:
@@ -88,17 +84,10 @@ class ReferencePoint:
             self.values = np.full(m, -np.inf)
         else:
             raise ValueError("either m or explicit values are required")
-        self.mode = mode
         self.tau = float(tau)
-
-    @property
-    def initialized(self) -> bool:
-        return bool(np.all(np.isfinite(self.values)))
 
     def update(self, observed) -> "ReferencePoint":
         """Raise each component to ``max(observed) + tau``; monotone."""
-        if self.mode != "adaptive":
-            raise ValueError("reference point updates require adaptive mode")
         observed = [ensure_objective(v, self.values.shape[0]) for v in observed]
         if observed:
             best = np.max(np.array(observed), axis=0)

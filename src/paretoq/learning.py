@@ -9,8 +9,7 @@ transfer, flat-text serialization):
   maximizes the weighted sum of the next state's vectors.
 * :class:`QTableEnvelope` -- vector values indexed additionally by a finite
   weight set; the bootstrap maximizes over next actions *and* weights.
-  :func:`update_envelope_q` updates the row of one weight; a run updates
-  every weight's row per experience with :func:`update_envelope_rows`.
+  :func:`update_envelope_q` updates every weight's row per experience.
 * :class:`QTableEsr` -- Monte-Carlo control on states augmented with the
   reward accrued so far, so the scalarization applies to whole episodic
   returns rather than expectations (the criterion that can reach concave
@@ -212,7 +211,8 @@ class QTableVector(_Table):
 class QTableEnvelope(_Table):
     """Vector table indexed by state, a finite weight set, and action; ``weights`` is a
     tuple copied from each set assigned (``stacked``: one read-only array of it), of
-    fixed length once blocks exist."""
+    fixed length once blocks exist. ``rows`` holds each weight's row: the index of its
+    first equal weight, as :meth:`weight_index` resolves it."""
 
     kind = "envelope"
     block = _Table._get
@@ -234,6 +234,7 @@ class QTableEnvelope(_Table):
         if self.table and len(weights) != len(self._weights):
             raise ValueError(f"{len(weights)} weights do not fit {len(self._weights)}-row blocks")
         self._weights, self.stacked = weights, np.array(weights)
+        self.rows = (self.stacked[:, None] == self.stacked).all(axis=2).argmax(axis=1).tolist()
 
     def weight_index(self, lam) -> int:
         """The row of ``lam``: its first equal weight in the set (-0.0 == 0.0)."""
@@ -369,29 +370,23 @@ def update_vector_q(q: QTableVector, batch, lam) -> QTableVector:
     return q
 
 
-def update_envelope_q(q: QTableEnvelope, e: Experience, lam) -> QTableEnvelope:
-    """TD step of the one row ``lam`` resolves to (see :func:`update_envelope_rows`);
-    a run updates every weight's row from each replayed experience."""
-    return update_envelope_rows(q, [e], np.array([lam], dtype=float), [q.weight_index(lam)])
+def update_envelope_q(q: QTableEnvelope, batch) -> QTableEnvelope:
+    """Per experience of ``batch``, a TD step of row ``q.rows[k]`` for each weight ``q.stacked[k]``.
 
-
-def update_envelope_rows(q: QTableEnvelope, batch, weights, rows) -> QTableEnvelope:
-    """Per experience of ``batch``, a TD step of row ``rows[k]`` for each weight ``weights[k]``.
-
-    Each bootstrap maximizes ``weights[k] @ q`` over next actions and the
+    Each bootstrap maximizes ``q.stacked[k] @ q`` over next actions and the
     whole weight set; ties resolve to the lowest (action, weight) pair. The
     result is that of one step per weight in order, each reading the
     table as the steps before it left it. Only a self-loop or a repeated
-    row lets an earlier write reach a later read; every other experience
+    weight lets an earlier write reach a later read; every other experience
     takes all rows in one batched step, with the same bits.
 
     The batched ``einsum("lam,km->kal")`` gives each score the bits of the
     per-weight ``einsum("lam,m->al")``, which the in-order path calls once per
     weight with one ``argmax``, then steps on Python floats (numpy's IEEE bits).
     """
-    n_rows, m, rows = len(q.weights), q.n_objectives, list(rows)
-    repeated = len(set(rows)) < len(rows)
-    index = slice(None) if rows == list(range(n_rows)) else np.array(rows, dtype=np.intp)
+    weights, rows, m = q.stacked, q.rows, q.n_objectives
+    n_rows = len(rows)
+    repeated = rows != list(range(n_rows))
     # score index a * L + l (action-major, for ties) -> bootstrap index l * A + a
     remap = np.arange(n_rows * q.n_actions).reshape(n_rows, -1).T.ravel()
     for e in batch:
@@ -410,10 +405,10 @@ def update_envelope_rows(q: QTableEnvelope, batch, weights, rows) -> QTableEnvel
             continue
         target = e.reward
         if nxt is not None:
-            best = np.einsum("lam,km->kal", nxt, weights).reshape(len(rows), -1).argmax(axis=1)
+            best = np.einsum("lam,km->kal", nxt, weights).reshape(n_rows, -1).argmax(axis=1)
             target = e.reward + q.gamma * nxt.reshape(-1, m)[remap[best]]
-        old = block[index, e.action]
-        block[index, e.action] = old + q.alpha * (target - old)
+        old = block[:, e.action]
+        block[:, e.action] = old + q.alpha * (target - old)
     return q
 
 

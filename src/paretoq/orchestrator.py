@@ -24,6 +24,7 @@ import copy
 import dataclasses
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +53,7 @@ from .learning import (
     QTableVector,
     greedy_policy,
     serialize_table,
-    update_envelope_rows,
+    update_envelope_q,
     update_esr_mc,
     update_scalarized_q,
     update_vector_q,
@@ -99,8 +100,13 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         for f in dataclasses.fields(self):
             value, kind = getattr(self, f.name), type(f.default)
+            is_bool = isinstance(value, (bool, np.bool_))
+            if kind is bool and not is_bool:
+                raise ValueError(f"{f.name} must be a bool, got {value!r}")
             if kind is int and type(value) is not int and not isinstance(value, np.integer):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if kind is float and (is_bool or not isinstance(value, numbers.Real)):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
             if kind is float and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         checks = [
@@ -279,7 +285,7 @@ def initialize(config: RunConfig, streams: RunStreams | None = None) -> RunState
     else:
         weights = generate_weights_uniform(m, n)
 
-    reference = ReferencePoint(m=m, mode="adaptive", tau=config.tau)
+    reference = ReferencePoint(m=m, tau=config.tau)
     scalarization = Scalarization(
         config.scalarization,
         reference if config.scalarization == TCHEBYCHEFF else None)
@@ -426,17 +432,13 @@ def _sample_visible(visible, batch: int, rng):
 def _replay_update(q, g: Scalarization, lam):
     """The update of table ``q`` from one sampled batch, chosen once per
     round. Scalar tables share a score memo for the round. Envelope tables
-    refresh the row of every weight in their set in one step. Weights, the
-    set and the reference point only change in _adapt, so each weight's row
-    (its first match) is resolved here once; the table keeps the set stacked."""
+    refresh the row of every weight in their own set in one step."""
     if isinstance(q, QTableScalar):
         scores = {}
         return lambda batch: update_scalarized_q(q, batch, g, lam, scores)
     if isinstance(q, QTableVector):
         return lambda batch: update_vector_q(q, batch, lam)
-    weights = q.stacked   # each one's row is its first equal weight, as in weight_index
-    rows = (weights[:, None] == weights).all(axis=2).argmax(axis=1).tolist()
-    return lambda batch: update_envelope_rows(q, batch, weights, rows)
+    return lambda batch: update_envelope_q(q, batch)
 
 
 def _improve_all(state: RunState):

@@ -146,11 +146,7 @@ def test_criterion_04_learners_reach_dynamic_programming_fixed_points():
             lattice = generate_weights_uniform(2, 3)
             envelope = QTableEnvelope(env.n_actions, 2, lattice, alpha=1.0, gamma=1.0)
 
-            def envelope_update(q, e):
-                for lam in q.weights:
-                    update_envelope_q(q, e, lam)
-
-            _sweep(envelope, env, envelope_update)
+            _sweep(envelope, env, lambda q, e: update_envelope_q(q, [e]))
             exact_env = value_iteration_envelope(env, lattice, 1.0)
             for s in range(env.n_states):
                 np.testing.assert_allclose(envelope.block(s), exact_env[s], atol=1e-9)

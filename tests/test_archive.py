@@ -153,13 +153,6 @@ class TestParetoArchive:
         assert not archive.insert((1, 2), b"drop")
         assert archive.entries[0].payload == b"keep"
 
-    def test_capacity_evicts_most_crowded(self):
-        archive = ParetoArchive(capacity=2)
-        archive.insert((0, 2), b"")
-        archive.insert((2, 0), b"")
-        archive.insert((1, 1), b"")  # interior point has the smallest distance
-        assert sorted(tuple(e.eval) for e in archive) == [(0, 2), (2, 0)]
-
     def test_mutually_non_dominated_after_random_inserts(self):
         rng = np.random.default_rng(14)
         archive = ParetoArchive()
@@ -193,11 +186,10 @@ class TestParetoArchive:
             assert archive.insert(vec, None) == expected
 
     @pytest.mark.parametrize("m", [2, 3])
-    @pytest.mark.parametrize("capacity", [None, 3])
-    def test_would_accept_matches_the_pairwise_oracle(self, m, capacity):
+    def test_would_accept_matches_the_pairwise_oracle(self, m):
         # a candidate is accepted iff the oracle keeps it after the entries
         rng = np.random.default_rng(17 + m)
-        archive = ParetoArchive(capacity=capacity)
+        archive = ParetoArchive()
         for _ in range(400):
             vec = rng.integers(0, 4, size=m).astype(float)
             entries = [e.eval for e in archive]

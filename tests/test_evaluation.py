@@ -285,7 +285,7 @@ def test_scalarize_tch_rejects_vectors_that_are_not_1d():
 
 
 def test_tchebycheff_score_keeps_its_length_check():
-    g = Scalarization("tchebycheff", ReferencePoint(values=(1.0, 1.0), mode="fixed"))
+    g = Scalarization("tchebycheff", ReferencePoint(values=(1.0, 1.0)))
     with pytest.raises(ValueError, match="length mismatch"):
         g.score((1.0, 2.0, 3.0), (0.5, 0.5))
 
@@ -355,7 +355,7 @@ def _edit(data, sps, env, walks):
         episode, _ = rollout(env, greedy_policy(q), data.draw(st.integers(0, 2**16)), lambda t: 0.5)
         z = data.draw(st.sampled_from([None, -np.inf, 0.0]))
         g = WS if z is None else Scalarization(
-            "tchebycheff", ReferencePoint(values=[z] * env.n_objectives, mode="fixed"))
+            "tchebycheff", ReferencePoint(values=[z] * env.n_objectives))
         for _ in range(data.draw(st.integers(1, 4))):
             update_esr_mc(q, episode, g, sp.weight)
     elif what == "weight":

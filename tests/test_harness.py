@@ -218,7 +218,7 @@ class TestRunExperiment:
 
     def test_merged_metrics_sorted_by_seed_then_step(self, tmp_path):
         bundle, out = self.run_small(tmp_path)
-        lines = open(bundle.metrics_path).read().splitlines()
+        lines = Path(bundle.metrics_path).read_text().splitlines()
         assert lines[0] == "seed,step,hypervolume,igd,sparsity,eum,archive_size"
         rows = [line.split(",") for line in lines[1:]]
         keys = [(int(r[0]), int(r[1])) for r in rows]
@@ -227,7 +227,7 @@ class TestRunExperiment:
 
     def test_pf_schema(self, tmp_path):
         bundle, _ = self.run_small(tmp_path)
-        lines = open(bundle.pf_path).read().splitlines()
+        lines = Path(bundle.pf_path).read_text().splitlines()
         assert lines[0] == "seed,obj_0,obj_1,subproblem,step_found"
         assert len(lines) > 1
 
@@ -253,7 +253,7 @@ class TestRunExperiment:
 
     def test_numbers_use_nine_significant_digits(self, tmp_path):
         bundle, _ = self.run_small(tmp_path)
-        row = open(bundle.metrics_path).read().splitlines()[1].split(",")
+        row = Path(bundle.metrics_path).read_text().splitlines()[1].split(",")
         for cell in row[2:6]:
             if cell and "." in cell:
                 digits = cell.replace("-", "").replace(".", "").lstrip("0")
@@ -337,7 +337,7 @@ seeds = 5
 out_dir = {out}
 """.format(out=tmp_path / "wide")
         bundle = run_experiment(parse_config(write(tmp_path, cfg, "wide.cfg")))
-        row = open(bundle.metrics_path).read().splitlines()[1].split(",")
+        row = Path(bundle.metrics_path).read_text().splitlines()[1].split(",")
         assert row[3] == ""  # igd column
 
 

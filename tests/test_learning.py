@@ -341,7 +341,7 @@ def test_memoised_scalar_step_matches_the_oracle(n_actions, rows, steps, kind, l
     batch = [Experience(s, a % n_actions, shared[r] if r >= 0 else np.array(SHARED_REWARDS[-r - 1]),
                         nxt, terminal, np.zeros(2))
              for s, a, r, nxt, terminal in steps]
-    ref = ReferencePoint(mode="fixed", values=reference)
+    ref = ReferencePoint(values=reference)
     g, oracle_g = CountingScalarization(kind, ref), Scalarization(kind, ref)
     tables = []
     for cls in (QTableScalar, QTableScalar, NumpyRowScalar):
@@ -448,9 +448,7 @@ class TestEnvelopeUpdate:
 
     def test_two_action_bandit_one_sweep(self):
         q = self.bandit_table()
-        for lam in self.LAMBDAS:
-            update_envelope_q(q, exp(action=0, reward=(1, 0)), lam)
-            update_envelope_q(q, exp(action=1, reward=(0, 1)), lam)
+        update_envelope_q(q, [exp(action=0, reward=(1, 0)), exp(action=1, reward=(0, 1))])
         policy = greedy_policy(q, self.LAMBDAS[0])
         best_action = policy.action(0)
         assert best_action == 0
@@ -459,13 +457,13 @@ class TestEnvelopeUpdate:
     def test_gamma_zero_degenerates_to_the_reward(self):
         q = self.bandit_table(gamma=0.0)
         e = exp(action=0, reward=(2, 3), terminal=False, next_state=0)
-        update_envelope_q(q, e, self.LAMBDAS[0])
-        np.testing.assert_array_equal(q.block(0)[0, 0], [2.0, 3.0])
+        update_envelope_q(q, [e])
+        np.testing.assert_array_equal(q.block(0)[:, 0], [[2.0, 3.0], [2.0, 3.0]])
 
     def test_weight_outside_the_set_is_an_error(self):
         q = self.bandit_table()
         with pytest.raises(ValueError, match="not in the envelope weight set"):
-            update_envelope_q(q, exp(), np.array([0.5, 0.5]))
+            greedy_policy(q, np.array([0.5, 0.5]))
 
     def test_tree_training_reaches_every_weights_optimum(self):
         env = tiny_tree()
@@ -475,9 +473,7 @@ class TestEnvelopeUpdate:
         q = QTableEnvelope(env.n_actions, 2, lambdas, alpha=1.0, gamma=1.0)
         optima = [v for _, v in enumerate_deterministic_policies(env, 1.0)]
         for _ in range(20):
-            for e in all_transition_experiences(env):
-                for lam in lambdas:
-                    update_envelope_q(q, e, lam)
+            update_envelope_q(q, all_transition_experiences(env))
         for lam in lambdas:
             value = evaluate_policy(env, greedy_policy(q, lam), 1, 1.0, 0)
             best = max(float(lam @ v) for v in optima)
@@ -508,7 +504,8 @@ class TestEnvelopeWeights:
         with pytest.raises(ValueError, match="2 weights do not fit 1-row blocks"):
             q.weights = [(1.0, 0.0), (0.0, 1.0)]
         with pytest.raises(ValueError, match="not in the envelope weight set"):
-            update_envelope_q(q, exp(), [0.0, 1.0])
+            greedy_policy(q, [0.0, 1.0])
+        assert q.rows == [0]
         assert serialize_table(q).endswith("0|w0\t0\t0,0\n0|w0\t1\t0,0\n")
 
     def test_a_set_of_the_same_length_replaces_a_copy(self):
@@ -525,6 +522,15 @@ class TestEnvelopeWeights:
         assert q.block(0).shape == (2, 2, 2)
         with pytest.raises(ValueError, match="non-empty weight set"):
             QTableEnvelope(2, 2, [])
+
+    def test_rows_name_each_weights_first_match(self):
+        q = QTableEnvelope(2, 2, [(1.0, 0.0)])
+        q.weights = [(0.0, 1.0), (1.0, 0.0), (-0.0, 1.0), (1.0, 0.0), (0.5, 0.5)]
+        first = [0, 1, 0, 1, 4]
+        assert q.rows == first
+        q.block(0)
+        for other in (deserialize_table(serialize_table(q)), copy.deepcopy(q)):
+            assert other.rows == first == [other.weight_index(w) for w in other.weights]
 
 
 class TestWeightIndex:
@@ -613,25 +619,8 @@ def test_batched_envelope_scores_have_the_per_weight_bits(n_rows, n_actions, m, 
         assert batched.tobytes() == envelope_scores_per_weight(nxt, stacked).tobytes()
 
 
-@settings(max_examples=100, deadline=None)
-@given(pick=st.integers(0, 3), state=st.integers(0, 1), next_state=st.integers(0, 1),
-       terminal=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_one_weight_step_matches_the_row_step(pick, state, next_state, terminal, seed):
-    """``update_envelope_q`` updates only the first row equal to ``lam``."""
-    rng = np.random.default_rng(seed)
-    weights = [np.array(w) for w in ENVELOPE_WEIGHTS[3]]
-    q = QTableEnvelope(2, 3, weights, alpha=0.3, gamma=0.9)
-    q.table = {s: rng.normal(size=(4, 2, 3)) for s in range(2)}
-    oracle = copy.deepcopy(q)
-    e = Experience(state, 1, rng.normal(size=3), next_state, terminal, np.zeros(3))
-    update_envelope_q(q, e, weights[pick])
-    first = next(i for i, w in enumerate(weights) if np.array_equal(w, weights[pick]))
-    envelope_row_step(oracle, e, weights[pick], first)
-    assert [b.tobytes() for b in q.table.values()] == [b.tobytes() for b in oracle.table.values()]
-
-
 class TestEsrUpdate:
-    Z = ReferencePoint(values=(10.5, -0.5), mode="fixed")
+    Z = ReferencePoint(values=(10.5, -0.5))
     TCH = Scalarization("tchebycheff", Z)
 
     def test_single_step_episode_negated_tchebycheff(self):
@@ -767,7 +756,7 @@ def test_planned_esr_update_matches_the_oracle(n_actions, pool, replays, rows, k
             episodes.append(buf.complete_episodes()[-1])
         else:
             episodes.append(build(steps, r0, r1, flip))
-    ref = ReferencePoint(mode="fixed", values=reference)
+    ref = ReferencePoint(values=reference)
     g = CountingScalarization(kind, ref)
     tables = []
     for cls in [QTableEsr] * 4 + [NumpyRowEsr] * 2:
@@ -819,7 +808,7 @@ def test_esr_rows_keep_their_greedy_action_and_count_its_changes(n_actions, ops,
     An update op is an episode of ``(state, action, accrued0)`` steps and its
     last reward; a hand-out op writes values to the row of ``(state, (c, 0))``.
     Ties, NaN and -inf rows all occur (a -inf reference scores -inf or NaN)."""
-    g = Scalarization(kind, ReferencePoint(mode="fixed", values=reference))
+    g = Scalarization(kind, ReferencePoint(values=reference))
     q = QTableEsr(n_actions, 2, alpha=alpha)
 
     def actions(q):
@@ -929,13 +918,13 @@ class TestTransfer:
         env = tiny_tree()
         lambdas = [np.array([1.0, 0.0]), np.array([0.3, 0.7])]
         src = QTableEnvelope(2, 2, lambdas, alpha=0.5)
-        sweep(src, env, lambda q_, e: update_envelope_q(q_, e, lambdas[1]), 10)
+        sweep(src, env, lambda q_, e: update_envelope_q(q_, [e]), 10)
         before = serialize_table(src)
         dst = copy.deepcopy(src)
         for lam in lambdas:
             for s in range(env.n_states):
                 assert greedy_policy(dst, lam).action(s) == greedy_policy(src, lam).action(s)
-        sweep(dst, env, lambda q_, e: update_envelope_q(q_, e, lambdas[0]), 10)
+        sweep(dst, env, lambda q_, e: envelope_row_step(q_, e, lambdas[0], 0), 10)
         dst.weights[0][:] = [0.5, 0.5]
         assert serialize_table(dst) != before
         assert serialize_table(src) == before
@@ -1090,7 +1079,7 @@ class TestSerialization:
         vector = QTableVector(2, 2, alpha=0.25, gamma=0.9)
         sweep(vector, env, lambda q_, e: update_vector_q(q_, [e], lam), 3)
         envelope = QTableEnvelope(2, 2, [np.array([1.0, 0.0]), lam], alpha=1.0)
-        sweep(envelope, env, lambda q_, e: update_envelope_q(q_, e, lam), 2)
+        sweep(envelope, env, lambda q_, e: update_envelope_q(q_, [e]), 2)
         esr = QTableEsr(2, 2, alpha=1.0)
         trace, _ = rollout(env, greedy_policy(scalar), 0)
         update_esr_mc(esr, trace, WS, lam)

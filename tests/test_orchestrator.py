@@ -152,6 +152,21 @@ class TestInitialize:
     def test_numpy_integer_settings_are_accepted(self):
         small_config(total_steps=np.int64(12), population_size=np.int32(2)).validate()
 
+    @pytest.mark.parametrize("value", ["false", 0, 1.0, None, np.int64(1)])
+    def test_non_bool_settings_are_rejected_by_name(self, value):
+        with pytest.raises(ValueError, match="psa_enabled must be a bool"):
+            small_config(psa_enabled=value).validate()
+
+    def test_numpy_bool_settings_are_accepted(self):
+        small_config(psa_enabled=np.bool_(True)).validate()
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig)
+                                     if type(f.default) is float])
+    @pytest.mark.parametrize("value", ["0.1", None, True, np.bool_(False)])
+    def test_non_number_float_settings_are_rejected_by_name(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be a number"):
+            small_config(**{key: value}).validate()
+
     def test_hv_reference_just_below_the_worst_return_is_accepted(self):
         state = initialize(small_config(hv_reference=(0.999, -5.001)))
         np.testing.assert_array_equal(state.hv_reference, [0.999, -5.001])
@@ -707,14 +722,17 @@ class TestBenchmarkTracer:
         for name in ("learning.buffer.push", "learning.buffer.sample", "learning.update.scalar",
                      "learning.greedy_policy", "archive.would_accept", "momdp.oracle"):
             assert spans.get(name, [0])[0] > 0, name
-        assert tracer.missing == ["paretoq.orchestrator.update_envelope_q"]
+        assert tracer.missing == []
         assert ExperienceBuffer.push is push
 
+    @pytest.mark.parametrize("learner,kind", [("scalarized-q", "scalar"),
+                                              ("envelope-q", "envelope")])
     @pytest.mark.parametrize("cooperation", ["none", "shared-buffer-neighborhood"])
-    def test_one_scalar_update_span_per_sampled_batch(self, cooperation, monkeypatch):
+    def test_one_update_span_per_sampled_batch(self, cooperation, learner, kind, monkeypatch):
         """Counted apart from the tracer, so splitting a batch into several
-        calls or calling the step by another name than
-        ``orchestrator.update_scalarized_q`` fails here."""
+        calls or calling the step by another name than the
+        ``orchestrator.update_scalarized_q`` or ``update_envelope_q`` that
+        the tracer patches fails here."""
         replayed = []
         sample = orchestrator._sample_visible
 
@@ -726,12 +744,12 @@ class TestBenchmarkTracer:
         monkeypatch.setattr(orchestrator, "_sample_visible", counted_sample)
         tracer = self.tracing().Tracer().install()
         try:
-            tracer.root_run(run)(small_config(cooperation=cooperation, learner="scalarized-q",
+            tracer.root_run(run)(small_config(cooperation=cooperation, learner=learner,
                                               total_steps=120))
         finally:
             tracer.uninstall()
         spans, _, _ = tracer.merged()
-        assert spans["learning.update.scalar"][0] == len([n for n in replayed if n]) > 0
+        assert spans[f"learning.update.{kind}"][0] == len([n for n in replayed if n]) > 0
 
     @pytest.mark.parametrize("cooperation", ["none", "shared-buffer-neighborhood"])
     def test_one_esr_update_span_per_pick(self, cooperation, monkeypatch):
