@@ -66,11 +66,8 @@ class ExperienceBuffer:
         return len(self._flat)
 
     def __getitem__(self, index: int) -> Experience:
-        """The ``index``-th experience in :meth:`experiences` order."""
+        """The ``index``-th stored experience, oldest first (``list(buf)`` reads all)."""
         return self._flat[index]
-
-    def experiences(self):
-        yield from self._flat
 
     def complete_episodes(self):
         """Complete (uncut, terminated) episodes; treat as read-only."""
@@ -210,9 +207,9 @@ class QTableVector(_Table):
 
 class QTableEnvelope(_Table):
     """Vector table indexed by state, a finite weight set, and action; ``weights`` is a
-    tuple copied from each set assigned (``stacked``: one read-only array of it), of
-    fixed length once blocks exist. ``rows`` holds each weight's row: the index of its
-    first equal weight, as :meth:`weight_index` resolves it."""
+    tuple of read-only copies of each set assigned (``stacked``: one read-only array of
+    it; so in copies of the table too), of fixed length once blocks exist. ``rows`` holds
+    each weight's row: the index of its first equal weight, as :meth:`weight_index` has it."""
 
     kind = "envelope"
     block = _Table._get
@@ -234,7 +231,13 @@ class QTableEnvelope(_Table):
         if self.table and len(weights) != len(self._weights):
             raise ValueError(f"{len(weights)} weights do not fit {len(self._weights)}-row blocks")
         self._weights, self.stacked = weights, np.array(weights)
+        for array in (*weights, self.stacked):
+            array.flags.writeable = False
         self.rows = (self.stacked[:, None] == self.stacked).all(axis=2).argmax(axis=1).tolist()
+
+    def __setstate__(self, state):
+        vars(self).update(state)
+        self.weights = self._weights
 
     def weight_index(self, lam) -> int:
         """The row of ``lam``: its first equal weight in the set (-0.0 == 0.0)."""

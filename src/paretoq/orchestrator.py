@@ -1,10 +1,11 @@
 """Decomposed multi-policy training loop.
 
-One run maintains ``n`` subproblems, each a weight vector and a learner
-table. The run state, not the subproblems, holds the experience buffers
-(one per subproblem, or one shared by all) and the buffers each subproblem
-replays from, so a report carries no buffer. On a deterministic env it also
-holds a step tree, which the sampled episodes walk (see ``momdp.rollout``).
+One run maintains ``n`` subproblems, each a weight vector, a learner table
+and its caches (see :class:`Subproblem`); ``_UPDATES`` maps each table kind
+to its update. The run state holds the experience buffers (one per
+subproblem, or one shared by all) and the buffers each subproblem replays
+from, so a report carries no buffer. On a deterministic env it also holds a
+step tree, which the sampled episodes walk (see ``momdp.rollout``).
 Every iteration rotates the sampling role through the population, gathers
 whole episodes with that subproblem's epsilon-greedy policy, improves *all*
 subproblems from their visible buffers, evaluates every greedy policy, and
@@ -166,7 +167,19 @@ class RunConfig:
 
 @dataclass(eq=False)
 class Subproblem:
-    """One scalar subproblem of the decomposition."""
+    """One scalar subproblem of the decomposition: a weight, a learner table and
+    three caches, each with one reuse rule. Pickles and copies, so the subproblems
+    of a report too, leave the caches out.
+
+    * ``walk`` (deterministic envs only): the last greedy walk's (state key,
+      action) pairs, its value, its table and the table's ``flips``. The value is
+      reused while that table counts flips (ESR) and the count stays put, else
+      while every greedy row of the walk (zeros if missing) gives its action.
+    * ``offer``: the last array the archive checked and its ``inserts`` then;
+      that array is not checked again until the archive's next insert.
+    * ``scores``: the replay updates' score memo, cleared by ``_adapt``, the only
+      place the weight and the reference point change.
+    """
 
     index: int
     weight: np.ndarray
@@ -174,6 +187,13 @@ class Subproblem:
     last_eval: np.ndarray | None = None
     trained: bool = False
     transferred: bool = False
+    walk: tuple = ()
+    offer: tuple = (None, -1)
+    scores: dict = field(default_factory=dict)
+
+    def __reduce__(self):
+        return type(self), (self.index, self.weight, self.learner, self.last_eval,
+                            self.trained, self.transferred)
 
 
 @dataclass
@@ -214,10 +234,7 @@ class RunState:
     steps_done: int = 0
     episodes_done: int = 0
     _adapt_marker: int = 0
-    walks: dict = field(default_factory=dict)    # subproblem index -> last greedy walk
-    offers: dict = field(default_factory=dict)   # subproblem index -> last archive check
-    tree: StepTree | None = None                 # deterministic envs only; see rollout
-    scores: dict = field(default_factory=dict)   # subproblem index -> ESR score memo
+    tree: StepTree | None = None   # deterministic envs only; see rollout
 
 
 def _make_learner(config: RunConfig, env: Momdp, weights):
@@ -264,7 +281,10 @@ def _hv_reference(config: RunConfig, env: Momdp) -> np.ndarray:
         if env.hv_reference_default is None:
             raise ValueError("hv_reference must be set for environments without a default")
         return env.hv_reference_default
-    return np.asarray(config.hv_reference, dtype=float)
+    try:
+        return np.asarray(config.hv_reference, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"hv_reference must be numbers, got {config.hv_reference!r}") from None
 
 
 def initialize(config: RunConfig, streams: RunStreams | None = None) -> RunState:
@@ -280,10 +300,7 @@ def initialize(config: RunConfig, streams: RunStreams | None = None) -> RunState
     streams = streams or RunStreams(config.seed)
     n, m = config.population_size, env.n_objectives
     hv_reference = _hv_reference(config, env)
-    if n == 1:
-        weights = [np.full(m, 1.0 / m)]
-    else:
-        weights = generate_weights_uniform(m, n)
+    weights = [np.full(m, 1.0 / m)] if n == 1 else generate_weights_uniform(m, n)
 
     reference = ReferencePoint(m=m, tau=config.tau)
     scalarization = Scalarization(
@@ -296,17 +313,14 @@ def initialize(config: RunConfig, streams: RunStreams | None = None) -> RunState
         buffers = [ExperienceBuffer(config.buffer_capacity, config.buffer_replacement)
                    for _ in range(n)]
 
-    subproblems = [
-        Subproblem(index=i, weight=weights[i], learner=_make_learner(config, env, weights))
-        for i in range(n)
-    ]
+    subproblems = [Subproblem(i, w, _make_learner(config, env, weights))
+                   for i, w in enumerate(weights)]
     neighborhood = build_neighborhood(weights, config.neighborhood_k)
 
-    archive, walks, offers = ParetoArchive(), {}, {}
-    evals = evaluate_population(subproblems, env, config.eval_episodes,
-                                config.gamma, streams.eval, walks)
+    archive = ParetoArchive()
+    evals = evaluate_population(subproblems, env, config.eval_episodes, config.gamma, streams.eval)
     reference.update(evals)
-    _archive_population(archive, subproblems, 0, offers)
+    _archive_population(archive, subproblems, 0)
 
     state = RunState(
         config=config, env=env, streams=streams, scalarization=scalarization,
@@ -314,24 +328,20 @@ def initialize(config: RunConfig, streams: RunStreams | None = None) -> RunState
         visible=[[buf] for buf in buffers], archive=archive,
         neighborhood=neighborhood, hv_reference=hv_reference,
         eum_weight_set=generate_weights_uniform(m, config.eum_weights),
-        reference_front=_true_front(env, config.gamma), walks=walks, offers=offers,
+        reference_front=_true_front(env, config.gamma),
         tree=StepTree(env, config.buffer_capacity) if env.deterministic else None,
     )
     cooperate(state)
     return state
 
 
-def evaluate_population(subproblems, env: Momdp, episodes: int, gamma: float, rng,
-                        walks: dict | None = None):
+def evaluate_population(subproblems, env: Momdp, episodes: int, gamma: float, rng):
     """Evaluate every subproblem's greedy policy; refresh ``last_eval``. On a
-    deterministic env, ``walks`` keeps each last greedy walk ((state key, action)
-    pairs), its value, its table and the table's ``flips``. The value is reused
-    while that table counts flips (ESR; see :mod:`paretoq.learning`) and the count
-    stays put, else while every greedy row (zeros if missing) gives its action."""
-    cache, zero = (walks if env.deterministic else None), [0.0]   # greedy action 0
+    deterministic env each ``Subproblem.walk`` is reused or renewed by its rule."""
+    zero = [0.0]   # greedy action 0
     for sp in subproblems:
         q = sp.learner
-        path, value, table, flips = (cache or {}).get(sp.index, ((), None, None, None))
+        path, value, table, flips = sp.walk or ((), None, None, None)
         same = table is q and flips == q.flips
         if value is not None and same and flips is not None:
             sp.last_eval = value
@@ -340,25 +350,24 @@ def evaluate_population(subproblems, env: Momdp, episodes: int, gamma: float, rn
         if rows is not None and all(greedy_action(rows.get(key, zero)) == a for key, a in path):
             sp.last_eval = value
             if not same:
-                cache[sp.index] = (path, value, q, q.flips)
+                sp.walk = (path, value, q, q.flips)
             continue
-        path = None if cache is None else []
+        path = [] if env.deterministic else None
         policy = greedy_policy(q, sp.weight, preferences=rows)
         sp.last_eval = evaluate_policy(env, policy, episodes, gamma, rng, path)
-        if cache is not None:
-            cache[sp.index] = (path, sp.last_eval, q, q.flips)
+        if path is not None:
+            sp.walk = (path, sp.last_eval, q, q.flips)
     return [sp.last_eval for sp in subproblems]
 
 
-def _archive_population(archive: ParetoArchive, subproblems, step: int, offers: dict):
-    """Offer every subproblem's last evaluation to the archive, storing the
-    serialized table of each one it accepts. An array already checked
-    (``offers``) is not checked again until the archive's next insert."""
+def _archive_population(archive: ParetoArchive, subproblems, step: int):
+    """Offer each subproblem's last evaluation, unless its ``offer`` rules it out,
+    to the archive, storing the serialized table of each one it accepts."""
     for sp in subproblems:
-        last, inserts = offers.get(sp.index, (None, -1))
+        last, inserts = sp.offer
         if last is sp.last_eval and inserts == archive.inserts:
             continue
-        offers[sp.index] = (sp.last_eval, archive.inserts)
+        sp.offer = (sp.last_eval, archive.inserts)
         if archive.would_accept(sp.last_eval):
             archive.insert(sp.last_eval, serialize_table(sp.learner).encode(),
                            subproblem=sp.index, step=step)
@@ -429,52 +438,38 @@ def _sample_visible(visible, batch: int, rng):
     return [_item(visible, i) for i in draws]
 
 
-def _replay_update(q, g: Scalarization, lam):
-    """The update of table ``q`` from one sampled batch, chosen once per
-    round. Scalar tables share a score memo for the round. Envelope tables
-    refresh the row of every weight in their own set in one step."""
-    if isinstance(q, QTableScalar):
-        scores = {}
-        return lambda batch: update_scalarized_q(q, batch, g, lam, scores)
-    if isinstance(q, QTableVector):
-        return lambda batch: update_vector_q(q, batch, lam)
-    return lambda batch: update_envelope_q(q, batch)
+# Each table kind's update of subproblem ``sp`` from one pick: a sampled batch,
+# or for ESR a complete episode. The names resolve here when called.
+_UPDATES = {
+    "scalar": lambda sp, g, pick: update_scalarized_q(sp.learner, pick, g, sp.weight, sp.scores),
+    "vector": lambda sp, g, pick: update_vector_q(sp.learner, pick, sp.weight),
+    "envelope": lambda sp, g, pick: update_envelope_q(sp.learner, pick),
+    "esr": lambda sp, g, pick: update_esr_mc(sp.learner, pick, g, sp.weight, sp.scores),
+}
 
 
 def _improve_all(state: RunState):
-    """``update_passes`` batched improvement passes for every subproblem.
-
-    Subproblems whose visible buffers are empty skip their passes.
-    """
-    cfg = state.config
+    """``update_passes`` improvement passes for every subproblem that sees any
+    experience: a sampled batch per pass, or for ``esr-mc`` one complete episode
+    per pass, picked by one draw per round equal to a call per pick."""
+    cfg, rng, passes = state.config, state.streams.buffer, state.config.update_passes
+    pairs = zip(state.subproblems, state.visible)
     if cfg.learner == "esr-mc":
-        return _improve_esr(state)
-    for sp, visible in zip(state.subproblems, state.visible):
-        update = _replay_update(sp.learner, state.scalarization, sp.weight)
-        for _ in range(cfg.update_passes):
-            batch = _sample_visible(visible, cfg.batch_size, state.streams.buffer)
-            if not batch:
-                break
-            update(batch)
-
-
-def _improve_esr(state: RunState):
-    """One replayed episode per pass for each ESR subproblem that sees any, from
-    one draw per round equal to a call per pick. Score memos last until _adapt;
-    plans, which read no weight, live on the interned episodes."""
-    rounds, g, passes = [], state.scalarization, state.config.update_passes
-    for sp, (item, count) in zip(state.subproblems, map(_episodes, state.visible)):
-        if count:   # the learner, weight and memo hold for the round
-            memo = state.scores.setdefault(sp.index, {})
-            rounds += [(sp.learner, item, sp.weight, count, memo)] * passes
-    picks = state.streams.buffer.integers(0, [count for _, _, _, count, _ in rounds]).tolist()
-    for (q, item, lam, _, memo), pick in zip(rounds, picks):
-        update_esr_mc(q, item(pick), g, lam, memo)
+        seen = [(sp, *_episodes(visible)) for sp, visible in pairs]
+        rounds = [(sp, item, count) for sp, item, count in seen if count for _ in range(passes)]
+        draws = rng.integers(0, [count for _, _, count in rounds]).tolist()
+        picks = [(sp, item(draw)) for (sp, item, _), draw in zip(rounds, draws)]
+    else:
+        picks = [(sp, _sample_visible(visible, cfg.batch_size, rng))
+                 for sp, visible in pairs if any(map(len, visible)) for _ in range(passes)]
+    for sp, pick in picks:
+        _UPDATES[sp.learner.kind](sp, state.scalarization, pick)
 
 
 def _adapt(state: RunState):
     """Periodic reference-point update and (optionally) weight adaptation."""
-    state.scores = {}   # scores read the weights and the reference point
+    for sp in state.subproblems:   # scores read the weight and the reference point
+        sp.scores.clear()
     archive_evals = [entry.eval for entry in state.archive]
     state.reference.update(archive_evals)
     if not state.config.psa_enabled:
@@ -491,7 +486,7 @@ def _adapt(state: RunState):
         weights = [sp.weight for sp in state.subproblems]
         state.neighborhood = build_neighborhood(weights, state.config.neighborhood_k)
         for sp in state.subproblems:
-            if isinstance(sp.learner, QTableEnvelope):
+            if sp.learner.kind == "envelope":
                 sp.learner.weights = weights
 
 
@@ -536,8 +531,8 @@ def run(config: RunConfig) -> RunReport:
 
         _improve_all(state)
         evaluate_population(state.subproblems, state.env, cfg.eval_episodes,
-                            cfg.gamma, state.streams.eval, state.walks)
-        _archive_population(state.archive, state.subproblems, state.steps_done, state.offers)
+                            cfg.gamma, state.streams.eval)
+        _archive_population(state.archive, state.subproblems, state.steps_done)
 
         if state.steps_done // cfg.psa_period_steps > state._adapt_marker:
             state._adapt_marker = state.steps_done // cfg.psa_period_steps
@@ -548,7 +543,7 @@ def run(config: RunConfig) -> RunReport:
             _record_checkpoint(report, state)
 
     report.archive = state.archive
-    report.subproblems = state.subproblems
+    report.subproblems = [copy.copy(sp) for sp in state.subproblems]   # with no cache
     report.total_env_steps = state.steps_done
     report.total_episodes = state.episodes_done
     return report

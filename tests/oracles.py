@@ -360,10 +360,9 @@ def sample_episode(env: Momdp, policy, epsilon_fn, step0: int, rng_env, rng_expl
             return trace
 
 
-def offer_every_evaluation(archive, subproblems, step, offers):
+def offer_every_evaluation(archive, subproblems, step):
     """Archive step that checks every subproblem's evaluation each time, as
-    the orchestrator did before it skipped repeated offers (``offers`` is
-    ignored)."""
+    the orchestrator did before it skipped repeated offers."""
     from paretoq.learning import serialize_table
 
     for sp in subproblems:

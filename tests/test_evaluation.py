@@ -328,7 +328,7 @@ def _keys(q, env, walk):
     return list(range(env.n_states))
 
 
-def _edit(data, sps, env, walks):
+def _edit(data, sps, env):
     """One random edit: a row set (possibly where the default row stood in),
     a row reversed (an argmax flip), a PSA-style weight change, a transfer,
     or on an ESR table a few replays of one sampled episode, whose targets
@@ -338,7 +338,7 @@ def _edit(data, sps, env, walks):
     esr = isinstance(q, QTableEsr)
     what = data.draw(st.sampled_from(["set", "flip", "weight", "transfer"] + ["replay"] * esr))
     if what in ("set", "flip"):
-        key = data.draw(st.sampled_from(_keys(q, env, walks.get(sp.index, ((), None)))))
+        key = data.draw(st.sampled_from(_keys(q, env, sp.walk or ((), None))))
         row = q.row(*key) if esr else q._get(key)
         if isinstance(row, list):   # scalar and ESR rows are float lists
             if what == "flip":
@@ -376,14 +376,13 @@ def _edit(data, sps, env, walks):
 def test_cached_population_evaluation_is_a_fresh_walk(env, kind, n, gamma, data):
     weights = [_simplex_weight(data, env.n_objectives) for _ in range(n)]
     sps = [Subproblem(i, w, _new_table(kind, env, weights)) for i, w in enumerate(weights)]
-    walks = {}
     rng = np.random.default_rng(0)
     previous = None
     for _ in range(data.draw(st.integers(1, 6))):
         edits = data.draw(st.integers(0, 3)) if previous is not None else 0
         for _ in range(edits):
-            _edit(data, sps, env, walks)
-        evals = evaluate_population(sps, env, 3, gamma, rng, walks)
+            _edit(data, sps, env)
+        evals = evaluate_population(sps, env, 3, gamma, rng)
         for sp, value in zip(sps, evals):
             # plain lists: the fresh walk reads no action an ESR row keeps
             rows = {key: list(row) for key, row in sp.learner._preferences(sp.weight).items()}
@@ -410,17 +409,17 @@ def test_cached_population_evaluation_builds_preferences_at_most_once(kind, monk
     preferences = cls._preferences
     monkeypatch.setattr(cls, "_preferences",
                         lambda self, lam: calls.append(1) or preferences(self, lam))
-    walks, rng = {}, np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     for flip in (False, False, True):
         if flip:
-            (key, a), *_ = walks[0][0]
+            (key, a), *_ = sps[0].walk[0]
             q = sps[0].learner
             row = q.row(*key) if isinstance(q, QTableEsr) else q._get(key)
             row[1 - a if isinstance(row, list) else (..., 1 - a, slice(None))] = 1.0
-        before, calls[:] = walks.get(0), []
-        evaluate_population(sps, env, 3, 1.0, rng, walks)
-        assert len(calls) == (int(flip) if kind == "esr" and before is not None else len(sps))
-        assert (walks[0] is before) == (before is not None and not flip)
+        before, calls[:] = sps[0].walk, []
+        evaluate_population(sps, env, 3, 1.0, rng)
+        assert len(calls) == (int(flip) if kind == "esr" and before else len(sps))
+        assert (sps[0].walk is before) == (bool(before) and not flip)
 
 
 def test_a_transferred_esr_table_with_an_equal_flip_count_is_walked_again():
@@ -430,12 +429,12 @@ def test_a_transferred_esr_table_with_an_equal_flip_count_is_walked_again():
     sps = [Subproblem(i, np.array(w), QTableEsr(2, 2)) for i, w in enumerate([(0.5, 0.5), (1, 0)])]
     for sp, values in zip(sps, ([1.0, 0.0], [0.0, 1.0])):
         sp.learner.row(0, (0.0, 0.0))[:] = values   # one flip each: left, right
-    walks, rng = {}, np.random.default_rng(0)
-    assert [v.tolist() for v in evaluate_population(sps, env, 1, 1.0, rng, walks)] == \
+    rng = np.random.default_rng(0)
+    assert [v.tolist() for v in evaluate_population(sps, env, 1, 1.0, rng)] == \
            [[4.0, 0.0], [1.0, 3.0]]
     sps[0].learner = copy.deepcopy(sps[1].learner)
-    assert sps[0].learner.flips == walks[0][3]
-    assert evaluate_population(sps, env, 1, 1.0, rng, walks)[0].tolist() == [1.0, 3.0]
+    assert sps[0].learner.flips == sps[0].walk[3]
+    assert evaluate_population(sps, env, 1, 1.0, rng)[0].tolist() == [1.0, 3.0]
 
 
 @settings(max_examples=50, deadline=None)
@@ -447,16 +446,15 @@ def test_stochastic_population_evaluation_keeps_the_eval_stream(env, kind, n, ep
     assume(not env.deterministic)
     weights = [_simplex_weight(data, env.n_objectives) for _ in range(n)]
     sps = [Subproblem(i, w, _new_table(kind, env, weights)) for i, w in enumerate(weights)]
-    walks = {}
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(2):
         for _ in range(data.draw(st.integers(0, 2))):
-            _edit(data, sps, env, walks)
-        evals = evaluate_population(sps, env, episodes, 0.9, rng, walks)
+            _edit(data, sps, env)
+        evals = evaluate_population(sps, env, episodes, 0.9, rng)
         for sp, value in zip(sps, evals):
             expected = rollout_discounted_mean(env, greedy_policy(sp.learner, sp.weight),
                                                episodes, 0.9, oracle_rng)
             assert value.tobytes() == expected.tobytes()
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
-    assert walks == {}
+    assert all(sp.walk == () for sp in sps)   # stochastic envs cache no walk
 

@@ -30,8 +30,6 @@ from paretoq import (
 )
 from paretoq.momdp import Experience, _EsrRow, _Episode, accrued_key, greedy_action
 
-from paretoq.orchestrator import _replay_update
-
 from oracles import (NaiveEpisodeBuffer, NumpyRowEsr, NumpyRowScalar, all_transition_experiences,
                      envelope_row_step, envelope_scores_per_weight, envelope_step_per_weight,
                      esr_mc_step, scalarized_q_step, value_iteration_scalar)
@@ -58,20 +56,20 @@ class TestBuffer:
         e1, e2, e3 = exp(action=0), exp(action=1), exp(state=1)
         for e in (e1, e2, e3):
             buf.push([e])
-        assert list(buf.experiences()) == [e2, e3]
+        assert list(buf) == [e2, e3]
 
     def test_everything_fits_below_capacity(self):
         buf = ExperienceBuffer(capacity=10)
         items = [exp(state=i) for i in range(4)]
         buf.push(items)
-        assert list(buf.experiences()) == items
+        assert list(buf) == items
 
     def test_fifo_holds_exactly_the_last_capacity_pushes(self):
         buf = ExperienceBuffer(capacity=5)
         items = [exp(state=i) for i in range(12)]
         for e in items:
             buf.push([e])
-        assert list(buf.experiences()) == items[-5:]
+        assert list(buf) == items[-5:]
 
     def test_diverse_crowding_drops_the_crowded_episode(self):
         buf = ExperienceBuffer(capacity=4, replacement="diverse-crowding")
@@ -169,7 +167,7 @@ def test_buffer_matches_a_naive_model(capacity, replacement, pushes, seed):
         buf.push(steps)
         naive.push(steps)
         assert len(buf) == len(naive.flat)
-        assert list(buf.experiences()) == naive.flat
+        assert list(buf) == naive.flat
         assert buf.complete_episodes() == naive.complete
         assert all(type(ep) is list or any(ep is obj for obj in interned)
                    for ep in buf._episodes)
@@ -202,7 +200,7 @@ class TestBufferPickle:
         buf.push(episode(0, 3, (1.0, 0.0)))
         buf.push([exp(state=10, terminal=False), exp(state=11, terminal=False)])  # fragment
         buf.push(episode(20, 4, (0.0, 1.0)))  # overflows: the first episode is trimmed
-        assert [e.state for e in buf.experiences()] == [2, 10, 11, 20, 21, 22, 23]
+        assert [e.state for e in buf] == [2, 10, 11, 20, 21, 22, 23]
         assert [[e.state for e in ep] for ep in buf.complete_episodes()] == [[20, 21, 22, 23]]
         return buf
 
@@ -215,7 +213,7 @@ class TestBufferPickle:
 
     def assert_same(self, a, b):
         assert len(a) == len(b)
-        assert [fields(e) for e in a.experiences()] == [fields(e) for e in b.experiences()]
+        assert [fields(e) for e in a] == [fields(e) for e in b]
         assert [[fields(e) for e in ep] for ep in a.complete_episodes()] == \
                [[fields(e) for e in ep] for ep in b.complete_episodes()]
         assert [fields(e) for e in a.sample(20, np.random.default_rng(4))] == \
@@ -237,9 +235,9 @@ class TestBufferPickle:
 
     def test_empty_buffer_round_trip(self):
         restored = pickle.loads(pickle.dumps(ExperienceBuffer(capacity=3)))
-        assert len(restored) == 0 and list(restored.experiences()) == []
+        assert len(restored) == 0 and list(restored) == []
         restored.push([exp(state=1)])
-        assert [e.state for e in restored.experiences()] == [1]
+        assert [e.state for e in restored] == [1]
 
 
 class TestScalarizedUpdate:
@@ -516,6 +514,15 @@ class TestEnvelopeWeights:
         w[0] = 5.0
         assert type(q.weights) is tuple and q.weights[0].tolist() == [0.0, 1.0]
 
+    def test_an_in_place_edit_raises_in_copies_too(self):
+        """Else a table's ``rows`` would disagree with its weights once written and read."""
+        q = QTableEnvelope(2, 2, [(1.0, 0.0), (0.0, 1.0)])
+        for table in (q, copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+            for array in (*table.weights, table.stacked):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
+            assert table.rows == [0, 1] and table.stacked.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
     def test_before_any_block_the_set_may_change_length(self):
         q = QTableEnvelope(2, 2, [(1.0, 0.0)])
         q.weights = [(1.0, 0.0), (0.0, 1.0)]
@@ -583,13 +590,12 @@ def test_envelope_round_matches_one_step_per_weight(m, n_actions, picks, steps, 
         if rng.random() < 0.7:
             q.table[s] = values(len(weights), n_actions, m)
     oracle, whole = copy.deepcopy(q), copy.deepcopy(q)
-    update = _replay_update(q, WS, weights[0])
     batch = [Experience(s, a % n_actions, values(m), ns, terminal, np.zeros(m))
              for s, a, ns, terminal in steps]
     for e in batch:
-        update([e])
+        update_envelope_q(q, [e])
         envelope_step_per_weight(oracle, e)
-    _replay_update(whole, WS, weights[0])(batch)
+    update_envelope_q(whole, batch)
     for other in (oracle, whole):
         assert list(q.table) == list(other.table)   # rows made in the same order
         assert [b.tobytes() for b in q.table.values()] == \
@@ -925,7 +931,7 @@ class TestTransfer:
             for s in range(env.n_states):
                 assert greedy_policy(dst, lam).action(s) == greedy_policy(src, lam).action(s)
         sweep(dst, env, lambda q_, e: envelope_row_step(q_, e, lambdas[0], 0), 10)
-        dst.weights[0][:] = [0.5, 0.5]
+        dst.weights = [(0.5, 0.5), lambdas[1]]
         assert serialize_table(dst) != before
         assert serialize_table(src) == before
         np.testing.assert_array_equal(src.weights[0], [1.0, 0.0])

@@ -134,6 +134,11 @@ class TestInitialize:
         with pytest.raises(ValueError, match=message):
             small_config(hv_reference=ref).validate()
 
+    @pytest.mark.parametrize("ref", [("a", 1.0), ((0.0, 1.0), -50.0)])
+    def test_a_non_numeric_hv_reference_is_rejected_by_name(self, ref):
+        with pytest.raises(ValueError, match=r"hv_reference must be numbers, got \("):
+            small_config(hv_reference=ref).validate()
+
     def test_a_run_computes_the_worst_return_once(self, monkeypatch):
         calls = []
         worst_return = orchestrator._worst_return
@@ -302,7 +307,7 @@ class TestVisibleBuffers:
 
     def test_sampling_picks_what_the_concatenated_list_picks(self):
         bufs = self.buffers()
-        flat = [e for buf in bufs for e in buf.experiences()]
+        flat = [e for buf in bufs for e in buf]
         rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
         for _ in range(20):
             expected = [flat[i] for i in rng_b.integers(0, len(flat), size=7)]
@@ -355,9 +360,8 @@ class TestEnvelopeImprovement:
                         [Experience(s, a, r, ns, term, np.zeros(2)),
                          Experience(ns, a, r + 0.5, ns, term, np.zeros(2))])  # a self-loop
             if per_weight:
-                monkeypatch.setattr(orchestrator, "_replay_update",
-                                    lambda q, g, lam: lambda batch: [
-                                        envelope_step_per_weight(q, e) for e in batch])
+                monkeypatch.setattr(orchestrator, "update_envelope_q", lambda q, batch: [
+                    envelope_step_per_weight(q, e) for e in batch])
             orchestrator._improve_all(state)
             monkeypatch.undo()
             return [serialize_table(sp.learner) for sp in state.subproblems]
@@ -399,16 +403,17 @@ class TestArchiveOffers:
         monkeypatch.setattr(ParetoArchive, "would_accept",
                             lambda self, v: checked.append(v) or would_accept(self, v))
         sp = state.subproblems[0]
-        _archive_population(state.archive, state.subproblems, 0, state.offers)
+        _archive_population(state.archive, state.subproblems, 0)
         assert len(checked) == 1          # the archive took this array after its check
-        _archive_population(state.archive, state.subproblems, 0, state.offers)
+        assert sp.offer == (sp.last_eval, state.archive.inserts)
+        _archive_population(state.archive, state.subproblems, 0)
         assert len(checked) == 1          # same array, archive unchanged since
         sp.last_eval = sp.last_eval.copy()
-        _archive_population(state.archive, state.subproblems, 0, state.offers)
+        _archive_population(state.archive, state.subproblems, 0)
         assert len(checked) == 2          # equal values, but another array
         state.archive.insert(np.array([1.0, -1.0]), b"")
         before = len(checked)             # insert checks too
-        _archive_population(state.archive, state.subproblems, 0, state.offers)
+        _archive_population(state.archive, state.subproblems, 0)
         assert len(checked) == before + 1  # the archive changed
         assert len(state.archive) == 2
 
@@ -684,9 +689,27 @@ class TestReportPickle:
         report = run(small_config(learner="esr-mc", scalarization="tchebycheff",
                                   total_steps=120))
         data = pickle.dumps(report)
-        for name in (b"walks", b"offers", b"RunState"):
+        for name in (b"walk", b"offer", b"scores", b"RunState"):
             assert name not in data
-        assert not {"walks", "offers"} & {f.name for f in dataclasses.fields(RunReport)}
+        assert not {"walk", "offer", "scores"} & {f.name for f in dataclasses.fields(RunReport)}
+
+    @pytest.mark.parametrize("learner", orchestrator.LEARNERS)
+    def test_returned_subproblems_hold_no_walk_offer_or_score_memo(self, learner, monkeypatch):
+        """The run's subproblems fill their caches; the report's hold the
+        defaults, as do their pickled copies, with the same tables."""
+        states, init = [], orchestrator.initialize
+        monkeypatch.setattr(orchestrator, "initialize",
+                            lambda config: states.append(init(config)) or states[-1])
+        report = run(small_config(learner=learner, scalarization="tchebycheff", total_steps=120))
+        used = states[0].subproblems
+        assert all(sp.walk and sp.offer[0] is sp.last_eval for sp in used)
+        assert any(sp.scores for sp in used) == (learner in ("scalarized-q", "esr-mc"))
+        restored = pickle.loads(pickle.dumps(report)).subproblems
+        for sp in report.subproblems + restored:
+            assert (sp.walk, sp.offer, sp.scores) == ((), (None, -1), {})
+        assert [sp.learner for sp in report.subproblems] == [sp.learner for sp in used]
+        assert [serialize_table(sp.learner) for sp in restored] == \
+               [serialize_table(sp.learner) for sp in used]
 
     def test_holds_no_experience_buffer(self):
         assert b"ExperienceBuffer" in pickle.dumps(ExperienceBuffer(capacity=1))
@@ -756,13 +779,13 @@ class TestBenchmarkTracer:
         """Counted apart from the tracer: a round picks ``update_passes``
         episodes for each subproblem that sees any."""
         seen = []
-        improve = orchestrator._improve_esr
+        improve = orchestrator._improve_all
 
         def counted_improve(state):
             seen.extend(any(buf.complete_episodes() for buf in visible) for visible in state.visible)
             return improve(state)
 
-        monkeypatch.setattr(orchestrator, "_improve_esr", counted_improve)
+        monkeypatch.setattr(orchestrator, "_improve_all", counted_improve)
         config = small_config(cooperation=cooperation, learner="esr-mc",
                               scalarization="tchebycheff", total_steps=120)
         tracer = self.tracing().Tracer().install()
