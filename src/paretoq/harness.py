@@ -176,7 +176,7 @@ def _config_value(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, np.ndarray)):
         return ",".join(_config_value(v) for v in value)
     return str(value)
 

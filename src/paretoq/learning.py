@@ -119,13 +119,27 @@ class ExperienceBuffer:
         self._flat = [e for steps in episodes for e in steps]
         self._complete = [steps for steps in episodes if steps[-1].terminal]
 
-    def sample(self, batch: int, rng: np.random.Generator):
-        """``batch`` experiences drawn uniformly with replacement."""
+    def sample(self, batch: int, rng: np.random.Generator, *others: "ExperienceBuffer"):
+        """``batch`` experiences drawn uniformly with replacement (one draw of
+        ``batch`` indices) from this buffer and ``others``, read end to end."""
         if batch == 0:
             return []
-        if not self._flat:
+        size = sum(map(len, others), len(self._flat))
+        if not size:
             raise ValueError("empty buffer")
-        return [self._flat[i] for i in rng.integers(0, len(self._flat), size=int(batch)).tolist()]
+        draws = rng.integers(0, size, size=int(batch)).tolist()
+        if others:
+            parts = [self._flat, *(buf._flat for buf in others)]
+            return [_item(parts, i) for i in draws]
+        return [self._flat[i] for i in draws]
+
+
+def _item(parts, i: int):
+    """Item ``i`` of the sequences ``parts`` read end to end."""
+    for part in parts:
+        if i < len(part):
+            return part[i]
+        i -= len(part)
 
 
 class _Table:
@@ -455,18 +469,17 @@ def update_esr_mc(q: QTableEsr, episode, g: Scalarization, lam,
     return q
 
 
-def greedy_policy(q, lam=None, *, preferences=None) -> TabularPolicy:
+def greedy_policy(q, lam=None) -> TabularPolicy:
     """Deterministic greedy policy of any table kind (lowest-index ties).
 
     Vector and envelope tables need the weight vector that scalarizes their
     entries; ESR tables yield a policy keyed on (state, accrued reward).
     States the table never visited fall back to a zero row, i.e. action 0.
     Scalar and ESR policies are live views of the learner's rows (deep-copy
-    ``q`` to freeze one); vector and envelope policies hold scalarized lists,
-    which a caller holding ``q._preferences(lam)`` passes as ``preferences``.
+    ``q`` to freeze one); vector and envelope policies hold scalarized lists.
     """
-    prefs = q._preferences(lam) if preferences is None else preferences
-    return TabularPolicy(prefs, augmented=q._augmented, default_row=[0.0] * q.n_actions)
+    return TabularPolicy(q._preferences(lam), augmented=q._augmented,
+                         default_row=[0.0] * q.n_actions)
 
 
 # --- flat text serialization -------------------------------------------------

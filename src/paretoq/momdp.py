@@ -216,25 +216,16 @@ class TabularPolicy:
     augmented: bool = False
     default_row: list | np.ndarray | None = None
 
-    def key(self, state, accrued=None):
-        return accrued_key(state, accrued) if self.augmented else state
-
-    def row(self, state, accrued=None):
-        return self._row_at(self.key(state, accrued))
-
-    def _row_at(self, key):
-        prefs = self.preferences.get(key)
-        if prefs is None and self.default_row is None:
-            raise ValueError(f"unreachable-state policy gap: no preferences for state {key!r}")
-        return self.default_row if prefs is None else prefs
-
     def action(self, state, accrued=None) -> int:
         return self.action_at(accrued_key(state, accrued) if self.augmented else state)
 
     def action_at(self, key) -> int:
-        """:meth:`action` at the table key ``key`` (see :meth:`key`)."""
-        prefs = self.preferences.get(key)
-        return greedy_action(self._row_at(key) if prefs is None else prefs)
+        """:meth:`action` at the table key ``key``: the state, or if augmented its
+        :func:`accrued_key`."""
+        prefs = self.preferences.get(key, self.default_row)
+        if prefs is None:
+            raise ValueError(f"unreachable-state policy gap: no preferences for state {key!r}")
+        return greedy_action(prefs)
 
 
 def rollout(env: Momdp, policy: TabularPolicy, rng_seed=0, epsilon=None, explore=None, tree=None):
@@ -261,7 +252,8 @@ def rollout(env: Momdp, policy: TabularPolicy, rng_seed=0, epsilon=None, explore
     if tree is not None:
         if tree.env is not env:
             raise ValueError(f"a step tree of {tree.env.name!r} cannot walk {env.name!r}")
-        return tree.walk(policy, epsilon, explore)
+        node = tree.walk(policy, epsilon, explore)
+        return node.episode, node.accrued
     state = env.initial_state(rng)
     accrued = np.zeros(env.n_objectives)
     trace: list[Experience] = []
@@ -288,13 +280,15 @@ class _Episode(list):
 
 class _Node:
     """An action prefix: the state it reaches, the reward accrued on the way and its
-    key, its last step and parent, its children by action, and once terminal its episode."""
+    key, its last step and parent, its children by action, and once terminal its
+    episode and, once evaluated, ``value``: ``(gamma, discounted return)``."""
 
-    __slots__ = ("state", "accrued", "key", "step", "parent", "children", "episode")
+    __slots__ = ("state", "accrued", "key", "step", "parent", "children", "episode", "value")
 
     def __init__(self, state, accrued, step=None, parent=None):
         self.state, self.accrued, self.key = state, accrued, accrued_key(state, accrued)
-        self.step, self.parent, self.children, self.episode = step, parent, {}, None
+        self.step, self.parent, self.children = step, parent, {}
+        self.episode = self.value = None
 
 
 class StepTree:
@@ -306,8 +300,9 @@ class StepTree:
             raise ValueError(f"environment {env.name!r} is not deterministic")
         self.env, self.capacity, self.root, self.size = env, capacity, None, 0
 
-    def walk(self, policy: TabularPolicy, epsilon, explore):
-        """:func:`rollout`'s draws and actions; the policy acts at each node's key."""
+    def walk(self, policy: TabularPolicy, epsilon=None, explore=None) -> _Node:
+        """The terminal node of :func:`rollout`'s draws and actions (greedy without
+        ``epsilon``); the policy acts at each node's key."""
         env, action_at, augmented = self.env, policy.action_at, policy.augmented
         if self.root is None or self.size > self.capacity:   # a fresh root
             self.root, self.size = _Node(env.initial_state(), np.zeros(env.n_objectives)), 0
@@ -319,7 +314,7 @@ class StepTree:
                 action = action_at(node.key if augmented else node.state)
             node = node.children.get(action) or self._grow(node, action, depth)
             depth += 1
-        return node.episode, node.accrued
+        return node
 
     def _grow(self, node: _Node, action: int, depth: int) -> _Node:
         next_state, reward, terminal = self.env.step(node.state, action)
@@ -337,14 +332,13 @@ class StepTree:
 
 
 def evaluate_policy(env: Momdp, policy: TabularPolicy, episodes: int,
-                    gamma: float, rng_seed=0, path: list | None = None) -> np.ndarray:
+                    gamma: float, rng_seed=0) -> np.ndarray:
     """Average discounted vector return over ``episodes`` episodes.
 
     Exact (zero variance) for a deterministic environment, in which case a
     single episode is walked since all episodes coincide. Each episode
     draws from the generator exactly as a greedy :func:`rollout` does, but
     sums its discounted return as it goes instead of recording a trace.
-    ``path``, when given, collects each step's ``(state key, action)``.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
@@ -352,12 +346,12 @@ def evaluate_policy(env: Momdp, policy: TabularPolicy, episodes: int,
     runs = 1 if env.deterministic else episodes
     total = [0.0] * env.n_objectives
     for _ in range(runs):
-        total = [t + v for t, v in zip(total, _discounted_return(env, policy, gamma, rng, path))]
+        total = [t + v for t, v in zip(total, _discounted_return(env, policy, gamma, rng))]
     return np.array(total) / runs
 
 
 def _discounted_return(env: Momdp, policy: TabularPolicy, gamma: float,
-                       rng: np.random.Generator, path: list | None = None) -> list:
+                       rng: np.random.Generator) -> list:
     """One episode's discounted vector return, as Python floats, under rollout's draw pattern."""
     state = env.initial_state(rng)
     # only an augmented policy reads the accrued reward
@@ -366,8 +360,6 @@ def _discounted_return(env: Momdp, policy: TabularPolicy, gamma: float,
     discount = 1.0
     for _ in range(env.max_episode_steps):
         action = policy.action(state, accrued)
-        if path is not None:
-            path.append((policy.key(state, accrued), action))
         state, reward, terminal = env.step(state, action, rng)
         value = [v + discount * r for v, r in zip(value, reward.tolist())]
         if terminal:

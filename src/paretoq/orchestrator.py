@@ -52,6 +52,7 @@ from .learning import (
     QTableEsr,
     QTableScalar,
     QTableVector,
+    _item,
     greedy_policy,
     serialize_table,
     update_envelope_q,
@@ -60,7 +61,7 @@ from .learning import (
     update_vector_q,
 )
 from .momdp import (ENUMERATION_LIMIT, Momdp, StepTree, enumerate_deterministic_policies,
-                    evaluate_policy, greedy_action, make_env, rollout)
+                    evaluate_policy, make_env, rollout)
 from .rng import RunStreams
 
 LEARNERS = ("scalarized-q", "vector-q", "envelope-q", "esr-mc")
@@ -108,6 +109,9 @@ class RunConfig:
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
             if kind is float and (is_bool or not isinstance(value, numbers.Real)):
                 raise ValueError(f"{f.name} must be a number, got {value!r}")
+            if kind is float and isinstance(value, np.floating) and value.dtype != np.float64:
+                raise ValueError(f"{f.name} must be a float64 (a snapshot cannot repeat "
+                                 f"{value.dtype} arithmetic), got {value!r}")
             if kind is float and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         checks = [
@@ -171,10 +175,11 @@ class Subproblem:
     three caches, each with one reuse rule. Pickles and copies, so the subproblems
     of a report too, leave the caches out.
 
-    * ``walk`` (deterministic envs only): the last greedy walk's (state key,
-      action) pairs, its value, its table and the table's ``flips``. The value is
-      reused while that table counts flips (ESR) and the count stays put, else
-      while every greedy row of the walk (zeros if missing) gives its action.
+    * ``walk`` (deterministic envs only): the last greedy value, its table and the
+      table's ``flips``. The value is reused while that table counts flips (ESR),
+      is still the learner and its count stays put. Other greedy policies walk the
+      run's step tree, whose terminal node keeps its value (see
+      :func:`evaluate_population`).
     * ``offer``: the last array the archive checked and its ``inserts`` then;
       that array is not checked again until the archive's next insert.
     * ``scores``: the replay updates' score memo, cleared by ``_adapt``, the only
@@ -318,7 +323,9 @@ def initialize(config: RunConfig, streams: RunStreams | None = None) -> RunState
     neighborhood = build_neighborhood(weights, config.neighborhood_k)
 
     archive = ParetoArchive()
-    evals = evaluate_population(subproblems, env, config.eval_episodes, config.gamma, streams.eval)
+    tree = StepTree(env, config.buffer_capacity) if env.deterministic else None
+    evals = evaluate_population(subproblems, env, config.eval_episodes, config.gamma,
+                                streams.eval, tree)
     reference.update(evals)
     _archive_population(archive, subproblems, 0)
 
@@ -329,34 +336,36 @@ def initialize(config: RunConfig, streams: RunStreams | None = None) -> RunState
         neighborhood=neighborhood, hv_reference=hv_reference,
         eum_weight_set=generate_weights_uniform(m, config.eum_weights),
         reference_front=_true_front(env, config.gamma),
-        tree=StepTree(env, config.buffer_capacity) if env.deterministic else None,
+        tree=tree,
     )
     cooperate(state)
     return state
 
 
-def evaluate_population(subproblems, env: Momdp, episodes: int, gamma: float, rng):
+def evaluate_population(subproblems, env: Momdp, episodes: int, gamma: float, rng,
+                        tree: StepTree | None = None):
     """Evaluate every subproblem's greedy policy; refresh ``last_eval``. On a
-    deterministic env each ``Subproblem.walk`` is reused or renewed by its rule."""
-    zero = [0.0]   # greedy action 0
+    deterministic env each ``Subproblem.walk`` is reused or renewed by its rule.
+    Given ``env``'s step tree, a greedy policy walks it, and the terminal node's
+    value (computed once per gamma, by :func:`evaluate_policy`) is the evaluation."""
+    if tree is not None and tree.env is not env:
+        raise ValueError(f"a step tree of {tree.env.name!r} cannot walk {env.name!r}")
     for sp in subproblems:
         q = sp.learner
-        path, value, table, flips = sp.walk or ((), None, None, None)
-        same = table is q and flips == q.flips
-        if value is not None and same and flips is not None:
+        value, table, flips = sp.walk or (None, None, None)
+        if table is q and flips == q.flips and flips is not None:
             sp.last_eval = value
             continue
-        rows = None if value is None else q._preferences(sp.weight)
-        if rows is not None and all(greedy_action(rows.get(key, zero)) == a for key, a in path):
-            sp.last_eval = value
-            if not same:
-                sp.walk = (path, value, q, q.flips)
-            continue
-        path = [] if env.deterministic else None
-        policy = greedy_policy(q, sp.weight, preferences=rows)
-        sp.last_eval = evaluate_policy(env, policy, episodes, gamma, rng, path)
-        if path is not None:
-            sp.walk = (path, sp.last_eval, q, q.flips)
+        policy = greedy_policy(q, sp.weight)
+        if tree is None:
+            sp.last_eval = evaluate_policy(env, policy, episodes, gamma, rng)
+        else:
+            node = tree.walk(policy)
+            if node.value is None or node.value[0] != gamma:
+                node.value = (gamma, evaluate_policy(env, policy, 1, gamma))
+            sp.last_eval = node.value[1]
+        if env.deterministic:
+            sp.walk = (sp.last_eval, q, q.flips)
     return [sp.last_eval for sp in subproblems]
 
 
@@ -413,14 +422,6 @@ def _epsilon_schedule(config: RunConfig, first: int = 0):
     return lambda t: start + min(1.0, (first + t) / span) * (low - start)
 
 
-def _item(parts, i: int):
-    """Item ``i`` of the sequences ``parts`` read end to end."""
-    for part in parts:
-        if i < len(part):
-            return part[i]
-        i -= len(part)
-
-
 def _episodes(visible):
     """``(item, count)`` of the complete episodes of ``visible``, read end to end."""
     if len(visible) == 1:
@@ -428,14 +429,6 @@ def _episodes(visible):
         return episodes.__getitem__, len(episodes)
     parts = [buf.complete_episodes() for buf in visible]
     return functools.partial(_item, parts), sum(map(len, parts))
-
-
-def _sample_visible(visible, batch: int, rng):
-    if len(visible) == 1:
-        return visible[0].sample(batch, rng) if len(visible[0]) else []
-    size = sum(map(len, visible))
-    draws = rng.integers(0, size, size=int(batch)).tolist() if size else []
-    return [_item(visible, i) for i in draws]
 
 
 # Each table kind's update of subproblem ``sp`` from one pick: a sampled batch,
@@ -460,7 +453,7 @@ def _improve_all(state: RunState):
         draws = rng.integers(0, [count for _, _, count in rounds]).tolist()
         picks = [(sp, item(draw)) for (sp, item, _), draw in zip(rounds, draws)]
     else:
-        picks = [(sp, _sample_visible(visible, cfg.batch_size, rng))
+        picks = [(sp, visible[0].sample(cfg.batch_size, rng, *visible[1:]))
                  for sp, visible in pairs if any(map(len, visible)) for _ in range(passes)]
     for sp, pick in picks:
         _UPDATES[sp.learner.kind](sp, state.scalarization, pick)
@@ -531,7 +524,7 @@ def run(config: RunConfig) -> RunReport:
 
         _improve_all(state)
         evaluate_population(state.subproblems, state.env, cfg.eval_episodes,
-                            cfg.gamma, state.streams.eval)
+                            cfg.gamma, state.streams.eval, state.tree)
         _archive_population(state.archive, state.subproblems, state.steps_done)
 
         if state.steps_done // cfg.psa_period_steps > state._adapt_marker:

@@ -42,6 +42,10 @@ TREE_WALK = "tests/test_orchestrator.py::test_a_tree_walk_equals_the_plain_rollo
 ENVELOPE_ROUND = "tests/test_learning.py::test_envelope_round_matches_one_step_per_weight"
 ESR_FLIPS = "tests/test_learning.py::test_esr_rows_keep_their_greedy_action_and_count_its_changes"
 FRESH_WALK = "tests/test_evaluation.py::test_cached_population_evaluation_is_a_fresh_walk"
+RUN_STATE = ("tests/test_evaluation.py::"
+             "test_run_state_evaluation_is_a_fresh_walk_under_adaptation_transfer_and_replay")
+TERMINALS = "tests/test_orchestrator.py::test_a_corridor_run_evaluates_each_terminal_node_once"
+NODE_VALUES = EVAL + "::test_a_tree_walks_its_own_env_and_keeps_a_node_value_for_one_gamma"
 
 MUTANTS = [
     # --- archive.py
@@ -77,10 +81,8 @@ MUTANTS = [
     ("momdp.py", "        if accrued is not None:\n            accrued = accrued + reward\n", "",
      [EVAL]),
     ("momdp.py", "runs = 1 if env.deterministic else episodes", "runs = episodes", [EVAL]),
-    ("momdp.py", "path.append((policy.key(state, accrued), action))",
-     "path.append((state, action))", [FRESH_WALK]),
-    ("momdp.py", "return greedy_action(self._row_at(key) if prefs is None else prefs)",
-     "return greedy_action(self.default_row if prefs is None else prefs)",
+    ("momdp.py", "prefs = self.preferences.get(key, self.default_row)",
+     "prefs = self.preferences.get(key, self.default_row or [0.0])",
      ["tests/test_orchestrator.py::test_a_walk_reports_a_policy_gap_like_the_plain_rollout"]),
     # --- momdp.py: the step tree
     ("momdp.py", "_Node(next_state, node.accrued + reward, step, node)",
@@ -92,6 +94,10 @@ MUTANTS = [
     ("momdp.py", "action = action_at(node.key if augmented else node.state)",
      "action = action_at(node.state)", [TREE_WALK]),
     # --- learning.py: buffers
+    ("learning.py", "size = sum(map(len, others), len(self._flat))", "size = len(self._flat)",
+     [ORCH + "::TestVisibleBuffers"]),
+    ("learning.py", "        i -= len(part)", "        i -= len(part) or 1",
+     [ORCH + "::TestVisibleBuffers"]),
     ("learning.py", "episodes[dropped] = head[excess:]", "del head[:excess]",
      ["tests/test_learning.py::test_buffer_matches_a_naive_model"]),
     ("learning.py", "steps = experiences if type(experiences) is _Episode else list(experiences)",
@@ -132,19 +138,26 @@ MUTANTS = [
     # --- orchestrator.py: validation
     ("orchestrator.py", "if n > 1 and lattice_divisions(env.n_objectives, n) is None:",
      "if False:", [ORCH + "::TestInitialize", "tests/test_harness.py::TestMain"]),
-    # --- orchestrator.py: the walk cache
-    ("orchestrator.py", "same = table is q and flips == q.flips", "same = flips == q.flips",
+    ("orchestrator.py", "isinstance(value, np.floating) and value.dtype != np.float64:",
+     "isinstance(value, np.floating) and value.dtype == np.float16:",
+     [ORCH + "::TestInitialize"]),
+    # --- orchestrator.py: the walk cache and the step tree's values
+    ("orchestrator.py", "if table is q and flips == q.flips and flips is not None:",
+     "if flips == q.flips and flips is not None:",
      [EVAL + "::test_a_transferred_esr_table_with_an_equal_flip_count_is_walked_again"]),
-    ("orchestrator.py",
-     "if rows is not None and all(greedy_action(rows.get(key, zero)) == a for key, a in path):",
-     "if rows is not None:", [FRESH_WALK]),
-    ("orchestrator.py", "greedy_action(rows.get(key, zero)) == a for key, a in path",
-     "(key not in rows or greedy_action(rows[key]) == a) for key, a in path", [FRESH_WALK]),
-    ("orchestrator.py", "policy = greedy_policy(q, sp.weight, preferences=rows)",
-     "policy = greedy_policy(q, sp.weight)",
-     [EVAL + "::test_cached_population_evaluation_builds_preferences_at_most_once"]),
-    ("orchestrator.py", "path = [] if env.deterministic else None", "path = []",
+    ("orchestrator.py", "if table is q and flips == q.flips and flips is not None:",
+     "if table is q and flips == q.flips:", [FRESH_WALK, RUN_STATE]),
+    ("orchestrator.py", "        if env.deterministic:\n            sp.walk",
+     "        if True:\n            sp.walk",
      [EVAL + "::test_stochastic_population_evaluation_keeps_the_eval_stream"]),
+    ("orchestrator.py", "    if tree is not None and tree.env is not env:",
+     "    if tree is not None and tree.env is not tree.env:", [NODE_VALUES]),
+    ("orchestrator.py", "if node.value is None or node.value[0] != gamma:",
+     "if node.value is None:", [NODE_VALUES]),
+    ("orchestrator.py", "                                streams.eval, tree)",
+     "                                streams.eval)", [TERMINALS]),
+    ("orchestrator.py", "cfg.gamma, state.streams.eval, state.tree)",
+     "cfg.gamma, state.streams.eval)", [TERMINALS]),
     # --- orchestrator.py: the offer cache
     ("orchestrator.py", "if last is sp.last_eval and inserts == archive.inserts:",
      "if last is sp.last_eval:", [ORCH + "::TestArchiveOffers"]),
@@ -165,14 +178,14 @@ MUTANTS = [
     ("orchestrator.py",
      "for sp, item, count in seen if count for _ in range(passes)]",
      "for _ in range(passes) for sp, item, count in seen if count]", [ESR_LOOP]),
-    ("orchestrator.py", "        i -= len(part)", "        i -= len(part) or 1",
-     [ORCH + "::TestVisibleBuffers"]),
     # --- orchestrator.py: reports
     ("orchestrator.py", "report.subproblems = [copy.copy(sp) for sp in state.subproblems]",
      "report.subproblems = state.subproblems", [ORCH + "::TestReportPickle"]),
     ("orchestrator.py", "    def __reduce__(self):", "    def _reduce(self):",
      [ORCH + "::TestReportPickle"]),
     # --- harness.py
+    ("harness.py", "if isinstance(value, (list, tuple, np.ndarray)):",
+     "if isinstance(value, (list, tuple)):", ["tests/test_harness.py::TestRunExperiment"]),
     ("harness.py", "def _run_seed(config: RunConfig) -> RunReport | str:",
      "def _run_seed(config: RunConfig, run=run) -> RunReport | str:", ["tests/test_harness.py"]),
 ]

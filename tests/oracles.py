@@ -275,9 +275,9 @@ def rollout_discounted_mean(env: Momdp, policy, episodes: int, gamma: float, rng
 
 
 def evaluate_policy_on_arrays(env: Momdp, policy, episodes: int, gamma: float,
-                              rng_seed=0, path: list | None = None) -> np.ndarray:
+                              rng_seed=0) -> np.ndarray:
     """``evaluate_policy`` as it read while it summed each return, and the mean,
-    into numpy arrays: the same draws, keys and actions, step for step."""
+    into numpy arrays: the same draws and actions, step for step."""
     rng = np.random.default_rng(rng_seed)
     runs = 1 if env.deterministic else episodes
     total = np.zeros(env.n_objectives)
@@ -288,8 +288,6 @@ def evaluate_policy_on_arrays(env: Momdp, policy, episodes: int, gamma: float,
         discount = 1.0
         for _ in range(env.max_episode_steps):
             action = policy.action(state, accrued)
-            if path is not None:
-                path.append((policy.key(state, accrued), action))
             state, reward, terminal = env.step(state, action, rng)
             value += discount * reward
             if terminal:
@@ -309,7 +307,9 @@ class EpsilonGreedyPolicy:
         self.greedy, self.epsilon = greedy, epsilon
 
     def row(self, state, accrued=None):
-        return self.greedy.row(state, accrued)
+        greedy = self.greedy
+        key = accrued_key(state, accrued) if greedy.augmented else state
+        return greedy.preferences.get(key, greedy.default_row)
 
     def action(self, state, accrued=None, rng=None) -> int:
         prefs = self.row(state, accrued)

@@ -6,11 +6,12 @@ draws, and on deterministic envs agree with exact dynamic programming.
 ``scalarize_tch`` computes Tchebycheff in Python floats and must repeat the
 numpy formula bit for bit, NaN included. The worst return that bounds every
 evaluation (and so the hypervolume reference) must equal the minimum over
-enumerated trajectories. ``evaluate_population`` reuses a greedy walk on
-deterministic envs; under any table edit its result must be a fresh walk's,
-bit for bit. ``rollout`` explores for the run, the demos and the tests; its
-draws must repeat, bit for bit, the episode loop and the epsilon-greedy
-policy it replaced.
+enumerated trajectories. ``evaluate_population`` reuses an ESR table's
+value and the values of a step tree's terminal nodes on deterministic envs;
+under any table edit, and on a run state under adaptation, transfer and
+replay, its result must be a fresh walk's, bit for bit. ``rollout``
+explores for the run, the demos and the tests; its draws must repeat, bit
+for bit, the episode loop and the epsilon-greedy policy it replaced.
 """
 
 import copy
@@ -38,8 +39,11 @@ from paretoq import (
     update_esr_mc,
 )
 
-from paretoq.momdp import tiny_tree
-from paretoq.orchestrator import Subproblem, _worst_return
+from paretoq import orchestrator
+from paretoq.decomposition import lattice_divisions
+from paretoq.momdp import StepTree, accrued_key, register_env, tiny_tree
+from paretoq.orchestrator import (RunConfig, Subproblem, _adapt, _archive_population,
+                                  _improve_all, _worst_return, cooperate, initialize)
 
 from oracles import (EpsilonGreedyPolicy, deterministic_policies, evaluate_policy_on_arrays,
                      rollout_discounted_mean, rollout_with_policy_draws, sample_episode,
@@ -130,15 +134,13 @@ def test_evaluation_repeats_recorded_rollouts_and_their_draws(env, policy_seed, 
        gamma=st.sampled_from([0.99, 0.9, 0.5, 0.1]), rng_seed=st.integers(0, 2**16))
 def test_evaluation_has_the_bytes_of_the_array_loop(env, policy_seed, augmented, episodes,
                                                     gamma, rng_seed):
-    """Summing on Python floats returns the bytes of summing into numpy arrays,
-    walks the same keys and actions and leaves the generator where it did."""
+    """Summing on Python floats returns the bytes of summing into numpy arrays
+    and leaves the generator where it did."""
     policy = _policy(env, policy_seed, augmented)
     rng, oracle_rng = np.random.default_rng(rng_seed), np.random.default_rng(rng_seed)
-    path, oracle_path = [], []
-    value = evaluate_policy(env, policy, episodes, gamma, rng, path)
-    expected = evaluate_policy_on_arrays(env, policy, episodes, gamma, oracle_rng, oracle_path)
+    value = evaluate_policy(env, policy, episodes, gamma, rng)
+    expected = evaluate_policy_on_arrays(env, policy, episodes, gamma, oracle_rng)
     assert value.dtype == expected.dtype and value.tobytes() == expected.tobytes()
-    assert path == oracle_path
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
@@ -320,12 +322,22 @@ def _new_table(kind, env, weights):
     return QTableEsr(env.n_actions, env.n_objectives)
 
 
-def _keys(q, env, walk):
-    """Keys worth editing: every state, or for ESR tables the keys of the last
-    walk (where a default row may have stood in) and those already stored."""
+def _keys(q, env):
+    """Keys worth editing: every state, or for ESR tables those already stored
+    and the greedy walk's (where a default row may have stood in)."""
     if isinstance(q, QTableEsr):
-        return sorted(set(q.table) | {key for key, _ in walk[0]} | {(0, (0.0,) * env.n_objectives)})
+        trace, _ = rollout(env, greedy_policy(q), 0)
+        return sorted(set(q.table) | {accrued_key(e.state, e.accrued) for e in trace})
     return list(range(env.n_states))
+
+
+def _fresh_value(sp, env, episodes, gamma):
+    """A fresh walk of ``sp``'s greedy policy, on plain lists: it reads no
+    action an ESR row keeps."""
+    q = sp.learner
+    rows = {key: list(row) for key, row in q._preferences(sp.weight).items()}
+    policy = TabularPolicy(rows, augmented=q._augmented, default_row=[0.0] * q.n_actions)
+    return evaluate_policy(env, policy, episodes, gamma, 0)
 
 
 def _edit(data, sps, env):
@@ -338,7 +350,7 @@ def _edit(data, sps, env):
     esr = isinstance(q, QTableEsr)
     what = data.draw(st.sampled_from(["set", "flip", "weight", "transfer"] + ["replay"] * esr))
     if what in ("set", "flip"):
-        key = data.draw(st.sampled_from(_keys(q, env, sp.walk or ((), None))))
+        key = data.draw(st.sampled_from(_keys(q, env)))
         row = q.row(*key) if esr else q._get(key)
         if isinstance(row, list):   # scalar and ESR rows are float lists
             if what == "flip":
@@ -372,59 +384,75 @@ def _edit(data, sps, env):
 
 @settings(max_examples=300, deadline=None)
 @given(env=small_momdps(deterministic=True), kind=st.sampled_from(KINDS),
-       n=st.integers(1, 3), gamma=st.sampled_from([1.0, 0.9, 0.5]), data=st.data())
-def test_cached_population_evaluation_is_a_fresh_walk(env, kind, n, gamma, data):
+       n=st.integers(1, 3), gamma=st.sampled_from([1.0, 0.9, 0.5]),
+       capacity=st.sampled_from([None, 1, 4, 10**6]), data=st.data())
+def test_cached_population_evaluation_is_a_fresh_walk(env, kind, n, gamma, capacity, data):
+    """With or without a step tree (a small one restarts): an unedited ESR
+    table's value is reused, and so is a tree node's until the tree restarts."""
     weights = [_simplex_weight(data, env.n_objectives) for _ in range(n)]
     sps = [Subproblem(i, w, _new_table(kind, env, weights)) for i, w in enumerate(weights)]
+    tree = None if capacity is None else StepTree(env, capacity)
     rng = np.random.default_rng(0)
-    previous = None
+    previous = root = None
     for _ in range(data.draw(st.integers(1, 6))):
         edits = data.draw(st.integers(0, 3)) if previous is not None else 0
         for _ in range(edits):
             _edit(data, sps, env)
-        evals = evaluate_population(sps, env, 3, gamma, rng)
+        evals = evaluate_population(sps, env, 3, gamma, rng, tree)
         for sp, value in zip(sps, evals):
-            # plain lists: the fresh walk reads no action an ESR row keeps
-            rows = {key: list(row) for key, row in sp.learner._preferences(sp.weight).items()}
-            fresh = evaluate_policy(env, greedy_policy(sp.learner, preferences=rows), 3, gamma, 0)
-            assert value.tobytes() == fresh.tobytes()
+            assert value.tobytes() == _fresh_value(sp, env, 3, gamma).tobytes()
             assert sp.last_eval is value
-        if edits == 0 and previous is not None:
-            # nothing changed, so every walk is reused and no value recomputed
+        if edits == 0 and previous is not None and (
+                kind == "esr" or tree is not None and tree.root is root):
+            # nothing changed, so no value is recomputed
             assert all(a is b for a, b in zip(evals, previous))
-        previous = evals
+        previous, root = evals, tree and tree.root
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
+def test_a_tree_walks_its_own_env_and_keeps_a_node_value_for_one_gamma():
+    env = tiny_tree()
+    tree = StepTree(env, 100)
+    for gamma in (1.0, 0.5, 1.0):   # the first leaf, (4, 0), one step down
+        sp = Subproblem(0, np.array([0.5, 0.5]), QTableScalar(2))
+        assert evaluate_population([sp], env, 1, gamma, None, tree)[0].tolist() == [4 * gamma, 0]
+    assert tree.size == 2
+    with pytest.raises(ValueError, match="step tree of 'tiny-tree' cannot walk 'dst-corridor'"):
+        evaluate_population([sp], orchestrator.make_env("dst-corridor"), 1, 1.0, None, tree)
+
+
 @pytest.mark.parametrize("kind", KINDS)
-def test_cached_population_evaluation_builds_preferences_at_most_once(kind, monkeypatch):
-    """A first walk, a reused walk and a re-walk after an argmax flip each
-    build every subproblem's greedy preferences once (vector and envelope
-    tables build them by one matmul per state). An ESR table whose flip count
-    stayed put builds none, so after the flip only the flipped table does."""
+def test_population_evaluation_builds_preferences_and_walks_at_most_once(kind, monkeypatch):
+    """A first evaluation, a second and one after an argmax flip each build
+    every subproblem's greedy preferences once (vector and envelope tables
+    build them by one matmul per state) and walk the tree once. An ESR table
+    whose flip count stayed put does neither, so after the flip only the
+    flipped table does."""
     env = tiny_tree()
     weights = [np.array([0.5, 0.5]), np.array([1.0, 0.0])]
     sps = [Subproblem(i, w, _new_table(kind, env, weights)) for i, w in enumerate(weights)]
-    cls, calls = type(sps[0].learner), []
+    cls, calls, walks = type(sps[0].learner), [], []
     preferences = cls._preferences
     monkeypatch.setattr(cls, "_preferences",
                         lambda self, lam: calls.append(1) or preferences(self, lam))
+    tree = StepTree(env, 100)
+    monkeypatch.setattr(tree, "walk", lambda policy: walks.append(1) or StepTree.walk(tree, policy))
     rng = np.random.default_rng(0)
     for flip in (False, False, True):
-        if flip:
-            (key, a), *_ = sps[0].walk[0]
+        if flip:   # action 1 at the root
             q = sps[0].learner
-            row = q.row(*key) if isinstance(q, QTableEsr) else q._get(key)
-            row[1 - a if isinstance(row, list) else (..., 1 - a, slice(None))] = 1.0
-        before, calls[:] = sps[0].walk, []
-        evaluate_population(sps, env, 3, 1.0, rng)
-        assert len(calls) == (int(flip) if kind == "esr" and before else len(sps))
-        assert (sps[0].walk is before) == (bool(before) and not flip)
+            row = q.row(0, (0.0, 0.0)) if isinstance(q, QTableEsr) else q._get(0)
+            row[1 if isinstance(row, list) else (..., 1, slice(None))] = 1.0
+        before, calls[:], walks[:] = sps[0].walk, [], []
+        evaluate_population(sps, env, 3, 1.0, rng, tree)
+        assert len(calls) == len(walks) == (int(flip) if kind == "esr" and before else len(sps))
+        assert (sps[0].walk is before) == (kind == "esr" and bool(before) and not flip)
+    assert sps[0].last_eval.tolist() == [1.0, 3.0]
 
 
 def test_a_transferred_esr_table_with_an_equal_flip_count_is_walked_again():
-    """A deep copy is another table: its walk is checked even when its flip
-    count equals the count cached with the replaced table's walk."""
+    """A deep copy is another table: it is walked even when its flip count
+    equals the count cached with the replaced table's value."""
     env = tiny_tree()
     sps = [Subproblem(i, np.array(w), QTableEsr(2, 2)) for i, w in enumerate([(0.5, 0.5), (1, 0)])]
     for sp, values in zip(sps, ([1.0, 0.0], [0.0, 1.0])):
@@ -433,8 +461,72 @@ def test_a_transferred_esr_table_with_an_equal_flip_count_is_walked_again():
     assert [v.tolist() for v in evaluate_population(sps, env, 1, 1.0, rng)] == \
            [[4.0, 0.0], [1.0, 3.0]]
     sps[0].learner = copy.deepcopy(sps[1].learner)
-    assert sps[0].learner.flips == sps[0].walk[3]
+    assert sps[0].learner.flips == sps[0].walk[2]
     assert evaluate_population(sps, env, 1, 1.0, rng)[0].tolist() == [1.0, 3.0]
+
+
+PROPERTY_ENV = "evaluation-property-test-env"
+
+
+@settings(max_examples=150, deadline=None)
+@given(env=small_momdps(deterministic=True), learner=st.sampled_from(orchestrator.LEARNERS),
+       gamma=st.sampled_from([1.0, 0.9, 0.5]), capacity=st.integers(1, 12),
+       scalarization=st.sampled_from(["weighted-sum", "tchebycheff"]),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_run_state_evaluation_is_a_fresh_walk_under_adaptation_transfer_and_replay(
+        env, learner, gamma, capacity, scalarization, seed, data):
+    """On a real run state whose step tree (``capacity`` steps) restarts: after
+    each sampled episode, ``_adapt`` (with PSA), transfer or ``_improve_all``,
+    every evaluation is that of a deep copy of the table, bit for bit, and an
+    untouched table gets the identical array back (ESR always, others while
+    the tree keeps its node: its root is the one from before the previous
+    evaluation, which may itself restart the tree between two subproblems).
+    ``esr-mc`` runs at gamma 1, as validation asks."""
+    gamma = 1.0 if learner == "esr-mc" else gamma
+    m = env.n_objectives
+    assume(m > 1)   # no weight set of one objective has more than its center
+    register_env(PROPERTY_ENV, lambda: env)
+    sizes = [n for n in (1, 2, 3, 4) if n == 1 or lattice_divisions(m, n) is not None]
+    config = RunConfig(
+        env=PROPERTY_ENV, population_size=data.draw(st.sampled_from(sizes)), learner=learner,
+        gamma=gamma, scalarization=scalarization, psa_enabled=True, cooperation="transfer",
+        buffer_capacity=capacity, update_passes=2, batch_size=4, eval_episodes=2, eum_weights=3,
+        hv_reference=tuple(w - 1.0 for w in _worst_return(env, gamma)), seed=seed)
+    state = initialize(config)
+    assert state.tree is not None and state.tree.capacity == capacity
+    root = state.tree.root   # the root before the latest evaluation
+    evaluate_population(state.subproblems, env, config.eval_episodes, gamma,
+                        state.streams.eval, state.tree)
+    for _ in range(data.draw(st.integers(1, 8))):
+        before = [(sp.learner, orchestrator.serialize_table(sp.learner), sp.weight.tobytes(),
+                   sp.last_eval) for sp in state.subproblems]
+        op = data.draw(st.sampled_from(["sample", "adapt", "transfer", "improve"]))
+        if op == "sample":
+            sp = data.draw(st.sampled_from(state.subproblems))
+            episode, _ = rollout(env, greedy_policy(sp.learner, sp.weight), state.streams.env,
+                                 lambda t: 0.5, state.streams.explore, tree=state.tree)
+            state.buffers[sp.index].push(episode)
+            sp.trained = True
+        elif op == "adapt":
+            _adapt(state)
+        elif op == "transfer":
+            cooperate(state)
+        else:
+            _improve_all(state)
+        eval_root = state.tree.root
+        evals = evaluate_population(state.subproblems, env, config.eval_episodes, gamma,
+                                    state.streams.eval, state.tree)
+        for sp, value, (learner_before, text, weight, last) in zip(state.subproblems, evals,
+                                                                   before):
+            fresh = evaluate_policy(env, greedy_policy(copy.deepcopy(sp.learner), sp.weight),
+                                    1, gamma)
+            assert value.tobytes() == fresh.tobytes()
+            untouched = (sp.learner is learner_before and weight == sp.weight.tobytes()
+                         and text == orchestrator.serialize_table(sp.learner))
+            if untouched and (learner == "esr-mc" or state.tree.root is root):
+                assert value is last
+        _archive_population(state.archive, state.subproblems, 0)
+        root = eval_root
 
 
 @settings(max_examples=50, deadline=None)

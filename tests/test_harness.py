@@ -244,6 +244,19 @@ class TestRunExperiment:
         run_experiment(snapshot_spec)
         assert read_bundle_bytes(out) == first
 
+    def test_an_array_hv_reference_is_snapshotted_as_numbers(self, tmp_path):
+        """An ndarray reference is written as a comma list (not numpy's
+        ``[  0. -50.]``), and the snapshot reruns to the same bundle."""
+        out = tmp_path / "out"
+        spec = parse_config(write(tmp_path, SMALL.format(out=out)))
+        spec.template.hv_reference = np.array([0.0, -50.0])
+        bundle = run_experiment(spec)
+        first = read_bundle_bytes(str(out))
+        snapshot_spec = parse_config(bundle.snapshot_path)
+        assert snapshot_spec.template.hv_reference == (0.0, -50.0)
+        run_experiment(snapshot_spec)
+        assert read_bundle_bytes(str(out)) == first
+
     def test_parallel_equals_sequential(self, tmp_path):
         _, out_seq = self.run_small(tmp_path, out_name="seq")
         _, out_par = self.run_small(tmp_path, out_name="par", parallel=2)

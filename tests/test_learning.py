@@ -5,7 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from paretoq import (
     ExperienceBuffer,
@@ -570,6 +570,10 @@ ENVELOPE_WEIGHTS = {
                                 st.booleans()), max_size=12),
        integral=st.booleans(), seed=st.integers(0, 2**32 - 1),
        alpha=st.sampled_from([0.1, 0.5, 1.0]), gamma=st.sampled_from([0.0, 0.9, 1.0]))
+# two weights, two actions and one bootstrapped step: a score index decoded as
+# (weight, action) instead of (action, weight) picks another bootstrap row
+@example(m=2, n_actions=2, picks=[0, 1], steps=[(1, 0, 0, False)], integral=False, seed=0,
+         alpha=0.1, gamma=0.9)
 def test_envelope_round_matches_one_step_per_weight(m, n_actions, picks, steps, integral, seed,
                                                     alpha, gamma):
     """The run's envelope update (every weight's row in one step) leaves the

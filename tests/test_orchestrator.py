@@ -24,10 +24,10 @@ from paretoq import (
 from paretoq import orchestrator
 from paretoq.archive import ParetoArchive
 from paretoq.decomposition import Scalarization
-from paretoq.momdp import (Experience, Momdp, StepTree, TabularPolicy, _Episode, register_env,
-                           rollout)
-from paretoq.orchestrator import (_adapt, _archive_population, _episodes, _epsilon_schedule,
-                                  _item, _sample_visible)
+from paretoq.learning import _item
+from paretoq.momdp import (Experience, Momdp, StepTree, TabularPolicy, _Episode, accrued_key,
+                           register_env, rollout)
+from paretoq.orchestrator import _adapt, _archive_population, _episodes, _epsilon_schedule
 from paretoq.rng import STREAM_BUFFER, derive_stream
 
 from oracles import (NumpyRowEsr, NumpyRowScalar, envelope_step_per_weight,
@@ -172,6 +172,18 @@ class TestInitialize:
         with pytest.raises(ValueError, match=f"{key} must be a number"):
             small_config(**{key: value}).validate()
 
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig)
+                                     if type(f.default) is float])
+    @pytest.mark.parametrize("width", [np.float32, np.longdouble])
+    def test_float_settings_narrower_or_wider_than_float64_are_rejected_by_name(self, key,
+                                                                               width):
+        """A snapshot writes each float as a float64, so it could not repeat
+        a run that computes in another width."""
+        value = getattr(small_config(), key)
+        with pytest.raises(ValueError, match=f"{key} must be a float64"):
+            small_config(**{key: width(value)}).validate()
+        small_config(**{key: np.float64(value)}).validate()
+
     def test_hv_reference_just_below_the_worst_return_is_accepted(self):
         state = initialize(small_config(hv_reference=(0.999, -5.001)))
         np.testing.assert_array_equal(state.hv_reference, [0.999, -5.001])
@@ -311,7 +323,7 @@ class TestVisibleBuffers:
         rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
         for _ in range(20):
             expected = [flat[i] for i in rng_b.integers(0, len(flat), size=7)]
-            assert _sample_visible(bufs, 7, rng_a) == expected
+            assert bufs[0].sample(7, rng_a, *bufs[1:]) == expected
         assert rng_a.random() == rng_b.random()
 
     def test_episodes_index_like_the_concatenated_list(self):
@@ -335,13 +347,15 @@ class TestVisibleBuffers:
                 bufs[k].push([Experience(10 * k + t, 0, np.zeros(2), 0, True, np.zeros(2))])
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
-            assert _sample_visible(bufs, batch, rng) == sample_through_chain(bufs, batch, oracle_rng)
+            drawn = bufs[0].sample(batch, rng, *bufs[1:]) if any(lengths) else []
+            assert drawn == sample_through_chain(bufs, batch, oracle_rng)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     def test_all_empty_draws_nothing(self):
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
-        assert _sample_visible([ExperienceBuffer(4), ExperienceBuffer(4)], 5, rng) == []
+        with pytest.raises(ValueError, match="empty buffer"):
+            ExperienceBuffer(4).sample(5, rng, ExperienceBuffer(4))
         assert rng.bit_generator.state == state
         assert _episodes([ExperienceBuffer(4), ExperienceBuffer(4)])[1] == 0
 
@@ -671,7 +685,8 @@ def test_a_tree_walk_equals_the_plain_rollout(env, seed, epsilon, augmented):
         assert walked.tobytes() == total.tobytes()
         assert plain_rng.bit_generator.state == tree_rng.bit_generator.state
         for e in trace:
-            policy.preferences[policy.key(e.state, e.accrued)] = rows.random(env.n_actions).tolist()
+            key = accrued_key(e.state, e.accrued) if augmented else e.state
+            policy.preferences[key] = rows.random(env.n_actions).tolist()
 
 
 def test_a_walk_reports_a_policy_gap_like_the_plain_rollout():
@@ -682,6 +697,25 @@ def test_a_walk_reports_a_policy_gap_like_the_plain_rollout():
     assert rollout(env, gap, tree=StepTree(env, 100))[0][0].action == 1
     with pytest.raises(ValueError, match="step tree of 'tiny-tree' cannot walk"):
         rollout(env, gap, tree=StepTree(orchestrator.make_env("tiny-tree"), 100))
+
+
+@pytest.mark.parametrize("learner", ["esr-mc", "scalarized-q"])
+def test_a_corridor_run_evaluates_each_terminal_node_once(learner, monkeypatch):
+    """From the first evaluation on, greedy policies walk the run's step tree,
+    and each terminal node's value is computed once (the tree never restarts here)."""
+    states, calls = [], []
+    init, evaluate = orchestrator.initialize, orchestrator.evaluate_policy
+    monkeypatch.setattr(orchestrator, "initialize",
+                        lambda config: states.append(init(config)) or states[-1])
+    monkeypatch.setattr(orchestrator, "evaluate_policy",
+                        lambda *args: calls.append(args) or evaluate(*args))
+    run(small_config(learner=learner, scalarization="tchebycheff", buffer_capacity=10_000))
+    valued, stack = 0, [states[0].tree.root]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children.values())
+        valued += node.value is not None
+    assert 1 < len(calls) == valued <= 6   # dst-corridor has six action sequences
 
 
 class TestReportPickle:
@@ -753,18 +787,19 @@ class TestBenchmarkTracer:
     @pytest.mark.parametrize("cooperation", ["none", "shared-buffer-neighborhood"])
     def test_one_update_span_per_sampled_batch(self, cooperation, learner, kind, monkeypatch):
         """Counted apart from the tracer, so splitting a batch into several
-        calls or calling the step by another name than the
+        calls, sampling other than through ``ExperienceBuffer.sample`` or
+        calling the step by another name than the
         ``orchestrator.update_scalarized_q`` or ``update_envelope_q`` that
         the tracer patches fails here."""
         replayed = []
-        sample = orchestrator._sample_visible
+        sample = ExperienceBuffer.sample
 
-        def counted_sample(visible, batch, rng):
-            drawn = sample(visible, batch, rng)
+        def counted_sample(buf, batch, rng, *others):
+            drawn = sample(buf, batch, rng, *others)
             replayed.append(len(drawn))
             return drawn
 
-        monkeypatch.setattr(orchestrator, "_sample_visible", counted_sample)
+        monkeypatch.setattr(ExperienceBuffer, "sample", counted_sample)
         tracer = self.tracing().Tracer().install()
         try:
             tracer.root_run(run)(small_config(cooperation=cooperation, learner=learner,
@@ -773,6 +808,7 @@ class TestBenchmarkTracer:
             tracer.uninstall()
         spans, _, _ = tracer.merged()
         assert spans[f"learning.update.{kind}"][0] == len([n for n in replayed if n]) > 0
+        assert spans["learning.buffer.sample"][0] == len(replayed)   # several buffers too
 
     @pytest.mark.parametrize("cooperation", ["none", "shared-buffer-neighborhood"])
     def test_one_esr_update_span_per_pick(self, cooperation, monkeypatch):
