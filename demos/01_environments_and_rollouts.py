@@ -6,13 +6,23 @@ import numpy as np
 
 from paretoq import (
     TabularPolicy,
-    dominates,
     dst_corridor,
     enumerate_deterministic_policies,
-    mixture_value,
     rollout,
     tiny_tree,
 )
+
+
+def dominates(a, b):
+    """Whether ``a`` is at least as good as ``b`` everywhere and better somewhere."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return bool(np.all(a >= b) and np.any(a > b))
+
+
+def mixture_value(values, probabilities):
+    """The value of playing policy ``i`` for a whole episode with probability ``p_i``."""
+    return sum(p * np.asarray(v, dtype=float) for p, v in zip(probabilities, values))
+
 
 env = dst_corridor()
 print(f"{env.name}: {env.n_states} states, {env.n_actions} actions, "

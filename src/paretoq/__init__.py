@@ -8,7 +8,7 @@ hypervolume, inverted generational distance, sparsity, and expected
 utility. Everything is exactly reproducible from one integer seed.
 """
 
-from .archive import ArchiveEntry, ParetoArchive, crowding_distance, dominates, prune
+from .archive import ArchiveEntry, ParetoArchive, crowding_distance, prune
 from .decomposition import (
     ReferencePoint,
     Scalarization,
@@ -46,7 +46,6 @@ from .momdp import (
     ensure_objective,
     evaluate_policy,
     make_env,
-    mixture_value,
     register_env,
     rollout,
     tiny_tree,

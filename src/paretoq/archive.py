@@ -14,15 +14,6 @@ import numpy as np
 from .momdp import ensure_objective
 
 
-def dominates(a, b) -> bool:
-    """True iff ``a`` is at least as good everywhere and better somewhere."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"objective vectors have mismatched shapes {a.shape} vs {b.shape}")
-    return bool(np.all(a >= b) and np.any(a > b))
-
-
 def prune(candidates):
     """Non-dominated, de-duplicated subset of ``(eval, payload)`` pairs.
 

@@ -33,12 +33,15 @@ def _check_weight(lam) -> np.ndarray:
 
 
 def scalarize_ws(f, lam) -> float:
-    """Weighted sum ``sum(lam_i * f_i)``."""
+    """Weighted sum ``sum(lam_i * f_i)``, which must be finite."""
     f = np.asarray(f, dtype=float)
     lam = np.asarray(lam, dtype=float)
     if f.shape != lam.shape:
         raise ValueError(f"length mismatch: f has shape {f.shape}, weights {lam.shape}")
-    return float(np.dot(lam, f))
+    score = float(np.dot(lam, f))
+    if not math.isfinite(score):
+        raise ValueError(f"weighted sum of {f} under weights {lam} is {score}, not finite")
+    return score
 
 
 def scalarize_tch(f, lam, z) -> float:
@@ -48,10 +51,8 @@ def scalarize_tch(f, lam, z) -> float:
     as good as anything attainable.
 
     The terms are Python floats, which repeat ``np.max(lam * np.abs(f - z))``
-    bit for bit: products and a max, no sum. A NaN term (a zero weight
-    against a reference still at its ``-inf`` sentinel) leaves the max to
-    numpy, whose result carries a NaN sign bit that depends on where the NaN
-    stands, which Python's ``max`` would not repeat.
+    bit for bit: products and a max, no sum. A term that is not finite (say,
+    against a reference still at its ``-inf`` sentinel) raises.
     """
     f = np.asarray(f, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -61,9 +62,9 @@ def scalarize_tch(f, lam, z) -> float:
     if f.ndim != 1:
         raise ValueError(f"objective vector must be 1-D, got shape {f.shape}")
     terms = [w * abs(x - r) for x, w, r in zip(f.tolist(), lam.tolist(), z_vals.tolist())]
-    for t in terms:
-        if t != t:
-            return float(np.max(terms))
+    if not all(map(math.isfinite, terms)):
+        raise ValueError(f"Tchebycheff terms of {f} under weights {lam} against reference "
+                         f"{z_vals} are {terms}, not all finite")
     return max(terms)
 
 
@@ -72,7 +73,8 @@ class ReferencePoint:
 
     The point starts at ``values``, or at a -inf sentinel given only ``m``,
     and on every update moves to the per-objective maximum observed so far
-    plus the margin ``tau``; it never decreases.
+    plus the margin ``tau``; it never decreases. A Tchebycheff score against
+    the sentinel, before the first ``update``, raises ``ValueError``.
     """
 
     def __init__(self, m: int | None = None, tau: float = 0.5, values=None):

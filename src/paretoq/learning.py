@@ -22,6 +22,12 @@ An ESR row also keeps its greedy action and its table counts the changes
 deserialization or a fresh :meth:`QTableEsr.row` hand-out: never write to a
 row held across an update.
 
+Every table value, score and weight is finite, so greedy choice is Python's
+``max`` (the first maximum wins). Each way in raises on a value that is not:
+a ``gamma`` outside [0, 1], serialized text, an envelope weight set, a vector
+greedy policy's weight and a scalarizer's score. Rows written by hand,
+hand-built experiences and rewards that overflow a table are not covered.
+
 Buffers store whole episodes. Capacity counts individual steps; ``fifo``
 replacement trims the oldest steps, ``diverse-crowding`` drops the whole
 episode whose episodic return is most crowded.
@@ -29,11 +35,13 @@ episode whose episodic return is most crowded.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .archive import crowding_distance
 from .decomposition import Scalarization
-from .momdp import Experience, TabularPolicy, _EsrRow, _Episode, accrued_key, greedy_action
+from .momdp import Experience, TabularPolicy, _EsrRow, _Episode, accrued_key
 
 FIFO = "fifo"
 DIVERSE_CROWDING = "diverse-crowding"
@@ -156,6 +164,8 @@ class _Table:
                  alpha: float = 0.1, gamma: float = 1.0):
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
+        if not 0.0 <= gamma <= 1.0:
+            raise ValueError(f"gamma must be in [0, 1], got {gamma!r}")
         self.n_actions = int(n_actions)
         self.n_objectives = None if n_objectives is None else int(n_objectives)
         self.alpha = float(alpha)
@@ -216,6 +226,8 @@ class QTableVector(_Table):
 
     def _preferences(self, lam) -> dict:
         lam = np.asarray(lam, dtype=float)
+        if not np.isfinite(lam).all():
+            raise ValueError(f"weight vector {lam} has non-finite entries")
         return {s: (block @ lam).tolist() for s, block in self.table.items()}
 
 
@@ -244,7 +256,10 @@ class QTableEnvelope(_Table):
             raise ValueError("envelope tables need a non-empty weight set")
         if self.table and len(weights) != len(self._weights):
             raise ValueError(f"{len(weights)} weights do not fit {len(self._weights)}-row blocks")
-        self._weights, self.stacked = weights, np.array(weights)
+        stacked = np.array(weights)
+        if not np.isfinite(stacked).all():
+            raise ValueError(f"envelope weights {stacked.tolist()} have non-finite entries")
+        self._weights, self.stacked = weights, stacked
         for array in (*weights, self.stacked):
             array.flags.writeable = False
         self.rows = (self.stacked[:, None] == self.stacked).all(axis=2).argmax(axis=1).tolist()
@@ -335,7 +350,7 @@ class QTableEsr(_Table):
     def _read_row(self, fields):
         key, action, values, visits = fields
         state, accrued = key.split("|c")
-        accrued = [float(x) for x in accrued.split(",")] if accrued else []
+        accrued = _floats(accrued) if accrued else []
         if len(accrued) != self.n_objectives:
             raise ValueError(f"expected {self.n_objectives} accrued values, got {len(accrued)}")
         row = self._get(accrued_key(int(state), accrued))
@@ -349,7 +364,7 @@ def update_scalarized_q(q: QTableScalar, batch, g: Scalarization, lam,
     ``batch``. ``scores`` memoises each reward object's score as ``id(reward)
     -> (reward, score)`` (holding the reward keeps its id from reuse); share
     one dict only while ``lam`` and ``g``'s reference point stay fixed. The
-    bootstrap is ``np.max`` of the next row; a zero's sign never reaches a row."""
+    bootstrap is the next row's ``max``; a zero's sign never reaches a row."""
     scores = {} if scores is None else scores
     alpha, gamma, row_of, score_of = q.alpha, q.gamma, q.table.get, scores.get
     for e in batch:
@@ -361,8 +376,7 @@ def update_scalarized_q(q: QTableScalar, batch, g: Scalarization, lam,
         if not e.terminal:
             if (nxt := row_of(e.next_state)) is None:
                 nxt = q.row(e.next_state)
-            total = sum(nxt)   # NaN if an entry is; max would skip all but a first NaN
-            bootstrap = max(nxt) if total == total else float(np.max(nxt))
+            bootstrap = max(nxt)
         if (row := row_of(e.state)) is None:
             row = q.row(e.state)
         a = e.action
@@ -462,8 +476,7 @@ def update_esr_mc(q: QTableEsr, episode, g: Scalarization, lam,
         # the kept action stays if its value did not fall, or if another's is below it
         if kept == a and new >= old or kept is not None and new < row[kept]:
             continue
-        row.greedy = None   # recompute; if only the kept max fell, the row has no NaN
-        row.greedy = best = row.index(max(row)) if kept == a and new < old else greedy_action(row)
+        row.greedy = best = row.index(max(row))
         flips += best != kept
     q.flips += flips
     return q
@@ -497,12 +510,20 @@ def _fmt_vec(values) -> str:
     return ",".join(_FMT % v for v in np.atleast_1d(values))
 
 
+def _floats(text) -> list:
+    """The comma-separated floats of ``text``, which must all be finite."""
+    values = [float(x) for x in text.split(",")]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"non-finite value in {text!r}")
+    return values
+
+
 def _read_values(row, action_txt, values_txt) -> int:
     """Set ``row[action]`` from text checked against ``row``; return the action."""
     action = int(action_txt)
     if not 0 <= action < len(row):
         raise ValueError(f"action {action} outside [0, {len(row)})")
-    values = [float(x) for x in values_txt.split(",")]
+    values = _floats(values_txt)
     width = np.size(row[action])
     if len(values) != width:
         raise ValueError(f"expected {width} values, got {len(values)}")
@@ -526,9 +547,10 @@ def deserialize_table(text: str):
     """The table that :func:`serialize_table` wrote as ``text``.
 
     Text this version cannot honour raises ``ValueError`` naming the line:
-    a header other than v1 or missing a field, envelope weights or an ESR
-    accrued key whose width is not ``objectives=``, an action or weight row
-    out of range, or the wrong number of fields or values in a row.
+    a header other than v1 or missing a field, a ``gamma`` outside [0, 1],
+    envelope weights or an ESR accrued key whose width is not ``objectives=``,
+    an action or weight row out of range, the wrong number of fields or
+    values in a row, or a value, weight or accrued key that is not finite.
     """
     lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
     first, header = lines[0] if lines else (1, "")

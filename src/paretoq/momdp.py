@@ -186,16 +186,14 @@ class _EsrRow(list):
 
 
 def greedy_action(row) -> int:
-    """``ndarray.argmax`` of ``row``: its first NaN, else its first maximum; an ESR
-    row's kept action when known (see :mod:`paretoq.learning`). Numpy decides
-    unless ``row`` is a list whose sum is not NaN (``max`` skips a later NaN)."""
+    """The first maximum of ``row`` (Python's ``max``); an ESR row's kept action when
+    known (see :mod:`paretoq.learning`). On the finite values of every table this is
+    ``ndarray.argmax``; a hand-built row holding a NaN still gets one fixed answer."""
     if type(row) is _EsrRow and row.greedy is not None:
         return row.greedy
-    if isinstance(row, list):
-        total = sum(row)
-        if total == total:
-            return row.index(max(row))
-    return int(np.asarray(row, dtype=float).argmax())
+    if not isinstance(row, list):
+        row = list(row)
+    return row.index(max(row))
 
 
 @dataclass(slots=True)
@@ -449,27 +447,6 @@ class _OutcomeTable:
                 nxt += prob[k] * np.where(terminal[k], reward[k], boot)
             u = nxt
         return np.ascontiguousarray(u.T).reshape(n_policies, n_states, m)
-
-
-def mixture_value(values, probabilities) -> np.ndarray:
-    """Convex combination of objective vectors: ``sum(p_i * v_i)``.
-
-    This is the value of the stochastic mixture that plays policy ``i`` for
-    a whole episode with probability ``p_i``.
-    """
-    if len(values) != len(probabilities):
-        raise ValueError("values and probabilities must have equal length")
-    probs = np.asarray(probabilities, dtype=float)
-    if np.any(probs < 0):
-        raise ValueError("mixture probabilities must be non-negative")
-    if abs(probs.sum() - 1.0) > 1e-9:
-        raise ValueError(f"mixture probabilities sum to {probs.sum()!r}, expected 1")
-    vecs = [ensure_objective(v) for v in values]
-    m = vecs[0].shape[0]
-    for v in vecs:
-        if v.shape[0] != m:
-            raise ValueError("mixture components have mismatched lengths")
-    return sum(p * v for p, v in zip(probs, vecs))
 
 
 def dst_corridor() -> Momdp:

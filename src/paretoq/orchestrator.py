@@ -175,11 +175,11 @@ class Subproblem:
     three caches, each with one reuse rule. Pickles and copies, so the subproblems
     of a report too, leave the caches out.
 
-    * ``walk`` (deterministic envs only): the last greedy value, its table and the
-      table's ``flips``. The value is reused while that table counts flips (ESR),
-      is still the learner and its count stays put. Other greedy policies walk the
-      run's step tree, whose terminal node keeps its value (see
-      :func:`evaluate_population`).
+    * ``walk`` (deterministic envs only): the last greedy value, its table, the
+      table's ``flips`` and its gamma. The value is reused under that gamma while
+      that table counts flips (ESR), is still the learner and its count stays put.
+      Other greedy policies walk the run's step tree, whose terminal node keeps
+      its value (see :func:`evaluate_population`).
     * ``offer``: the last array the archive checked and its ``inserts`` then;
       that array is not checked again until the archive's next insert.
     * ``scores``: the replay updates' score memo, cleared by ``_adapt``, the only
@@ -352,8 +352,8 @@ def evaluate_population(subproblems, env: Momdp, episodes: int, gamma: float, rn
         raise ValueError(f"a step tree of {tree.env.name!r} cannot walk {env.name!r}")
     for sp in subproblems:
         q = sp.learner
-        value, table, flips = sp.walk or (None, None, None)
-        if table is q and flips == q.flips and flips is not None:
+        value, table, flips, walked = sp.walk or (None,) * 4
+        if walked == gamma and table is q and flips == q.flips and flips is not None:
             sp.last_eval = value
             continue
         policy = greedy_policy(q, sp.weight)
@@ -365,7 +365,7 @@ def evaluate_population(subproblems, env: Momdp, episodes: int, gamma: float, rn
                 node.value = (gamma, evaluate_policy(env, policy, 1, gamma))
             sp.last_eval = node.value[1]
         if env.deterministic:
-            sp.walk = (sp.last_eval, q, q.flips)
+            sp.walk = (sp.last_eval, q, q.flips, gamma)
     return [sp.last_eval for sp in subproblems]
 
 

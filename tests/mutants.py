@@ -46,6 +46,9 @@ RUN_STATE = ("tests/test_evaluation.py::"
              "test_run_state_evaluation_is_a_fresh_walk_under_adaptation_transfer_and_replay")
 TERMINALS = "tests/test_orchestrator.py::test_a_corridor_run_evaluates_each_terminal_node_once"
 NODE_VALUES = EVAL + "::test_a_tree_walks_its_own_env_and_keeps_a_node_value_for_one_gamma"
+WALK_GAMMA = EVAL + "::test_an_esr_walk_is_reused_under_its_own_gamma_only"
+NON_FINITE = "tests/test_learning.py::TestNonFiniteInputIsRejected"
+SERIALIZED = "tests/test_learning.py::TestSerialization"
 
 MUTANTS = [
     # --- archive.py
@@ -105,8 +108,7 @@ MUTANTS = [
     # --- learning.py: scalar and envelope updates
     ("learning.py", "if entry is None or entry[0] is not reward:", "if entry is None:",
      [LEARN + "::TestScalarizedUpdate::test_memo_rescores_a_reward_it_does_not_hold"]),
-    ("learning.py", "bootstrap = max(nxt) if total == total else float(np.max(nxt))",
-     "bootstrap = min(nxt) if total == total else float(np.min(nxt))", [LEARN]),
+    ("learning.py", "bootstrap = max(nxt)", "bootstrap = min(nxt)", [LEARN]),
     ("learning.py", "self.rows = (self.stacked[:, None] == self.stacked).all(axis=2).argmax(axis=1)"
      ".tolist()", "self.rows = list(range(len(weights)))", [LEARN]),
     ("learning.py", "            array.flags.writeable = False", "            pass",
@@ -128,13 +130,22 @@ MUTANTS = [
      "        flips += best != kept and not (kept == a and new < old)", [ESR_FLIPS]),
     ("learning.py", "        flips += best != kept",
      "        flips += best != kept and kept == a and new < old", [ESR_FLIPS]),
-    ("learning.py",
-     "row.index(max(row)) if kept == a and new < old else greedy_action(row)",
-     "row.index(max(row))", [ESR_FLIPS]),
     ("learning.py", "        row.greedy = None\n        self.flips += 1\n",
      "        self.flips += 1\n", [ESR_FLIPS]),
     ("learning.py", "        row.greedy = None\n        self.flips += 1\n",
      "        row.greedy = None\n", [ESR_FLIPS, FRESH_WALK]),
+    # --- learning.py and decomposition.py: non-finite input raises where it enters
+    ("learning.py", "    values = _floats(values_txt)",
+     "    values = [float(x) for x in values_txt.split(',')]", [SERIALIZED]),
+    ("learning.py", "if not 0.0 <= gamma <= 1.0:", "if not 0.0 <= gamma:",
+     [NON_FINITE, SERIALIZED]),
+    ("learning.py", "        if not np.isfinite(stacked).all():\n", "        if False:\n",
+     [NON_FINITE, SERIALIZED]),
+    ("learning.py", "        if not np.isfinite(lam).all():\n", "        if False:\n", [NON_FINITE]),
+    ("decomposition.py", "    if not math.isfinite(score):\n", "    if score != score:\n",
+     ["tests/test_decomposition.py"]),
+    ("decomposition.py", "if not all(map(math.isfinite, terms)):",
+     "if not math.isfinite(max(terms)):", ["tests/test_decomposition.py"]),
     # --- orchestrator.py: validation
     ("orchestrator.py", "if n > 1 and lattice_divisions(env.n_objectives, n) is None:",
      "if False:", [ORCH + "::TestInitialize", "tests/test_harness.py::TestMain"]),
@@ -142,11 +153,12 @@ MUTANTS = [
      "isinstance(value, np.floating) and value.dtype == np.float16:",
      [ORCH + "::TestInitialize"]),
     # --- orchestrator.py: the walk cache and the step tree's values
-    ("orchestrator.py", "if table is q and flips == q.flips and flips is not None:",
-     "if flips == q.flips and flips is not None:",
+    ("orchestrator.py", "table is q and flips == q.flips and flips is not None:",
+     "flips == q.flips and flips is not None:",
      [EVAL + "::test_a_transferred_esr_table_with_an_equal_flip_count_is_walked_again"]),
-    ("orchestrator.py", "if table is q and flips == q.flips and flips is not None:",
-     "if table is q and flips == q.flips:", [FRESH_WALK, RUN_STATE]),
+    ("orchestrator.py", "table is q and flips == q.flips and flips is not None:",
+     "table is q and flips == q.flips:", [FRESH_WALK, RUN_STATE]),
+    ("orchestrator.py", "if walked == gamma and table is q", "if table is q", [WALK_GAMMA]),
     ("orchestrator.py", "        if env.deterministic:\n            sp.walk",
      "        if True:\n            sp.walk",
      [EVAL + "::test_stochastic_population_evaluation_keeps_the_eval_stream"]),

@@ -17,7 +17,8 @@ scalar and ESR steps on tables of numpy rows, as the learners kept them
 before their rows became float lists), the
 two episode loops (and the epsilon-greedy policy) that ``rollout`` replaced,
 and a hand-rolled single-objective Q-learning loop that mirrors the
-training schedule step for step.
+training schedule step for step. It also holds two helpers that the tests
+use and the package does not: Pareto dominance and a mixture's value.
 """
 
 from __future__ import annotations
@@ -30,9 +31,35 @@ import numpy as np
 
 from paretoq.archive import ParetoArchive
 from paretoq.learning import ExperienceBuffer, QTableEsr, QTableScalar
-from paretoq.momdp import Experience, Momdp, accrued_key, make_env
+from paretoq.momdp import Experience, Momdp, accrued_key, ensure_objective, make_env
 from paretoq.orchestrator import RunConfig
 from paretoq.rng import RunStreams
+
+
+def dominates(a, b) -> bool:
+    """True iff ``a`` is at least as good everywhere and better somewhere."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"objective vectors have mismatched shapes {a.shape} vs {b.shape}")
+    return bool(np.all(a >= b) and np.any(a > b))
+
+
+def mixture_value(values, probabilities) -> np.ndarray:
+    """Convex combination of objective vectors: ``sum(p_i * v_i)``, the value of
+    the stochastic mixture that plays policy ``i`` for a whole episode with
+    probability ``p_i``."""
+    if len(values) != len(probabilities):
+        raise ValueError("values and probabilities must have equal length")
+    probs = np.asarray(probabilities, dtype=float)
+    if np.any(probs < 0):
+        raise ValueError("mixture probabilities must be non-negative")
+    if abs(probs.sum() - 1.0) > 1e-9:
+        raise ValueError(f"mixture probabilities sum to {probs.sum()!r}, expected 1")
+    vecs = [ensure_objective(v) for v in values]
+    if len({v.shape[0] for v in vecs}) > 1:
+        raise ValueError("mixture components have mismatched lengths")
+    return sum(p * v for p, v in zip(probs, vecs))
 
 
 def brute_force_non_dominated(points):
@@ -422,8 +449,7 @@ def scalarized_q_step(q, e, g, lam, scores=None):
     reward = g.score(e.reward, lam)
     bootstrap = 0.0 if e.terminal else float(q.row(e.next_state).max())
     row = q.row(e.state)
-    with np.errstate(invalid="ignore"):   # -inf - -inf: NaN is the value meant
-        row[e.action] += q.alpha * (reward + q.gamma * bootstrap - row[e.action])
+    row[e.action] += q.alpha * (reward + q.gamma * bootstrap - row[e.action])
     return q
 
 
@@ -479,8 +505,7 @@ def esr_mc_step(q, episode, g, lam, scores=None):
     target = g.score(total, lam)
     for e in episode:
         row, visits = q._entry(accrued_key(e.state, e.accrued))
-        with np.errstate(invalid="ignore"):   # -inf - -inf: NaN is the value meant
-            row[e.action] += q.alpha * (target - row[e.action])
+        row[e.action] += q.alpha * (target - row[e.action])
         visits[e.action] += 1
     return q
 

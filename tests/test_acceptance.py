@@ -24,7 +24,6 @@ from paretoq import (
     RunConfig,
     Scalarization,
     adapt_weights_psa,
-    dominates,
     dst_corridor,
     enumerate_deterministic_policies,
     evaluate_policy,
@@ -33,7 +32,6 @@ from paretoq import (
     hypervolume,
     hypervolume_monte_carlo,
     igd,
-    mixture_value,
     parse_config,
     prune,
     run,
@@ -50,6 +48,8 @@ from paretoq.metrics import expected_utility
 from oracles import (
     all_transition_experiences,
     brute_force_non_dominated_matrix,
+    dominates,
+    mixture_value,
     standalone_scalar_q_learning,
     value_iteration_envelope,
     value_iteration_scalar,

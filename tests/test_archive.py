@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paretoq import ParetoArchive, crowding_distance, dominates, prune
+from paretoq import ParetoArchive, crowding_distance, prune
 
-from oracles import brute_force_non_dominated, crowding_distance_loop, prune_by_insertion
+from oracles import (brute_force_non_dominated, crowding_distance_loop, dominates,
+                     prune_by_insertion)
 
 
 class TestDominates:

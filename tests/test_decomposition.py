@@ -6,13 +6,14 @@ from paretoq import (
     Scalarization,
     adapt_weights_psa,
     build_neighborhood,
-    dominates,
     generate_weights_uniform,
     scalarize_tch,
     scalarize_ws,
     select_subproblem,
 )
 from paretoq.decomposition import lattice_divisions, nearest_objective_neighbor
+
+from oracles import dominates
 
 DST_FRONT = [(1.0, -1.0), (2.0, -2.0), (3.0, -3.0), (5.0, -4.0), (10.0, -5.0)]
 
@@ -31,6 +32,16 @@ class TestWeightedSum:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             scalarize_ws((1, 2, 3), (0.5, 0.5))
+
+    @pytest.mark.parametrize("f, lam", [((np.nan, 1.0), (0.5, 0.5)), ((np.inf, 1.0), (0.5, 0.5)),
+                                        ((np.inf, -np.inf), (0.5, 0.5)), ((1e308, 1e308), (1, 1)),
+                                        ((1.0, 2.0), (np.nan, 1.0))])
+    @pytest.mark.filterwarnings("ignore:(invalid value|overflow) encountered:RuntimeWarning")
+    def test_a_score_that_is_not_finite_is_an_error(self, f, lam):
+        with pytest.raises(ValueError, match="weighted sum of .* not finite"):
+            scalarize_ws(f, lam)
+        with pytest.raises(ValueError, match="not finite"):
+            Scalarization().score(f, lam)
 
     def test_linearity(self):
         rng = np.random.default_rng(1)
@@ -61,6 +72,18 @@ class TestTchebycheff:
 
     def test_zero_at_the_reference_point(self):
         assert scalarize_tch(self.Z, (0.3, 0.7), self.Z) == 0.0
+
+    @pytest.mark.parametrize("f, lam, z", [
+        ((2.0, -2.0), (0.5, 0.5), (10.5, np.nan)),     # a NaN term, not the first: max skips it
+        ((2.0, -2.0), (0.0, 1.0), (-np.inf, -0.5)),    # a zero weight times inf
+        ((2.0, np.inf), (0.5, 0.5), Z),
+        ((1e308, -2.0), (0.5, 0.5), (-1e308, -0.5)),   # finite inputs, an infinite term
+    ])
+    def test_a_term_that_is_not_finite_is_an_error(self, f, lam, z):
+        with pytest.raises(ValueError, match="Tchebycheff terms of .* not all finite"):
+            scalarize_tch(f, lam, z)
+        with pytest.raises(ValueError, match="not all finite"):
+            Scalarization("tchebycheff", ReferencePoint(values=z)).score(f, lam)
 
     def test_concave_point_preferred_between_two(self):
         heavy_first = (0.9, 0.1)
@@ -187,8 +210,11 @@ class TestReferencePoint:
     def test_first_observation_sets_max_plus_margin(self):
         z = ReferencePoint(m=2, tau=0.5)
         np.testing.assert_array_equal(z.values, [-np.inf, -np.inf])
+        with pytest.raises(ValueError, match="not all finite"):   # no score at the sentinel
+            Scalarization("tchebycheff", z).score((1, -1), (0.5, 0.5))
         z.update([(1, -1), (10, -5)])
         np.testing.assert_allclose(z.values, [10.5, -0.5])
+        assert Scalarization("tchebycheff", z).score((1, -1), (0.5, 0.5)) == -4.75
 
     def test_no_observations_change_nothing(self):
         z = ReferencePoint(m=2, tau=0.5)

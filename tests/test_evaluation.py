@@ -4,12 +4,13 @@
 reproduce the mean over recorded rollouts exactly, consume the same random
 draws, and on deterministic envs agree with exact dynamic programming.
 ``scalarize_tch`` computes Tchebycheff in Python floats and must repeat the
-numpy formula bit for bit, NaN included. The worst return that bounds every
-evaluation (and so the hypervolume reference) must equal the minimum over
-enumerated trajectories. ``evaluate_population`` reuses an ESR table's
-value and the values of a step tree's terminal nodes on deterministic envs;
-under any table edit, and on a run state under adaptation, transfer and
-replay, its result must be a fresh walk's, bit for bit. ``rollout``
+numpy formula bit for bit, and raise on a term that is not finite. The worst
+return that bounds every evaluation (and so the hypervolume reference) must
+equal the minimum over enumerated trajectories. ``evaluate_population``
+reuses an ESR table's value (under its own gamma) and the values of a step
+tree's terminal nodes on deterministic envs; under any table edit, and on a
+run state under adaptation, transfer and replay, its result must be a fresh
+walk's, bit for bit. ``rollout``
 explores for the run, the demos and the tests; its draws must repeat, bit
 for bit, the episode loop and the epsilon-greedy policy it replaced.
 """
@@ -258,16 +259,18 @@ def _bits(x: float) -> bytes:
 
 
 @pytest.mark.parametrize("lam", [(0.0, 1.0), (1.0, 0.0), (0.5, 0.5), (0.25, 0.75)])
-def test_tchebycheff_score_is_bitwise_scalarize_tch_at_the_sentinel(lam):
-    # a zero weight against the -inf sentinel makes a NaN product
+def test_a_tchebycheff_score_at_the_sentinel_raises_and_after_an_update_is_bitwise(lam):
+    # against the -inf sentinel a zero weight makes a NaN product, any other an inf
     z = ReferencePoint(m=2)
     g = Scalarization("tchebycheff", z)
     f = np.array([3.0, -2.0])
-    with np.errstate(invalid="ignore"):
-        expected = tchebycheff_numpy(f, lam, z.values)
+    for score in (lambda: scalarize_tch(f, lam, z), lambda: g.score(f, lam)):
+        with pytest.raises(ValueError, match="not all finite"):
+            score()
+    z.update([f])
+    expected = tchebycheff_numpy(f, lam, z.values)
     assert _bits(scalarize_tch(f, lam, z)) == _bits(expected)
     assert _bits(g.score(f, lam)) == _bits(-expected)
-    assert np.isnan(expected) == (0.0 in lam)
 
 
 @settings(max_examples=200, deadline=None)
@@ -343,8 +346,8 @@ def _fresh_value(sp, env, episodes, gamma):
 def _edit(data, sps, env):
     """One random edit: a row set (possibly where the default row stood in),
     a row reversed (an argmax flip), a PSA-style weight change, a transfer,
-    or on an ESR table a few replays of one sampled episode, whose targets
-    may be -inf or NaN (Tchebycheff from a -inf reference, a zero weight)."""
+    or on an ESR table a few replays of one sampled episode (weighted sum, or
+    Tchebycheff from a reference at, above or below the returns)."""
     sp = data.draw(st.sampled_from(sps))
     q = sp.learner
     esr = isinstance(q, QTableEsr)
@@ -365,7 +368,7 @@ def _edit(data, sps, env):
                                                  max_size=row.size))).reshape(row.shape)
     elif what == "replay":
         episode, _ = rollout(env, greedy_policy(q), data.draw(st.integers(0, 2**16)), lambda t: 0.5)
-        z = data.draw(st.sampled_from([None, -np.inf, 0.0]))
+        z = data.draw(st.sampled_from([None, -5.0, 0.0, 5.0]))
         g = WS if z is None else Scalarization(
             "tchebycheff", ReferencePoint(values=[z] * env.n_objectives))
         for _ in range(data.draw(st.integers(1, 4))):
@@ -408,6 +411,16 @@ def test_cached_population_evaluation_is_a_fresh_walk(env, kind, n, gamma, capac
             assert all(a is b for a, b in zip(evals, previous))
         previous, root = evals, tree and tree.root
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+def test_an_esr_walk_is_reused_under_its_own_gamma_only():
+    """A fresh tree each time, so only ``Subproblem.walk`` could repeat a value."""
+    env = tiny_tree()
+    sp = Subproblem(0, np.array([0.5, 0.5]), QTableEsr(2, 2))
+    for gamma in (1.0, 0.5, 0.5, 1.0):   # the first leaf, (4, 0), one step down
+        value = evaluate_population([sp], env, 1, gamma, None, StepTree(env, 100))[0]
+        assert value.tolist() == [4 * gamma, 0]
+    assert sp.walk[1:] == (sp.learner, 0, 1.0)
 
 
 def test_a_tree_walks_its_own_env_and_keeps_a_node_value_for_one_gamma():

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paretoq import (
-    dominates,
     expected_utility,
     generate_weights_uniform,
     hypervolume,
@@ -15,7 +14,7 @@ from paretoq import (
 )
 from paretoq.metrics import SAMPLE_BLOCK, _draw_limits
 
-from oracles import (brute_force_non_dominated, hypervolume_monte_carlo_chunked,
+from oracles import (brute_force_non_dominated, dominates, hypervolume_monte_carlo_chunked,
                      hypervolume_monte_carlo_scaled)
 
 DST_FRONT = [(1, -1), (2, -2), (3, -3), (5, -4), (10, -5)]

@@ -6,18 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from paretoq import (
     TabularPolicy,
-    dominates,
     dst_corridor,
     enumerate_deterministic_policies,
     evaluate_policy,
     make_env,
-    mixture_value,
     rollout,
     tiny_tree,
 )
 from paretoq.momdp import POLICY_BLOCK, Momdp
 
-from oracles import deterministic_policies, exact_policy_value
+from oracles import deterministic_policies, dominates, exact_policy_value, mixture_value
 
 ADVANCE, DESCEND = 0, 1
 

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import math
 import pickle
 from pathlib import Path
 from types import SimpleNamespace
@@ -27,7 +28,8 @@ from paretoq.decomposition import Scalarization
 from paretoq.learning import _item
 from paretoq.momdp import (Experience, Momdp, StepTree, TabularPolicy, _Episode, accrued_key,
                            register_env, rollout)
-from paretoq.orchestrator import _adapt, _archive_population, _episodes, _epsilon_schedule
+from paretoq.orchestrator import (_adapt, _archive_population, _episodes, _epsilon_schedule,
+                                  _worst_return)
 from paretoq.rng import STREAM_BUFFER, derive_stream
 
 from oracles import (NumpyRowEsr, NumpyRowScalar, envelope_step_per_weight,
@@ -697,6 +699,54 @@ def test_a_walk_reports_a_policy_gap_like_the_plain_rollout():
     assert rollout(env, gap, tree=StepTree(env, 100))[0][0].action == 1
     with pytest.raises(ValueError, match="step tree of 'tiny-tree' cannot walk"):
         rollout(env, gap, tree=StepTree(orchestrator.make_env("tiny-tree"), 100))
+
+
+@st.composite
+def stochastic_momdps(draw):
+    """A random two-objective MOMDP of up to 3 states, 3 actions and 6 steps
+    whose first (state, action) pair has two outcomes (1/4 and 3/4), as may
+    any other; rewards sum to signed zeros and to inexact reals."""
+    n_states, n_actions = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    reward = st.lists(st.sampled_from([0.0, -0.0, 0.1, 1.0, -2.5, 3.0]), min_size=2, max_size=2)
+    state = st.integers(0, n_states - 1)
+
+    def outcome(p):
+        return (p, draw(state), draw(reward), draw(st.booleans()))
+
+    transitions = [[[outcome(0.25), outcome(0.75)] if (s, a) == (0, 0) or draw(st.booleans())
+                    else [outcome(1.0)] for a in range(n_actions)] for s in range(n_states)]
+    mu0 = np.zeros(n_states)
+    mu0[draw(state)] = 1.0
+    return Momdp(n_states, n_actions, 2, transitions, mu0, draw(st.integers(1, 6)))
+
+
+STOCHASTIC_ENV = "stochastic-esr-test-env"
+
+
+@settings(max_examples=30, deadline=None)
+@given(env=stochastic_momdps(), population=st.sampled_from([1, 2, 3]),
+       cooperation=st.sampled_from(orchestrator.COOPERATION_MODES),
+       seed=st.integers(0, 2**16))
+def test_an_esr_run_on_a_stochastic_env_repeats_and_keeps_its_tables_finite(
+        env, population, cooperation, seed):
+    """``esr-mc`` with Tchebycheff and PSA where sampling walks no step tree
+    and its episodes keep no plan: two runs of one config give equal
+    checkpoints, archive evaluations and payload bytes, and every value of
+    every final table is finite."""
+    assert not env.deterministic
+    register_env(STOCHASTIC_ENV, lambda: env)
+    config = RunConfig(
+        env=STOCHASTIC_ENV, learner="esr-mc", scalarization="tchebycheff", psa_enabled=True,
+        psa_period_steps=20, population_size=population, cooperation=cooperation,
+        total_steps=150, steps_per_iteration=10, update_passes=2, eval_episodes=2,
+        eum_weights=3, hv_reference=tuple(w - 1.0 for w in _worst_return(env, 1.0)), seed=seed)
+    first, second = run(config), run(config)
+    assert first.checkpoints == second.checkpoints
+    assert [(e.eval.tobytes(), e.payload) for e in first.archive] == \
+           [(e.eval.tobytes(), e.payload) for e in second.archive]
+    tables = [sp.learner.table for sp in first.subproblems]
+    assert any(tables)
+    assert all(math.isfinite(v) for table in tables for row in table.values() for v in row)
 
 
 @pytest.mark.parametrize("learner", ["esr-mc", "scalarized-q"])
