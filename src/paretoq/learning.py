@@ -168,6 +168,10 @@ class _Table:
             raise ValueError(f"gamma must be in [0, 1], got {gamma!r}")
         self.n_actions = int(n_actions)
         self.n_objectives = None if n_objectives is None else int(n_objectives)
+        if self.n_actions < 1:
+            raise ValueError(f"actions must be >= 1, got {n_actions!r}")
+        if self.n_objectives is not None and self.n_objectives < 1:
+            raise ValueError(f"objectives must be >= 1, got {n_objectives!r}")
         self.alpha = float(alpha)
         self.gamma = float(gamma)
         self.table: dict = {}
@@ -547,10 +551,11 @@ def deserialize_table(text: str):
     """The table that :func:`serialize_table` wrote as ``text``.
 
     Text this version cannot honour raises ``ValueError`` naming the line:
-    a header other than v1 or missing a field, a ``gamma`` outside [0, 1],
-    envelope weights or an ESR accrued key whose width is not ``objectives=``,
-    an action or weight row out of range, the wrong number of fields or
-    values in a row, or a value, weight or accrued key that is not finite.
+    a header other than v1 or missing a field, an ``actions=`` or
+    ``objectives=`` count below 1, a ``gamma`` outside [0, 1], envelope
+    weights or an ESR accrued key whose width is not ``objectives=``, an
+    action or weight row out of range, the wrong number of fields or values
+    in a row, or a value, weight or accrued key that is not finite.
     """
     lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
     first, header = lines[0] if lines else (1, "")

@@ -279,7 +279,7 @@ class _Episode(list):
 class _Node:
     """An action prefix: the state it reaches, the reward accrued on the way and its
     key, its last step and parent, its children by action, and once terminal its
-    episode and, once evaluated, ``value``: ``(gamma, discounted return)``."""
+    episode and ``value``, the episode's discounted return at the tree's gamma."""
 
     __slots__ = ("state", "accrued", "key", "step", "parent", "children", "episode", "value")
 
@@ -291,12 +291,14 @@ class _Node:
 
 class StepTree:
     """The sampled action prefixes of a deterministic env, each stepped once (the actions
-    fix every field of every step there); past ``capacity`` steps, a walk restarts it."""
+    fix every field of every step there); past ``capacity`` steps, a walk restarts it.
+    A terminal node is valued at ``gamma`` once, when it is made, so a tree serves
+    one ``(env, gamma)``."""
 
-    def __init__(self, env: Momdp, capacity: int):
+    def __init__(self, env: Momdp, capacity: int, gamma: float):
         if not env.deterministic:
             raise ValueError(f"environment {env.name!r} is not deterministic")
-        self.env, self.capacity, self.root, self.size = env, capacity, None, 0
+        self.env, self.capacity, self.gamma, self.root, self.size = env, capacity, gamma, None, 0
 
     def walk(self, policy: TabularPolicy, epsilon=None, explore=None) -> _Node:
         """The terminal node of :func:`rollout`'s draws and actions (greedy without
@@ -326,17 +328,17 @@ class StepTree:
                 steps.append(at.step)
                 at = at.parent
             child.episode = _Episode(reversed(steps))
+            child.value = np.array(_discounted_sum(child.episode, self.gamma))
         return child
 
 
 def evaluate_policy(env: Momdp, policy: TabularPolicy, episodes: int,
                     gamma: float, rng_seed=0) -> np.ndarray:
-    """Average discounted vector return over ``episodes`` episodes.
+    """Average discounted vector return over ``episodes`` greedy :func:`rollout`
+    episodes, all drawn from one generator, ``default_rng(rng_seed)``.
 
     Exact (zero variance) for a deterministic environment, in which case a
-    single episode is walked since all episodes coincide. Each episode
-    draws from the generator exactly as a greedy :func:`rollout` does, but
-    sums its discounted return as it goes instead of recording a trace.
+    single episode is walked since all episodes coincide.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
@@ -344,27 +346,18 @@ def evaluate_policy(env: Momdp, policy: TabularPolicy, episodes: int,
     runs = 1 if env.deterministic else episodes
     total = [0.0] * env.n_objectives
     for _ in range(runs):
-        total = [t + v for t, v in zip(total, _discounted_return(env, policy, gamma, rng))]
+        trace, _ = rollout(env, policy, rng)
+        total = [t + v for t, v in zip(total, _discounted_sum(trace, gamma))]
     return np.array(total) / runs
 
 
-def _discounted_return(env: Momdp, policy: TabularPolicy, gamma: float,
-                       rng: np.random.Generator) -> list:
-    """One episode's discounted vector return, as Python floats, under rollout's draw pattern."""
-    state = env.initial_state(rng)
-    # only an augmented policy reads the accrued reward
-    accrued = np.zeros(env.n_objectives) if policy.augmented else None
-    value = [0.0] * env.n_objectives
-    discount = 1.0
-    for _ in range(env.max_episode_steps):
-        action = policy.action(state, accrued)
-        state, reward, terminal = env.step(state, action, rng)
-        value = [v + discount * r for v, r in zip(value, reward.tolist())]
-        if terminal:
-            break
+def _discounted_sum(episode, gamma: float) -> list:
+    """An episode's discounted vector return, as Python floats summed over its steps
+    in order from ``+0.0``, so never ``-0.0``."""
+    value, discount = [0.0] * len(episode[0].reward), 1.0
+    for step in episode:
+        value = [v + discount * r for v, r in zip(value, step.reward.tolist())]
         discount *= gamma
-        if accrued is not None:
-            accrued = accrued + reward
     return value
 
 

@@ -175,11 +175,11 @@ class Subproblem:
     three caches, each with one reuse rule. Pickles and copies, so the subproblems
     of a report too, leave the caches out.
 
-    * ``walk`` (deterministic envs only): the last greedy value, its table, the
-      table's ``flips`` and its gamma. The value is reused under that gamma while
-      that table counts flips (ESR), is still the learner and its count stays put.
-      Other greedy policies walk the run's step tree, whose terminal node keeps
-      its value (see :func:`evaluate_population`).
+    * ``walk`` (set only on a step tree): the last greedy value, its table, the
+      table's ``flips`` and the tree. The value is reused on that tree while that
+      table counts flips (ESR), is still the learner and its count stays put.
+      Other greedy policies walk the tree, whose terminal node keeps its value
+      (see :func:`evaluate_population`); the tree fixes the env and the gamma.
     * ``offer``: the last array the archive checked and its ``inserts`` then;
       that array is not checked again until the archive's next insert.
     * ``scores``: the replay updates' score memo, cleared by ``_adapt``, the only
@@ -238,7 +238,6 @@ class RunState:
     reference_front: np.ndarray | None
     steps_done: int = 0
     episodes_done: int = 0
-    _adapt_marker: int = 0
     tree: StepTree | None = None   # deterministic envs only; see rollout
 
 
@@ -292,7 +291,7 @@ def _hv_reference(config: RunConfig, env: Momdp) -> np.ndarray:
         raise ValueError(f"hv_reference must be numbers, got {config.hv_reference!r}") from None
 
 
-def initialize(config: RunConfig, streams: RunStreams | None = None) -> RunState:
+def initialize(config: RunConfig) -> RunState:
     """Build the starting population, archive, neighborhood, and buffers.
 
     Weights are spread uniformly (a single subproblem sits at the simplex
@@ -302,7 +301,7 @@ def initialize(config: RunConfig, streams: RunStreams | None = None) -> RunState
     """
     config.validate()
     env = make_env(config.env)
-    streams = streams or RunStreams(config.seed)
+    streams = RunStreams(config.seed)
     n, m = config.population_size, env.n_objectives
     hv_reference = _hv_reference(config, env)
     weights = [np.full(m, 1.0 / m)] if n == 1 else generate_weights_uniform(m, n)
@@ -323,7 +322,7 @@ def initialize(config: RunConfig, streams: RunStreams | None = None) -> RunState
     neighborhood = build_neighborhood(weights, config.neighborhood_k)
 
     archive = ParetoArchive()
-    tree = StepTree(env, config.buffer_capacity) if env.deterministic else None
+    tree = StepTree(env, config.buffer_capacity, config.gamma) if env.deterministic else None
     evals = evaluate_population(subproblems, env, config.eval_episodes, config.gamma,
                                 streams.eval, tree)
     reference.update(evals)
@@ -344,28 +343,27 @@ def initialize(config: RunConfig, streams: RunStreams | None = None) -> RunState
 
 def evaluate_population(subproblems, env: Momdp, episodes: int, gamma: float, rng,
                         tree: StepTree | None = None):
-    """Evaluate every subproblem's greedy policy; refresh ``last_eval``. On a
-    deterministic env each ``Subproblem.walk`` is reused or renewed by its rule.
-    Given ``env``'s step tree, a greedy policy walks it, and the terminal node's
-    value (computed once per gamma, by :func:`evaluate_policy`) is the evaluation."""
+    """Evaluate every subproblem's greedy policy; refresh ``last_eval``. Given a
+    step tree of ``env`` and ``gamma``, a greedy policy walks it and the terminal
+    node's value is the evaluation, and each ``Subproblem.walk`` is reused or
+    renewed by its rule; without one, :func:`evaluate_policy` runs each time."""
     if tree is not None and tree.env is not env:
         raise ValueError(f"a step tree of {tree.env.name!r} cannot walk {env.name!r}")
+    if tree is not None and tree.gamma != gamma:
+        raise ValueError(f"a step tree at gamma {tree.gamma!r} cannot evaluate at "
+                         f"gamma {gamma!r}")
     for sp in subproblems:
         q = sp.learner
         value, table, flips, walked = sp.walk or (None,) * 4
-        if walked == gamma and table is q and flips == q.flips and flips is not None:
+        if walked is tree and table is q and flips == q.flips and flips is not None:
             sp.last_eval = value
             continue
         policy = greedy_policy(q, sp.weight)
         if tree is None:
             sp.last_eval = evaluate_policy(env, policy, episodes, gamma, rng)
         else:
-            node = tree.walk(policy)
-            if node.value is None or node.value[0] != gamma:
-                node.value = (gamma, evaluate_policy(env, policy, 1, gamma))
-            sp.last_eval = node.value[1]
-        if env.deterministic:
-            sp.walk = (sp.last_eval, q, q.flips, gamma)
+            sp.last_eval = tree.walk(policy).value
+            sp.walk = (sp.last_eval, q, q.flips, tree)
     return [sp.last_eval for sp in subproblems]
 
 
@@ -512,6 +510,7 @@ def run(config: RunConfig) -> RunReport:
     for iteration in range(iterations):
         sp = state.subproblems[select_subproblem(iteration, cfg.population_size)]
         target = min(cfg.total_steps, (iteration + 1) * cfg.steps_per_iteration)
+        period = state.steps_done // cfg.psa_period_steps
         behavior = greedy_policy(sp.learner, sp.weight) if state.steps_done < target else None
         while state.steps_done < target:   # the table stays as it is while sampling
             episode, _ = rollout(state.env, behavior, state.streams.env,
@@ -527,8 +526,7 @@ def run(config: RunConfig) -> RunReport:
                             cfg.gamma, state.streams.eval, state.tree)
         _archive_population(state.archive, state.subproblems, state.steps_done)
 
-        if state.steps_done // cfg.psa_period_steps > state._adapt_marker:
-            state._adapt_marker = state.steps_done // cfg.psa_period_steps
+        if state.steps_done // cfg.psa_period_steps > period:
             _adapt(state)
         cooperate(state)
 

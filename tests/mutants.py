@@ -44,9 +44,13 @@ ESR_FLIPS = "tests/test_learning.py::test_esr_rows_keep_their_greedy_action_and_
 FRESH_WALK = "tests/test_evaluation.py::test_cached_population_evaluation_is_a_fresh_walk"
 RUN_STATE = ("tests/test_evaluation.py::"
              "test_run_state_evaluation_is_a_fresh_walk_under_adaptation_transfer_and_replay")
-TERMINALS = "tests/test_orchestrator.py::test_a_corridor_run_evaluates_each_terminal_node_once"
-NODE_VALUES = EVAL + "::test_a_tree_walks_its_own_env_and_keeps_a_node_value_for_one_gamma"
-WALK_GAMMA = EVAL + "::test_an_esr_walk_is_reused_under_its_own_gamma_only"
+TERMINALS = ("tests/test_orchestrator.py::"
+             "test_a_corridor_run_values_each_terminal_node_once_as_it_grows")
+TREE_VALUES = "tests/test_orchestrator.py::test_a_tree_values_each_terminal_node_at_its_gamma"
+NODE_VALUES = EVAL + "::test_a_tree_values_its_terminal_nodes_for_its_own_env_and_gamma"
+WALK_TREE = EVAL + "::test_an_esr_walk_is_reused_on_its_own_tree_only"
+NO_WALK = EVAL + "::test_without_a_tree_a_deterministic_env_keeps_no_walk"
+SIZES = "tests/test_learning.py::test_table_sizes_below_one_are_rejected"
 NON_FINITE = "tests/test_learning.py::TestNonFiniteInputIsRejected"
 SERIALIZED = "tests/test_learning.py::TestSerialization"
 
@@ -81,8 +85,9 @@ MUTANTS = [
      "results += [(row, np.einsum('s,sm->m', env.initial_dist, u))",
      ["tests/test_momdp.py::TestEnumerationAgainstPerPolicyDp"]),
     # --- momdp.py: evaluation and rollouts
-    ("momdp.py", "        if accrued is not None:\n            accrued = accrued + reward\n", "",
-     [EVAL]),
+    ("momdp.py", "        accrued = accrued + reward   # a new array: each step keeps its own\n",
+     "", [EVAL]),
+    ("momdp.py", "        discount *= gamma\n", "", [EVAL, TREE_VALUES]),
     ("momdp.py", "runs = 1 if env.deterministic else episodes", "runs = episodes", [EVAL]),
     ("momdp.py", "prefs = self.preferences.get(key, self.default_row)",
      "prefs = self.preferences.get(key, self.default_row or [0.0])",
@@ -90,6 +95,8 @@ MUTANTS = [
     # --- momdp.py: the step tree
     ("momdp.py", "_Node(next_state, node.accrued + reward, step, node)",
      "_Node(next_state, node.accrued, step, node)", [TREE_WALK]),
+    ("momdp.py", "_discounted_sum(child.episode, self.gamma)",
+     "_discounted_sum(child.episode, 1.0)", [TREE_VALUES, NODE_VALUES]),
     ("momdp.py", "explore.random() < epsilon(depth)", "explore.random() < epsilon(depth + 1)",
      [TREE_WALK]),
     ("momdp.py", "if self.root is None or self.size > self.capacity:", "if self.root is None:",
@@ -135,6 +142,8 @@ MUTANTS = [
     ("learning.py", "        row.greedy = None\n        self.flips += 1\n",
      "        row.greedy = None\n", [ESR_FLIPS, FRESH_WALK]),
     # --- learning.py and decomposition.py: non-finite input raises where it enters
+    ("learning.py", "if self.n_actions < 1:", "if self.n_actions < 0:", [SIZES, SERIALIZED]),
+    ("learning.py", "self.n_objectives < 1:", "self.n_objectives < 0:", [SIZES, SERIALIZED]),
     ("learning.py", "    values = _floats(values_txt)",
      "    values = [float(x) for x in values_txt.split(',')]", [SERIALIZED]),
     ("learning.py", "if not 0.0 <= gamma <= 1.0:", "if not 0.0 <= gamma:",
@@ -158,14 +167,14 @@ MUTANTS = [
      [EVAL + "::test_a_transferred_esr_table_with_an_equal_flip_count_is_walked_again"]),
     ("orchestrator.py", "table is q and flips == q.flips and flips is not None:",
      "table is q and flips == q.flips:", [FRESH_WALK, RUN_STATE]),
-    ("orchestrator.py", "if walked == gamma and table is q", "if table is q", [WALK_GAMMA]),
-    ("orchestrator.py", "        if env.deterministic:\n            sp.walk",
-     "        if True:\n            sp.walk",
-     [EVAL + "::test_stochastic_population_evaluation_keeps_the_eval_stream"]),
+    ("orchestrator.py", "if walked is tree and table is q", "if table is q", [WALK_TREE]),
+    ("orchestrator.py", "            sp.walk = (sp.last_eval, q, q.flips, tree)",
+     "        sp.walk = (sp.last_eval, q, q.flips, tree)",
+     [NO_WALK, EVAL + "::test_stochastic_population_evaluation_keeps_the_eval_stream"]),
     ("orchestrator.py", "    if tree is not None and tree.env is not env:",
      "    if tree is not None and tree.env is not tree.env:", [NODE_VALUES]),
-    ("orchestrator.py", "if node.value is None or node.value[0] != gamma:",
-     "if node.value is None:", [NODE_VALUES]),
+    ("orchestrator.py", "    if tree is not None and tree.gamma != gamma:", "    if False:",
+     [NODE_VALUES]),
     ("orchestrator.py", "                                streams.eval, tree)",
      "                                streams.eval)", [TERMINALS]),
     ("orchestrator.py", "cfg.gamma, state.streams.eval, state.tree)",

@@ -10,8 +10,9 @@ enumeration for the worst return, an archive step that checks every
 offer, pruning by inserting into an archive one point at a time, the
 scalarized TD step without its score memo, the envelope improvement as one
 step per weight and its scores as one ``einsum`` per weight, policy
-evaluation summing into numpy arrays, multi-buffer sampling through a
-chained view of the buffers, the ESR update and
+evaluation summing into numpy arrays (and the discounted return of an
+action sequence, replayed on a deterministic env), multi-buffer sampling
+through a chained view of the buffers, the ESR update and
 its improvement round without plans, memos or a one-call pick draw (the
 scalar and ESR steps on tables of numpy rows, as the learners kept them
 before their rows became float lists), the
@@ -324,6 +325,19 @@ def evaluate_policy_on_arrays(env: Momdp, policy, episodes: int, gamma: float,
                 accrued = accrued + reward
         total += value
     return total / runs
+
+
+def discounted_return_of_actions(env: Momdp, actions, gamma: float) -> np.ndarray:
+    """The discounted vector return of playing ``actions`` from the start state of
+    a deterministic env, stepped afresh and summed into a float64 array."""
+    state = env.initial_state()
+    value = np.zeros(env.n_objectives)
+    discount = 1.0
+    for action in actions:
+        state, reward, _ = env.step(state, action)
+        value += discount * reward
+        discount *= gamma
+    return value
 
 
 class EpsilonGreedyPolicy:

@@ -1,16 +1,16 @@
 """Greedy-policy evaluation and the Tchebycheff score against their oracles.
 
-``evaluate_policy`` sums returns without recording a trace; here it must
-reproduce the mean over recorded rollouts exactly, consume the same random
-draws, and on deterministic envs agree with exact dynamic programming.
+``evaluate_policy`` averages the discounted returns of greedy rollouts; here
+it must reproduce the mean over recorded rollouts exactly, consume the same
+random draws, and on deterministic envs agree with exact dynamic programming.
 ``scalarize_tch`` computes Tchebycheff in Python floats and must repeat the
 numpy formula bit for bit, and raise on a term that is not finite. The worst
 return that bounds every evaluation (and so the hypervolume reference) must
 equal the minimum over enumerated trajectories. ``evaluate_population``
-reuses an ESR table's value (under its own gamma) and the values of a step
-tree's terminal nodes on deterministic envs; under any table edit, and on a
-run state under adaptation, transfer and replay, its result must be a fresh
-walk's, bit for bit. ``rollout``
+reads a step tree's terminal-node values, and reuses an ESR table's value on
+the tree it was walked on; under any table edit, and on a run state under
+adaptation, transfer and replay, its result must be a fresh walk's, bit for
+bit. ``rollout``
 explores for the run, the demos and the tests; its draws must repeat, bit
 for bit, the episode loop and the epsilon-greedy policy it replaced.
 """
@@ -390,11 +390,12 @@ def _edit(data, sps, env):
        n=st.integers(1, 3), gamma=st.sampled_from([1.0, 0.9, 0.5]),
        capacity=st.sampled_from([None, 1, 4, 10**6]), data=st.data())
 def test_cached_population_evaluation_is_a_fresh_walk(env, kind, n, gamma, capacity, data):
-    """With or without a step tree (a small one restarts): an unedited ESR
-    table's value is reused, and so is a tree node's until the tree restarts."""
+    """With or without a step tree (a small one restarts): on a tree, an unedited
+    ESR table's value is reused, and so is a node's until the tree restarts;
+    without one, nothing is kept and every value is a fresh evaluation."""
     weights = [_simplex_weight(data, env.n_objectives) for _ in range(n)]
     sps = [Subproblem(i, w, _new_table(kind, env, weights)) for i, w in enumerate(weights)]
-    tree = None if capacity is None else StepTree(env, capacity)
+    tree = None if capacity is None else StepTree(env, capacity, gamma)
     rng = np.random.default_rng(0)
     previous = root = None
     for _ in range(data.draw(st.integers(1, 6))):
@@ -405,33 +406,57 @@ def test_cached_population_evaluation_is_a_fresh_walk(env, kind, n, gamma, capac
         for sp, value in zip(sps, evals):
             assert value.tobytes() == _fresh_value(sp, env, 3, gamma).tobytes()
             assert sp.last_eval is value
-        if edits == 0 and previous is not None and (
-                kind == "esr" or tree is not None and tree.root is root):
+        if edits == 0 and previous is not None and tree is not None and (
+                kind == "esr" or tree.root is root):
             # nothing changed, so no value is recomputed
             assert all(a is b for a, b in zip(evals, previous))
+        assert all(bool(sp.walk) == (tree is not None) for sp in sps)
         previous, root = evals, tree and tree.root
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
-def test_an_esr_walk_is_reused_under_its_own_gamma_only():
-    """A fresh tree each time, so only ``Subproblem.walk`` could repeat a value."""
+def test_an_esr_walk_is_reused_on_its_own_tree_only():
+    """A fresh tree at each gamma, so only ``Subproblem.walk`` could repeat a
+    value across them; a second evaluation on one tree reuses it."""
     env = tiny_tree()
     sp = Subproblem(0, np.array([0.5, 0.5]), QTableEsr(2, 2))
     for gamma in (1.0, 0.5, 0.5, 1.0):   # the first leaf, (4, 0), one step down
-        value = evaluate_population([sp], env, 1, gamma, None, StepTree(env, 100))[0]
+        tree = StepTree(env, 100, gamma)
+        value = evaluate_population([sp], env, 1, gamma, None, tree)[0]
+        assert value.tobytes() == _fresh_value(sp, env, 1, gamma).tobytes()
         assert value.tolist() == [4 * gamma, 0]
-    assert sp.walk[1:] == (sp.learner, 0, 1.0)
+        assert sp.walk[0] is value and sp.walk[1:] == (sp.learner, 0, tree)
+        assert evaluate_population([sp], env, 1, gamma, None, tree)[0] is value
 
 
-def test_a_tree_walks_its_own_env_and_keeps_a_node_value_for_one_gamma():
+def test_without_a_tree_a_deterministic_env_keeps_no_walk(monkeypatch):
+    """Each evaluation without a tree is a fresh ``evaluate_policy`` run."""
     env = tiny_tree()
-    tree = StepTree(env, 100)
-    for gamma in (1.0, 0.5, 1.0):   # the first leaf, (4, 0), one step down
-        sp = Subproblem(0, np.array([0.5, 0.5]), QTableScalar(2))
-        assert evaluate_population([sp], env, 1, gamma, None, tree)[0].tolist() == [4 * gamma, 0]
-    assert tree.size == 2
+    sp = Subproblem(0, np.array([0.5, 0.5]), QTableEsr(2, 2))
+    calls, evaluate = [], orchestrator.evaluate_policy
+    monkeypatch.setattr(orchestrator, "evaluate_policy",
+                        lambda *args: calls.append(args) or evaluate(*args))
+    values = [evaluate_population([sp], env, 1, 0.5, None)[0] for _ in range(2)]
+    assert len(calls) == 2 and values[0] is not values[1] and sp.walk == ()
+    for value in values:
+        assert value.tobytes() == _fresh_value(sp, env, 1, 0.5).tobytes()
+
+
+def test_a_tree_values_its_terminal_nodes_for_its_own_env_and_gamma(monkeypatch):
+    """A terminal node is valued when it is made, so evaluation runs no
+    ``evaluate_policy``; a tree of another env or gamma is rejected."""
+    env = tiny_tree()
+    tree = StepTree(env, 100, 0.5)
+    monkeypatch.setattr(orchestrator, "evaluate_policy", None)   # never called
+    sps = [Subproblem(i, np.array([0.5, 0.5]), QTableScalar(2)) for i in range(2)]
+    values = evaluate_population(sps, env, 1, 0.5, None, tree)
+    assert values[0] is values[1] is tree.root.children[0].children[0].value
+    assert values[0].tobytes() == _fresh_value(sps[0], env, 1, 0.5).tobytes()
+    assert values[0].tolist() == [2.0, 0.0] and tree.size == 2
     with pytest.raises(ValueError, match="step tree of 'tiny-tree' cannot walk 'dst-corridor'"):
-        evaluate_population([sp], orchestrator.make_env("dst-corridor"), 1, 1.0, None, tree)
+        evaluate_population(sps, orchestrator.make_env("dst-corridor"), 1, 0.5, None, tree)
+    with pytest.raises(ValueError, match="step tree at gamma 0.5 cannot evaluate at gamma 1.0"):
+        evaluate_population(sps, env, 1, 1.0, None, tree)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -448,7 +473,7 @@ def test_population_evaluation_builds_preferences_and_walks_at_most_once(kind, m
     preferences = cls._preferences
     monkeypatch.setattr(cls, "_preferences",
                         lambda self, lam: calls.append(1) or preferences(self, lam))
-    tree = StepTree(env, 100)
+    tree = StepTree(env, 100, 1.0)
     monkeypatch.setattr(tree, "walk", lambda policy: walks.append(1) or StepTree.walk(tree, policy))
     rng = np.random.default_rng(0)
     for flip in (False, False, True):
@@ -465,17 +490,19 @@ def test_population_evaluation_builds_preferences_and_walks_at_most_once(kind, m
 
 def test_a_transferred_esr_table_with_an_equal_flip_count_is_walked_again():
     """A deep copy is another table: it is walked even when its flip count
-    equals the count cached with the replaced table's value."""
+    equals the count cached with the replaced table's value on the same tree."""
     env = tiny_tree()
     sps = [Subproblem(i, np.array(w), QTableEsr(2, 2)) for i, w in enumerate([(0.5, 0.5), (1, 0)])]
     for sp, values in zip(sps, ([1.0, 0.0], [0.0, 1.0])):
         sp.learner.row(0, (0.0, 0.0))[:] = values   # one flip each: left, right
-    rng = np.random.default_rng(0)
-    assert [v.tolist() for v in evaluate_population(sps, env, 1, 1.0, rng)] == \
+    tree = StepTree(env, 100, 1.0)
+    assert [v.tolist() for v in evaluate_population(sps, env, 1, 1.0, None, tree)] == \
            [[4.0, 0.0], [1.0, 3.0]]
     sps[0].learner = copy.deepcopy(sps[1].learner)
-    assert sps[0].learner.flips == sps[0].walk[2]
-    assert evaluate_population(sps, env, 1, 1.0, rng)[0].tolist() == [1.0, 3.0]
+    assert sps[0].learner.flips == sps[0].walk[2] and sps[0].walk[3] is tree
+    value = evaluate_population(sps, env, 1, 1.0, None, tree)[0]
+    assert value.tobytes() == _fresh_value(sps[0], env, 1, 1.0).tobytes()
+    assert value.tolist() == [1.0, 3.0]
 
 
 PROPERTY_ENV = "evaluation-property-test-env"

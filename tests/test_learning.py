@@ -389,6 +389,22 @@ def test_greedy_action_and_bootstrap_on_any_row(row):
     assert_greedy_and_bootstrap_follow_numpy(row)
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: QTableScalar(-2), "actions must be >= 1, got -2"),
+    (lambda: QTableScalar(0), "actions must be >= 1, got 0"),
+    (lambda: QTableVector(0, 2), "actions must be >= 1, got 0"),
+    (lambda: QTableVector(2, 0), "objectives must be >= 1, got 0"),
+    (lambda: QTableEnvelope(2, 0, [(1.0, 0.0)]), "objectives must be >= 1, got 0"),
+    (lambda: QTableEsr(2, -1), "objectives must be >= 1, got -1"),
+    (lambda: QTableEsr(0, 2), "actions must be >= 1, got 0"),
+])
+def test_table_sizes_below_one_are_rejected(make, match):
+    """A table without an action or an objective has no greedy action; it is
+    rejected when built, not when a policy first acts."""
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 class TestNonFiniteInputIsRejected:
     """Every table value, score and weight is finite: each way a NaN or an
     infinity could enter a table raises where it enters (serialized text is
@@ -1098,6 +1114,12 @@ class TestSerialization:
                      r"^lines 1-2: unknown table kind 'dense'", id="unknown-kind"),
         pytest.param(v1_vector, "objectives=2\n", "",
                      r"^lines 1-2: the table header has no objectives= field", id="no-objectives"),
+        pytest.param(v1_scalar, "actions=2 ", "actions=0 ",
+                     r"^lines 1-2: actions must be >= 1, got 0", id="no-action"),
+        pytest.param(v1_vector, "objectives=2\n", "objectives=0\n",
+                     r"^lines 1-3: objectives must be >= 1, got 0", id="no-objective"),
+        pytest.param(v1_esr, "objectives=2\n", "objectives=-1\n",
+                     r"^lines 1-3: objectives must be >= 1, got -1", id="esr-objectives-negative"),
         pytest.param(v1_scalar, "0\t1\t-2.5", "0\t-1\t-2.5",
                      r"^line 4: action -1 outside \[0, 2\)", id="action-minus-one"),
         pytest.param(v1_scalar, "3\t1\t0", "3\t2\t0",

@@ -22,7 +22,7 @@ from paretoq import (
     serialize_table,
     update_scalarized_q,
 )
-from paretoq import orchestrator
+from paretoq import momdp, orchestrator
 from paretoq.archive import ParetoArchive
 from paretoq.decomposition import Scalarization
 from paretoq.learning import _item
@@ -32,9 +32,9 @@ from paretoq.orchestrator import (_adapt, _archive_population, _episodes, _epsil
                                   _worst_return)
 from paretoq.rng import STREAM_BUFFER, derive_stream
 
-from oracles import (NumpyRowEsr, NumpyRowScalar, envelope_step_per_weight,
-                     improve_esr_pick_by_pick, offer_every_evaluation, sample_through_chain,
-                     scalarized_q_batch)
+from oracles import (NumpyRowEsr, NumpyRowScalar, discounted_return_of_actions,
+                     envelope_step_per_weight, improve_esr_pick_by_pick, offer_every_evaluation,
+                     sample_through_chain, scalarized_q_batch)
 
 
 def small_config(**kw):
@@ -576,7 +576,7 @@ class TestEsrReplay:
         _, walks = self.sampled_with_trees(monkeypatch, config)
         assert walks and {tree for tree, _ in walks} == {None}
         with pytest.raises(ValueError, match="not deterministic"):
-            StepTree(noisy_corridor(), 10)
+            StepTree(noisy_corridor(), 10, 1.0)
 
     def test_a_corridor_run_keeps_one_object_and_one_plan_per_episode(self, monkeypatch):
         """Every buffer holds the tree's one object per action sequence, and
@@ -670,7 +670,7 @@ def test_a_tree_walk_equals_the_plain_rollout(env, seed, epsilon, augmented):
     the step index, and the policy learns a random row for each key it
     visited, so greedy actions vary and read stored keys."""
     assert env.deterministic
-    tree = StepTree(env, capacity=10**6)
+    tree = StepTree(env, capacity=10**6, gamma=1.0)
     plain_rng, tree_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     rows = np.random.default_rng(seed + 1)
     policy = TabularPolicy(augmented=augmented, default_row=[0.0] * env.n_actions)
@@ -695,10 +695,45 @@ def test_a_walk_reports_a_policy_gap_like_the_plain_rollout():
     env = dst_corridor()
     gap = TabularPolicy({0: [0.0, 1.0]})   # dives at once; any advance meets a gap
     with pytest.raises(ValueError, match="policy gap: no preferences for state 1"):
-        rollout(env, TabularPolicy({0: [1.0, 0.0]}), tree=StepTree(env, 100))
-    assert rollout(env, gap, tree=StepTree(env, 100))[0][0].action == 1
+        rollout(env, TabularPolicy({0: [1.0, 0.0]}), tree=StepTree(env, 100, 1.0))
+    assert rollout(env, gap, tree=StepTree(env, 100, 1.0))[0][0].action == 1
     with pytest.raises(ValueError, match="step tree of 'tiny-tree' cannot walk"):
-        rollout(env, gap, tree=StepTree(orchestrator.make_env("tiny-tree"), 100))
+        rollout(env, gap, tree=StepTree(orchestrator.make_env("tiny-tree"), 100, 1.0))
+
+
+def _terminal_nodes(tree):
+    """``(actions, node)`` of every terminal node of ``tree``, depth first."""
+    found, stack = [], [((), tree.root)]
+    while stack:
+        actions, node = stack.pop()
+        stack.extend((actions + (a,), child) for a, child in node.children.items())
+        found += [(actions, node)] if node.episode is not None else []
+    return found
+
+
+@settings(max_examples=200, deadline=None)
+@given(env=deterministic_momdps(), gamma=st.sampled_from([1.0, 0.9, 0.5]),
+       seed=st.integers(0, 2**32 - 1), epsilon=st.sampled_from([0.3, 0.7, 1.0]),
+       walks=st.integers(1, 20))
+def test_a_tree_values_each_terminal_node_at_its_gamma(env, gamma, seed, epsilon, walks):
+    """Grown by random epsilon-walks, every terminal node holds the discounted
+    return of its action sequence, stepped afresh and summed on float64 arrays,
+    bit for bit; no other node holds a value."""
+    tree = StepTree(env, capacity=10**6, gamma=gamma)
+    rng = np.random.default_rng(seed)
+    policy = TabularPolicy(default_row=[0.0] * env.n_actions)
+    for _ in range(walks):
+        tree.walk(policy, lambda t: epsilon, rng)
+    terminals = _terminal_nodes(tree)
+    assert terminals
+    for actions, node in terminals:
+        expected = discounted_return_of_actions(env, actions, gamma)
+        assert node.value.dtype == expected.dtype and node.value.tobytes() == expected.tobytes()
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children.values())
+        assert (node.value is None) == (node.episode is None)
 
 
 @st.composite
@@ -750,22 +785,28 @@ def test_an_esr_run_on_a_stochastic_env_repeats_and_keeps_its_tables_finite(
 
 
 @pytest.mark.parametrize("learner", ["esr-mc", "scalarized-q"])
-def test_a_corridor_run_evaluates_each_terminal_node_once(learner, monkeypatch):
-    """From the first evaluation on, greedy policies walk the run's step tree,
-    and each terminal node's value is computed once (the tree never restarts here)."""
-    states, calls = [], []
-    init, evaluate = orchestrator.initialize, orchestrator.evaluate_policy
+def test_a_corridor_run_values_each_terminal_node_once_as_it_grows(learner, monkeypatch):
+    """From the first evaluation on, greedy policies walk the run's step tree and
+    read its terminal nodes' values, each summed once, when its node is made
+    (the tree never restarts here), with the bits of ``evaluate_policy``;
+    the run calls ``evaluate_policy`` not at all."""
+    states, calls, sums = [], [], []
+    init, total = orchestrator.initialize, momdp._discounted_sum
     monkeypatch.setattr(orchestrator, "initialize",
                         lambda config: states.append(init(config)) or states[-1])
-    monkeypatch.setattr(orchestrator, "evaluate_policy",
-                        lambda *args: calls.append(args) or evaluate(*args))
-    run(small_config(learner=learner, scalarization="tchebycheff", buffer_capacity=10_000))
-    valued, stack = 0, [states[0].tree.root]
-    while stack:
-        node = stack.pop()
-        stack.extend(node.children.values())
-        valued += node.value is not None
-    assert 1 < len(calls) == valued <= 6   # dst-corridor has six action sequences
+    monkeypatch.setattr(orchestrator, "evaluate_policy", lambda *args: calls.append(args))
+    monkeypatch.setattr(momdp, "_discounted_sum",
+                        lambda episode, gamma: sums.append(episode) or total(episode, gamma))
+    config = small_config(learner=learner, scalarization="tchebycheff", buffer_capacity=10_000)
+    run(config)
+    env, terminals = states[0].env, _terminal_nodes(states[0].tree)
+    assert calls == [] and 1 < len(sums) == len(terminals) <= 6   # six action sequences
+    assert {id(node.episode) for _, node in terminals} == {id(episode) for episode in sums}
+    for actions, node in terminals:
+        rows = {e.state: np.eye(env.n_actions)[e.action] for e in node.episode}
+        plain = momdp.evaluate_policy(env, TabularPolicy(rows), 1, config.gamma)
+        assert [e.action for e in node.episode] == list(actions)
+        assert node.value.tobytes() == plain.tobytes()
 
 
 class TestReportPickle:
