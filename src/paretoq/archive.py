@@ -20,19 +20,32 @@ def prune(candidates):
     Every entry dominated by some other input entry is dropped, as is any
     later entry whose evaluation exactly repeats an earlier one. Input order
     of the survivors is preserved. One stable sort (descending, column 0 first)
-    puts each point after every point >= it everywhere; one sweep then keeps a
-    point unless a kept point is >= it everywhere (so is one if a dropped one is).
+    puts each point after every point >= it everywhere; one sweep then takes
+    the first live point as a survivor and drops every later point it is >=
+    everywhere, in one comparison (a point it drops drops nothing it does not).
+    All candidates are validated as one array; the survivors come back as the
+    rows of one new array, each with its payload.
     """
-    pairs = [(ensure_objective(eval_), payload) for eval_, payload in candidates]
-    if len({len(vec) for vec, _ in pairs}) > 1:
+    pairs = list(candidates)
+    if not pairs:
+        return []
+    try:
+        mat = np.asarray([eval_ for eval_, _ in pairs], dtype=float)
+    except (TypeError, ValueError):
+        mat = None
+    if mat is None or mat.ndim != 2 or not np.isfinite(mat).all():
+        for eval_, _ in pairs:   # raise what checking one vector at a time raises
+            ensure_objective(eval_)
         raise ValueError("objective vectors have mismatched lengths")
-    rows = [vec.tolist() for vec, _ in pairs]
-    kept, survivors = np.empty((len(rows), len(rows[0]) if rows else 0)), []
-    for i in sorted(range(len(rows)), key=rows.__getitem__, reverse=True):   # stable
-        if not (kept[:len(survivors)] >= pairs[i][0]).all(axis=1).any():
-            kept[len(survivors)] = pairs[i][0]
-            survivors.append(i)
-    return [pairs[i] for i in sorted(survivors)]
+    rows = mat.tolist()
+    order = sorted(range(len(rows)), key=rows.__getitem__, reverse=True)   # stable
+    # one contiguous row per objective: a comparison reduces across m rows
+    ranked, live = np.ascontiguousarray(mat[order].T), np.ones(len(order), dtype=bool)
+    for at in range(len(order)):
+        if live[at]:
+            live[at + 1:] &= ~(ranked[:, at + 1:] <= ranked[:, at, None]).all(axis=0)
+    keep = sorted(i for i, alive in zip(order, live.tolist()) if alive)
+    return [(row, pairs[i][1]) for row, i in zip(mat[keep], keep)]
 
 
 def crowding_distance(front) -> np.ndarray:

@@ -8,7 +8,9 @@ estimated for three or more; the Monte-Carlo estimator is also available
 directly for any dimension, which gives an independent cross-check of the
 exact sweep. The estimator never scales its uniform draws into the box:
 each point gets, per objective, the largest draw that scaling would put at
-or below it, and raw draws are compared with those limits.
+or below it, and raw draws are compared with those limits. When every draw
+would hit (a one-point front, say) and the generator is PCG64, none is
+made: the generator is advanced past them to the state drawing leaves.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 # their temporaries take tens of MB
 SAMPLE_BLOCK = 2**14
 _ONE_BITS = int(np.float64(1.0).view(np.int64))
+_LAST_DRAW = 1.0 - 2.0**-53   # the largest double below 1, the largest uniform draw
 
 
 def _validated_front(points, name: str = "front") -> np.ndarray:
@@ -92,27 +95,12 @@ def _draw_limits(pts: np.ndarray, z: np.ndarray, span: np.ndarray) -> np.ndarray
     return lo.view(np.float64)
 
 
-def hypervolume_monte_carlo(front, z_ref, samples: int = 10**6,
-                            rng: np.random.Generator | None = None):
-    """Monte-Carlo hypervolume estimate; returns ``(estimate, std_error)``.
-
-    Points are drawn uniformly in the axis-aligned box spanned by ``z_ref``
-    and the per-objective maxima of the front, as ``z_ref + u * span`` from
-    uniform ``u`` in [0, 1); the dominated fraction scales the box volume.
-    The draws are never scaled: each ``u`` is compared with its limit from
-    :func:`_draw_limits`, which gives the same hits as scaling it first.
-    """
-    pts = _validated_front(front)
-    z = _check_reference(pts, z_ref)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    upper = pts.max(axis=0)
-    volume = float(np.prod(upper - z))
-    if volume == 0.0:
-        return 0.0, 0.0
-    samples = int(samples)
-    limits = _draw_limits(pts, z, upper - z)
-    rows = max(1, min(samples, SAMPLE_BLOCK))
+def _count_hits(pts: np.ndarray, z: np.ndarray, span: np.ndarray, samples: int,
+                rng: np.random.Generator) -> int:
+    """Draws of one ``(samples, m)`` call, made block by block, that lie in
+    some point's box."""
+    limits = _draw_limits(pts, z, span)
+    rows = min(samples, SAMPLE_BLOCK)
     block = np.empty((rows, pts.shape[1]))
     columns = np.empty((pts.shape[1], rows))   # the block transposed, each objective contiguous
     hits = 0
@@ -131,6 +119,44 @@ def hypervolume_monte_carlo(front, z_ref, samples: int = 10**6,
                 inside &= np.less_equal(draws[j], limit[j], out=below)
             hit |= inside
         hits += int(np.count_nonzero(hit))
+    return hits
+
+
+def hypervolume_monte_carlo(front, z_ref, samples: int = 10**6,
+                            rng: np.random.Generator | None = None):
+    """Monte-Carlo hypervolume estimate; returns ``(estimate, std_error)``.
+
+    Points are drawn uniformly in the axis-aligned box spanned by ``z_ref``
+    and the per-objective maxima of the front, as ``z_ref + u * span`` from
+    uniform ``u`` in [0, 1); the dominated fraction scales the box volume.
+    The draws are never scaled: each ``u`` is compared with its limit from
+    :func:`_draw_limits`, which gives the same hits as scaling it first.
+
+    No draws are made when ``rng`` runs on a PCG64 bit generator and the
+    largest draw, scaled, lies in some point's box in every objective (as
+    it does for a one-point front): every draw would hit. The generator is
+    then advanced past the ``samples * m`` draws, its buffered 32-bit output
+    kept, so it ends in the state that drawing leaves.
+    """
+    pts = _validated_front(front)
+    z = _check_reference(pts, z_ref)
+    if rng is None:
+        rng = np.random.default_rng(0)
+    span = pts.max(axis=0) - z
+    volume = float(np.prod(span))
+    if volume == 0.0:
+        return 0.0, 0.0
+    samples = int(samples)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    bits = rng.bit_generator
+    if type(bits) is np.random.PCG64 and (_LAST_DRAW * span + z <= pts).all(axis=1).any():
+        kept = bits.state
+        bits.advance(samples * pts.shape[1])   # one output per double; clears the buffer
+        bits.state = {**bits.state, "has_uint32": kept["has_uint32"], "uinteger": kept["uinteger"]}
+        hits = samples
+    else:
+        hits = _count_hits(pts, z, span, samples, rng)
     frac = hits / samples
     estimate = volume * frac
     std_error = volume * float(np.sqrt(frac * (1.0 - frac) / samples))

@@ -369,7 +369,10 @@ def enumerate_deterministic_policies(env: Momdp, gamma: float) -> list:
     horizon ``env.max_episode_steps`` with truncation treated as
     termination, not from sampling. Policies come in ``itertools.product``
     order and are evaluated together, :data:`POLICY_BLOCK` at a time, which
-    bounds memory. Guarded against combinatorial blowup:
+    bounds memory. The start average sums ``initial_dist[s] * value[s]`` over
+    the states in order from ``+0.0``, so no BLAS kernel picks its order;
+    for a one-hot start it is the start state's value, bit for bit. Value
+    rows are read-only. Guarded against combinatorial blowup:
     ``n_actions ** n_states`` may not exceed 10**6.
     """
     count = env.n_actions ** env.n_states
@@ -382,10 +385,12 @@ def enumerate_deterministic_policies(env: Momdp, gamma: float) -> list:
     results = []
     while block := list(itertools.islice(assignments, POLICY_BLOCK)):
         actions = np.array(block, dtype=np.intp)
-        # one product per contiguous (state, objective) block: numpy sums a
-        # batched or strided product in another order
-        results += [(row, env.initial_dist @ u)
-                    for row, u in zip(actions, table.policy_values(actions, gamma))]
+        u = table.policy_values(actions, gamma)
+        values = np.zeros((len(actions), env.n_objectives))
+        for s in range(env.n_states):   # every policy of the block at once
+            values += env.initial_dist[s] * u[:, s]
+        values.flags.writeable = False
+        results += zip(actions, values)
     return results
 
 

@@ -53,6 +53,7 @@ NO_WALK = EVAL + "::test_without_a_tree_a_deterministic_env_keeps_no_walk"
 SIZES = "tests/test_learning.py::test_table_sizes_below_one_are_rejected"
 NON_FINITE = "tests/test_learning.py::TestNonFiniteInputIsRejected"
 SERIALIZED = "tests/test_learning.py::TestSerialization"
+MC_SKIP = "tests/test_metrics.py::TestNoDrawsWhenEveryDrawHits"
 
 MUTANTS = [
     # --- archive.py
@@ -62,6 +63,10 @@ MUTANTS = [
      "        pass", ["tests/test_archive.py"]),
     ("archive.py", "key=rows.__getitem__, reverse=True)", "key=rows.__getitem__, reverse=False)",
      ["tests/test_archive.py::TestPrune"]),
+    ("archive.py", "mat.ndim != 2 or not np.isfinite(mat).all()", "mat.ndim != 2",
+     ["tests/test_archive.py::TestPrune"]),
+    ("archive.py", "(ranked[:, at + 1:] <= ranked[:, at, None])",
+     "(ranked[:, at + 1:] < ranked[:, at, None])", ["tests/test_archive.py::TestPrune"]),
     ("archive.py", "pts[order[:-2], j]) / span", "pts[order[:-2], j]) / span * (1 + 2**-52)",
      ["tests/test_archive.py::TestCrowdingDistance"]),
     # --- metrics.py
@@ -78,11 +83,16 @@ MUTANTS = [
      ["tests/test_metrics.py"]),
     ("metrics.py", "below = mid.view(np.float64) * span + z <= pts",
      "below = mid.view(np.float64) * span + z < pts", ["tests/test_metrics.py"]),
+    ("metrics.py", "(_LAST_DRAW * span + z <= pts).all(axis=1).any()",
+     "(_LAST_DRAW * span + z <= pts).any(axis=1).any()", [MC_SKIP]),
+    ("metrics.py", '"has_uint32": kept["has_uint32"], ', "", [MC_SKIP]),
+    ("metrics.py", ', "uinteger": kept["uinteger"]', "", [MC_SKIP]),
+    ("metrics.py", "if samples < 1:", "if samples < 0:", [MC_SKIP]),
     # --- momdp.py: the enumeration oracle
     ("momdp.py", "for k in range(n_outcomes):", "for k in reversed(range(n_outcomes)):",
      ["tests/test_momdp.py::TestEnumerationAgainstPerPolicyDp"]),
-    ("momdp.py", "results += [(row, env.initial_dist @ u)",
-     "results += [(row, np.einsum('s,sm->m', env.initial_dist, u))",
+    ("momdp.py", "for s in range(env.n_states):   # every policy of the block at once",
+     "for s in reversed(range(env.n_states)):   # every policy of the block at once",
      ["tests/test_momdp.py::TestEnumerationAgainstPerPolicyDp"]),
     # --- momdp.py: evaluation and rollouts
     ("momdp.py", "        accrued = accrued + reward   # a new array: each step keeps its own\n",

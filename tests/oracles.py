@@ -124,7 +124,10 @@ def exact_policy_value(env: Momdp, assignment, gamma: float) -> np.ndarray:
             for p, ns, r, term in env.outcomes(s, assignment[s]):
                 nxt[s] += p * (r if term else r + gamma * u[ns])
         u = nxt
-    return env.initial_dist @ u
+    value = np.zeros(env.n_objectives)
+    for s in range(env.n_states):   # the start average, states in order from +0.0
+        value += env.initial_dist[s] * u[s]
+    return value
 
 
 def deterministic_policies(env: Momdp, gamma: float) -> list:

@@ -95,9 +95,47 @@ class TestPrune:
         kept, expected = prune(pairs), prune_by_insertion(pairs)
         assert [i for _, i in kept] == [i for _, i in expected]
 
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_an_oracle_sized_set_keeps_what_insertion_keeps(self, m, seed):
+        """729 points, as many as one 3-action, 6-state oracle gives, of few
+        distinct values with signed zeros among them: ties, duplicates and
+        dominated rows throughout. Payload order and evaluation bytes match."""
+        rng = np.random.default_rng(seed)
+        pts = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0, 0.5], size=(729, m))
+        pts[rng.random(729) < 0.3] *= rng.uniform(0.5, 2.0)   # a few distinct reals
+        pairs = [(p, object()) for p in pts]
+        kept, expected = prune(pairs), prune_by_insertion(pairs)
+        assert [payload for _, payload in kept] == [payload for _, payload in expected]
+        assert [v.tobytes() for v, _ in kept] == [v.tobytes() for v, _ in expected]
+
     def test_rejects_vectors_of_different_lengths(self):
         with pytest.raises(ValueError, match="mismatched lengths"):
             prune([((1.0, 2.0), "a"), ((1.0,), "b")])
+
+    @pytest.mark.parametrize("candidates, message", [
+        ([((1.0, 2.0), "a"), (((1.0, 2.0),), "b")], r"must be 1-D, got shape \(1, 2\)"),
+        ([(1.0, "a"), (2.0, "b")], r"must be 1-D, got shape \(\)"),
+        ([(((1.0, 2.0),), "a"), (((3.0, 4.0),), "b")], r"must be 1-D, got shape \(1, 2\)"),
+        ([((1.0, 2.0), "a"), ((np.nan, 1.0), "b")], "non-finite entries"),
+        ([((1.0, np.inf), "a")], "non-finite entries"),
+        # every vector is checked before the lengths are compared
+        ([((1.0, 2.0), "a"), ((1.0,), "b"), ((-np.inf,), "c")], "non-finite entries"),
+        ([((1.0,), "a"), ((1.0, 2.0), "b"), ((1.0, 2.0, 3.0), "c")], "mismatched lengths"),
+        ([((1.0, 2.0), "a"), ("12", "b")], r"must be 1-D, got shape \(\)"),
+    ])
+    def test_rejects_what_one_vector_check_at_a_time_rejects(self, candidates, message):
+        """The whole set is validated as one array, with the errors that
+        checking each vector in turn, then their lengths, raised."""
+        with pytest.raises(ValueError, match=message):
+            prune(candidates)
+
+    def test_survivors_share_no_memory_with_the_candidates(self):
+        pts = np.array([(1.0, 0.0), (0.0, 0.0), (0.0, 1.0)])
+        kept = prune((p, i) for i, p in enumerate(pts))
+        assert [i for _, i in kept] == [0, 2]
+        kept[0][0][0] = 9.0
+        assert pts[0, 0] == 1.0
 
 
 class TestCrowdingDistance:

@@ -6,8 +6,9 @@ change output bytes. Two small runs, one on a deterministic env and one on
 a stochastic 3-objective env with the envelope learner and Monte-Carlo
 hypervolume, are written in process and again in a subprocess that turns
 off numpy's X86_V3, X86_V4 and AVX-512 loops and forces OpenBLAS's oldest
-(Prescott) kernels. The ``metrics.csv`` and ``pf.csv`` bytes, and the final
-tables at full precision, must match. This checks kernel choice on x86
+(Prescott) kernels. The ``metrics.csv`` and ``pf.csv`` bytes, the final
+tables at full precision, and the enumeration oracle's values on an env
+that starts in several states must match. This checks kernel choice on x86
 only, not other CPUs, numpy versions or BLAS vendors.
 """
 
@@ -20,7 +21,8 @@ import sys
 
 import numpy as np
 
-from paretoq import ExperimentSpec, Momdp, RunConfig, register_env, run_experiment, serialize_table
+from paretoq import (ExperimentSpec, Momdp, RunConfig, enumerate_deterministic_policies,
+                     register_env, run_experiment, serialize_table)
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -39,6 +41,15 @@ def noisy_momdp() -> Momdp:
                    for s in range(4)]
     return Momdp(4, 2, 3, transitions, [1.0, 0.0, 0.0, 0.0], max_episode_steps=6,
                  name=NOISY_ENV, hv_reference_default=(-1.0, -1.0, -1.0))
+
+
+def spread_start_momdp() -> Momdp:
+    """6 states, 3 actions, 3 objectives, two random outcomes per pair; the
+    start distribution covers 4 states with uneven weights."""
+    rng = np.random.default_rng(12)
+    transitions = [[[(p, int(rng.integers(6)), rng.normal(size=3), bool(rng.random() < 0.2))
+                     for p in (0.375, 0.625)] for _ in range(3)] for _ in range(6)]
+    return Momdp(6, 3, 3, transitions, [0.1, 0.0, 0.2, 0.3, 0.0, 0.4], max_episode_steps=5)
 
 
 CONFIGS = {
@@ -68,6 +79,9 @@ def output_digests(out_dir: str) -> dict:
                             ("pf.csv", pathlib.Path(bundle.pf_path).read_bytes()),
                             ("tables", tables.encode())):
             digests[f"{name}/{label}"] = hashlib.sha256(data).hexdigest()
+    values = b"".join(v.tobytes() for _, v in enumerate_deterministic_policies(
+        spread_start_momdp(), 0.9))
+    digests["enumeration"] = hashlib.sha256(values).hexdigest()
     return digests
 
 

@@ -12,6 +12,7 @@ from paretoq import (
     igd,
     sparsity,
 )
+from paretoq import metrics
 from paretoq.metrics import SAMPLE_BLOCK, _draw_limits
 
 from oracles import (brute_force_non_dominated, dominates, hypervolume_monte_carlo_chunked,
@@ -142,6 +143,102 @@ def test_an_overflowing_span_hits_nothing_as_scaled_draws_did():
         got = hypervolume_monte_carlo(pts, z, samples=100, rng=np.random.default_rng(2))
         ref = hypervolume_monte_carlo_scaled(pts, z, 100, np.random.default_rng(2))
     assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+
+def generator_after(rng: np.random.Generator) -> list:
+    """What ``rng`` gives next: a 32-bit draw (the buffered half first, if
+    one is held), a 64-bit draw and a double."""
+    return [int(rng.integers(2**32, dtype=np.uint32)), int(rng.integers(2**63)), rng.random()]
+
+
+class TestNoDrawsWhenEveryDrawHits:
+    """With PCG64, a front whose box holds the largest scaled draw (a
+    one-point front, say) costs no draws: the estimate, standard error and
+    generator state are those of drawing."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(1, 4), integral=st.booleans(),
+           scale=st.sampled_from([1e-300, 1e-9, 1.0, 1e6, 1e300]),
+           offset=st.sampled_from([0.0, -7.5, 1e15]), samples=st.integers(1, 3000),
+           buffered=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_a_one_point_front_gives_what_drawing_gives(self, m, integral, scale, offset,
+                                                        samples, buffered, seed):
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(0.0, 10.0, size=(1, m))
+        p = (np.round(p) if integral else p) * scale + offset
+        z = np.minimum(p[0] - rng.uniform(0.1, 2.0, size=m) * scale, np.nextafter(p[0], -np.inf))
+        got_rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        if buffered:   # a 32-bit draw leaves the other half of its output buffered
+            assert got_rng.integers(7, dtype=np.uint32) == ref_rng.integers(7, dtype=np.uint32)
+        with np.errstate(over="ignore", invalid="ignore"):   # volumes near 1e300**m overflow
+            got = hypervolume_monte_carlo(p, z, samples=samples, rng=got_rng)
+            ref = hypervolume_monte_carlo_scaled(p, z, samples, ref_rng)
+        assert np.array(got).tobytes() == np.array(ref).tobytes()
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert generator_after(got_rng) == generator_after(ref_rng)
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_a_one_point_front_makes_no_draws(self, monkeypatch, buffered):
+        monkeypatch.setattr(metrics, "_count_hits", None)
+        got_rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        if buffered:
+            got_rng.integers(5, dtype=np.uint32), ref_rng.integers(5, dtype=np.uint32)
+        got = hypervolume_monte_carlo([(3.0, 1.0, 2.0)], (0.0, 0.0, -1.0), samples=50_000,
+                                      rng=got_rng)
+        assert got == (9.0, 0.0)
+        ref_rng.random((50_000, 3))
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert generator_after(got_rng) == generator_after(ref_rng)
+
+    def test_an_overflowing_volume_keeps_a_nan_standard_error(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_count_hits", None)
+        pts, z = np.array([(1e200, 1e200, 1e200)]), np.zeros(3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            estimate, std_error = hypervolume_monte_carlo(pts, z, samples=100,
+                                                          rng=np.random.default_rng(2))
+            ref = hypervolume_monte_carlo_scaled(pts, z, 100, np.random.default_rng(2))
+        assert estimate == np.inf and np.isnan(std_error)
+        assert np.array((estimate, std_error)).tobytes() == np.array(ref).tobytes()
+
+    def test_a_point_one_ulp_below_the_corner_still_draws(self):
+        """At 1e15 an ulp is 0.125, and the largest draw scales to the upper
+        corner: draws there miss the first point's box in its last objective
+        and the second point's box in its first two."""
+        corner = 1e15 + 3.0
+        pts = np.array([(corner, corner, np.nextafter(corner, 0.0)),
+                        (1e15 + 1.0, 1e15 + 1.0, corner)])
+        z = np.full(3, 1e15)
+        assert (np.nextafter(1.0, 0.0) * (corner - z) + z == corner).all()
+        got_rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        got = hypervolume_monte_carlo(pts, z, samples=2000, rng=got_rng)
+        ref = hypervolume_monte_carlo_scaled(pts, z, 2000, ref_rng)
+        assert np.array(got).tobytes() == np.array(ref).tobytes()
+        assert got[0] < 27.0
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_an_overflowing_span_still_draws(self):
+        pts, z = np.array([(1e308, 1e308, 1e308)]), np.full(3, -1e308)
+        got_rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = hypervolume_monte_carlo(pts, z, samples=100, rng=got_rng)
+            ref = hypervolume_monte_carlo_scaled(pts, z, 100, ref_rng)
+        assert np.array(got).tobytes() == np.array(ref).tobytes()
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_an_mt19937_generator_draws_as_before(self):
+        got_rng = np.random.Generator(np.random.MT19937(6))
+        ref_rng = np.random.Generator(np.random.MT19937(6))
+        got_rng.integers(9, dtype=np.uint32), ref_rng.integers(9, dtype=np.uint32)
+        got = hypervolume_monte_carlo([(1.0, 2.0, 3.0)], (0.0, 0.0, 0.0), samples=1000,
+                                      rng=got_rng)
+        ref = hypervolume_monte_carlo_scaled([(1.0, 2.0, 3.0)], (0.0, 0.0, 0.0), 1000, ref_rng)
+        assert np.array(got).tobytes() == np.array(ref).tobytes()
+        assert generator_after(got_rng) == generator_after(ref_rng)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_fewer_than_one_sample_is_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            hypervolume_monte_carlo([(1.0, 1.0, 1.0)], (0.0, 0.0, 0.0), samples=samples)
 
 
 FINITE = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)

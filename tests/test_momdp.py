@@ -180,7 +180,7 @@ class TestEnumerationAgainstPerPolicyDp:
         assignments = list(itertools.product(range(env.n_actions), repeat=env.n_states))
         assert [tuple(row.tolist()) for row, _ in pairs] == assignments
         for (_, value), assignment in zip(pairs, assignments):
-            assert value.shape == (env.n_objectives,)
+            assert value.shape == (env.n_objectives,) and not value.flags.writeable
             assert value.tobytes() == exact_policy_value(env, assignment, gamma).tobytes()
         for (policy, value), (_, expected), assignment in zip(
                 deterministic_policies(env, gamma), pairs, assignments):
