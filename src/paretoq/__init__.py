@@ -60,6 +60,6 @@ from .orchestrator import (
     initialize,
     run,
 )
-from .rng import RunStreams, derive_stream
+from .rng import DrawStream, RunStreams, derive_stream
 
 __version__ = "0.1.0"

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .rng import DrawStream
+
 ENUMERATION_LIMIT = 10**6
 # policies evaluated together by the enumeration oracle; bounds its memory
 POLICY_BLOCK = 4096
@@ -233,19 +235,21 @@ def rollout(env: Momdp, policy: TabularPolicy, rng_seed=0, epsilon=None, explore
     functions take as one batch; the return is the component-wise
     (undiscounted) sum of its rewards. Episodes stop on a terminal
     transition or after ``env.max_episode_steps`` steps; truncation is
-    recorded as terminal. ``epsilon``, when given, maps a step's index in
-    the episode to an exploration probability: each step draws exactly one
-    coin from ``explore`` (by default the env generator,
-    ``default_rng(rng_seed)``), plus one uniform action when the coin
-    explores; other steps take ``policy.action``. This fixed pattern keeps
-    runs with equal seeds identical. Without ``epsilon`` no coin is drawn.
+    recorded as terminal. The env draws from ``rng_seed`` itself if it is a
+    :class:`~paretoq.rng.DrawStream`, else from ``default_rng(rng_seed)``.
+    ``epsilon``, when given, maps a step's index in the episode to an
+    exploration probability: each step draws exactly one coin from
+    ``explore`` (by default the env's draws), plus one uniform action when
+    the coin explores; other steps take ``policy.action``. This fixed
+    pattern keeps runs with equal seeds identical. Without ``epsilon`` no
+    coin is drawn.
 
     Given a :class:`StepTree` of ``env``, the episode walks it with equal draws
     and actions; a prefix walked before costs no env step. The trace is then
     the one :class:`_Episode` of its action sequence and the return its last
     node's accrued array: both are shared with later walks, so read-only.
     """
-    rng = np.random.default_rng(rng_seed)
+    rng = rng_seed if type(rng_seed) is DrawStream else np.random.default_rng(rng_seed)
     explore = rng if explore is None else explore
     if tree is not None:
         if tree.env is not env:
@@ -335,14 +339,15 @@ class StepTree:
 def evaluate_policy(env: Momdp, policy: TabularPolicy, episodes: int,
                     gamma: float, rng_seed=0) -> np.ndarray:
     """Average discounted vector return over ``episodes`` greedy :func:`rollout`
-    episodes, all drawn from one generator, ``default_rng(rng_seed)``.
+    episodes, all drawn from ``rng_seed`` itself if it is a
+    :class:`~paretoq.rng.DrawStream`, else from ``default_rng(rng_seed)``.
 
     Exact (zero variance) for a deterministic environment, in which case a
     single episode is walked since all episodes coincide.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    rng = np.random.default_rng(rng_seed)
+    rng = rng_seed if type(rng_seed) is DrawStream else np.random.default_rng(rng_seed)
     runs = 1 if env.deterministic else episodes
     total = [0.0] * env.n_objectives
     for _ in range(runs):

@@ -100,6 +100,12 @@ class RunConfig:
     checkpoint_stride: int = 10
 
     def validate(self) -> "RunConfig":
+        self._checked_env()
+        return self
+
+    def _checked_env(self) -> Momdp:
+        """Raise ``ValueError`` on any knob a run cannot honour; return the env
+        the checks built."""
         for f in dataclasses.fields(self):
             value, kind = getattr(self, f.name), type(f.default)
             is_bool = isinstance(value, (bool, np.bool_))
@@ -166,7 +172,7 @@ class RunConfig:
         if not all(z < w for z, w in zip(ref.tolist(), worst)):
             raise ValueError(f"hv_reference {ref.tolist()} must lie strictly below the worst "
                              f"return of any episode, {worst}, in every objective")
-        return self
+        return env
 
 
 @dataclass(eq=False)
@@ -299,8 +305,7 @@ def initialize(config: RunConfig) -> RunState:
     the evaluations of the initial greedy policies. A hypervolume reference
     the run could not honour is rejected by validation before that.
     """
-    config.validate()
-    env = make_env(config.env)
+    env = config._checked_env()
     streams = RunStreams(config.seed)
     n, m = config.population_size, env.n_objectives
     hv_reference = _hv_reference(config, env)
@@ -429,8 +434,8 @@ def _episodes(visible):
     return functools.partial(_item, parts), sum(map(len, parts))
 
 
-# Each table kind's update of subproblem ``sp`` from one pick: a sampled batch,
-# or for ESR a complete episode. The names resolve here when called.
+# Each table kind's update of subproblem ``sp`` from one pick: a round's sampled
+# batches, or for ESR a complete episode. The names resolve here when called.
 _UPDATES = {
     "scalar": lambda sp, g, pick: update_scalarized_q(sp.learner, pick, g, sp.weight, sp.scores),
     "vector": lambda sp, g, pick: update_vector_q(sp.learner, pick, sp.weight),
@@ -441,8 +446,12 @@ _UPDATES = {
 
 def _improve_all(state: RunState):
     """``update_passes`` improvement passes for every subproblem that sees any
-    experience: a sampled batch per pass, or for ``esr-mc`` one complete episode
-    per pass, picked by one draw per round equal to a call per pick."""
+    experience. A batch learner makes one ``sample`` of ``batch_size *
+    update_passes`` experiences and one update over them, which equal a batch
+    and an update per pass (``k`` draws of ``b`` indices below 2**32 take the
+    stream's 32-bit outputs as one draw of ``k * b`` does). ``esr-mc`` updates
+    from one complete episode per pass, picked by one draw per round equal to
+    a call per pick."""
     cfg, rng, passes = state.config, state.streams.buffer, state.config.update_passes
     pairs = zip(state.subproblems, state.visible)
     if cfg.learner == "esr-mc":
@@ -451,8 +460,8 @@ def _improve_all(state: RunState):
         draws = rng.integers(0, [count for _, _, count in rounds]).tolist()
         picks = [(sp, item(draw)) for (sp, item, _), draw in zip(rounds, draws)]
     else:
-        picks = [(sp, visible[0].sample(cfg.batch_size, rng, *visible[1:]))
-                 for sp, visible in pairs if any(map(len, visible)) for _ in range(passes)]
+        picks = [(sp, visible[0].sample(cfg.batch_size * passes, rng, *visible[1:]))
+                 for sp, visible in pairs if any(map(len, visible))]
     for sp, pick in picks:
         _UPDATES[sp.learner.kind](sp, state.scalarization, pick)
 

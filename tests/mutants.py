@@ -54,6 +54,8 @@ SIZES = "tests/test_learning.py::test_table_sizes_below_one_are_rejected"
 NON_FINITE = "tests/test_learning.py::TestNonFiniteInputIsRejected"
 SERIALIZED = "tests/test_learning.py::TestSerialization"
 MC_SKIP = "tests/test_metrics.py::TestNoDrawsWhenEveryDrawHits"
+DRAWS = "tests/test_rng.py::test_draws_equal_numpys_generator_draw_for_draw"
+THRESHOLD = "tests/test_rng.py::test_a_half_at_or_below_the_rejection_threshold_draws_as_numpy_does"
 
 MUTANTS = [
     # --- archive.py
@@ -88,6 +90,12 @@ MUTANTS = [
     ("metrics.py", '"has_uint32": kept["has_uint32"], ', "", [MC_SKIP]),
     ("metrics.py", ', "uinteger": kept["uinteger"]', "", [MC_SKIP]),
     ("metrics.py", "if samples < 1:", "if samples < 0:", [MC_SKIP]),
+    # --- rng.py
+    ("rng.py", "return (x >> 11) * 2**-53", "return (x >> 12) * 2**-53", [DRAWS]),
+    ("rng.py", "half, self._half = x & 0xFFFFFFFF, x >> 32",
+     "half, self._half = x >> 32, x & 0xFFFFFFFF", [DRAWS]),
+    ("rng.py", "low >= (2**32 - n) % n", "low >= (2**32 - n + 1) % n", [THRESHOLD]),
+    ("rng.py", "low >= (2**32 - n) % n", "low >= (2**32 - n - 1) % n", [THRESHOLD]),
     # --- momdp.py: the enumeration oracle
     ("momdp.py", "for k in range(n_outcomes):", "for k in reversed(range(n_outcomes)):",
      ["tests/test_momdp.py::TestEnumerationAgainstPerPolicyDp"]),
@@ -206,6 +214,8 @@ MUTANTS = [
     ("orchestrator.py", '"esr": lambda sp, g, pick: update_esr_mc(',
      '"esr": lambda sp, g, pick: __import__("paretoq.learning").learning.update_esr_mc(',
      [ORCH + "::TestBenchmarkTracer"]),
+    ("orchestrator.py", "sample(cfg.batch_size * passes, rng", "sample(cfg.batch_size, rng",
+     [ORCH + "::TestReplayRound"]),
     ("orchestrator.py",
      "for sp, item, count in seen if count for _ in range(passes)]",
      "for _ in range(passes) for sp, item, count in seen if count]", [ESR_LOOP]),

@@ -34,7 +34,7 @@ from paretoq.archive import ParetoArchive
 from paretoq.learning import ExperienceBuffer, QTableEsr, QTableScalar
 from paretoq.momdp import Experience, Momdp, accrued_key, ensure_objective, make_env
 from paretoq.orchestrator import RunConfig
-from paretoq.rng import RunStreams
+from paretoq.rng import STREAM_BUFFER, STREAM_ENV, STREAM_EXPLORE, derive_stream
 
 
 def dominates(a, b) -> bool:
@@ -656,11 +656,15 @@ def standalone_scalar_q_learning(config: RunConfig, lam):
     Reproduces the exact sampling and replay schedule of a one-subproblem
     run so the learned table can be compared bit for bit: same derived
     random streams, same one-coin-per-step exploration, same buffer draws,
-    and the textbook temporal-difference update on the scalar reward.
+    and the textbook temporal-difference update on the scalar reward. Every
+    stream is a plain numpy ``Generator`` from ``derive_stream`` and each pass
+    samples its own batch, so the run's Python-side draws and its one sample
+    per round are both checked against numpy's.
     """
     env = make_env(config.env)
     lam = np.asarray(lam, dtype=float)
-    streams = RunStreams(config.seed)
+    env_rng, explore, buffer_rng = (derive_stream(config.seed, sid)
+                                    for sid in (STREAM_ENV, STREAM_EXPLORE, STREAM_BUFFER))
     buffer = ExperienceBuffer(config.buffer_capacity, config.buffer_replacement)
     q: dict[int, np.ndarray] = {}
 
@@ -684,15 +688,15 @@ def standalone_scalar_q_learning(config: RunConfig, lam):
     for iteration in range(iterations):
         target = min(config.total_steps, (iteration + 1) * config.steps_per_iteration)
         while steps < target:
-            state = env.initial_state(streams.env)
+            state = env.initial_state(env_rng)
             accrued = np.zeros(env.n_objectives)
             trace = []
             while True:
-                if streams.explore.random() < epsilon(steps + len(trace)):
-                    action = int(streams.explore.integers(env.n_actions))
+                if explore.random() < epsilon(steps + len(trace)):
+                    action = int(explore.integers(env.n_actions))
                 else:
                     action = int(np.argmax(q.get(state, np.zeros(env.n_actions))))
-                ns, r, term = env.step(state, action, streams.env)
+                ns, r, term = env.step(state, action, env_rng)
                 done = term or len(trace) + 1 >= env.max_episode_steps
                 trace.append(Experience(state, action, r, ns, done, accrued.copy()))
                 accrued = accrued + r
@@ -704,7 +708,7 @@ def standalone_scalar_q_learning(config: RunConfig, lam):
         for _ in range(config.update_passes):
             if len(buffer) == 0:
                 break
-            batch = buffer.sample(config.batch_size, streams.buffer)
+            batch = buffer.sample(config.batch_size, buffer_rng)
             for e in batch:
                 reward = float(np.dot(lam, e.reward))
                 boot = 0.0 if e.terminal else float(row(e.next_state).max())

@@ -40,11 +40,12 @@ from paretoq import (
     update_esr_mc,
 )
 
-from paretoq import orchestrator
+from paretoq import momdp, orchestrator
 from paretoq.decomposition import lattice_divisions
 from paretoq.momdp import StepTree, accrued_key, register_env, tiny_tree
 from paretoq.orchestrator import (RunConfig, Subproblem, _adapt, _archive_population,
                                   _improve_all, _worst_return, cooperate, initialize)
+from paretoq.rng import DrawStream
 
 from oracles import (EpsilonGreedyPolicy, deterministic_policies, evaluate_policy_on_arrays,
                      rollout_discounted_mean, rollout_with_policy_draws, sample_episode,
@@ -230,6 +231,27 @@ def test_greedy_rollout_draws_no_coin(env, policy_seed, augmented, seed):
     assert explore.bit_generator.state == untouched
 
 
+@settings(max_examples=60, deadline=None)
+@given(env=small_momdps(), policy_seed=st.integers(0, 2**16), augmented=st.booleans(),
+       schedule=st.sampled_from(sorted(SCHEDULES)), episodes=st.integers(1, 4),
+       seeds=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)))
+def test_draw_streams_are_drawn_from_as_given(env, policy_seed, augmented, schedule, episodes,
+                                              seeds):
+    """``rollout`` and ``evaluate_policy`` draw from a given :class:`DrawStream`
+    itself, with the bytes and draws of a numpy ``Generator`` on the same PCG64."""
+    policy, epsilon = _policy(env, policy_seed, augmented), SCHEDULES[schedule]
+    streams = [DrawStream(np.random.PCG64(seed)) for seed in seeds]
+    generators = [np.random.default_rng(seed) for seed in seeds]
+    for _ in range(2):
+        trace, ret = rollout(env, policy, streams[0], epsilon, streams[1])
+        expected, expected_ret = rollout(env, policy, generators[0], epsilon, generators[1])
+        assert _trace_bits(trace) == _trace_bits(expected)
+        assert ret.tobytes() == expected_ret.tobytes()
+    value = evaluate_policy(env, policy, episodes, 0.9, streams[0])
+    assert value.tobytes() == evaluate_policy(env, policy, episodes, 0.9, generators[0]).tobytes()
+    assert [s.random() for s in streams] == [g.random() for g in generators]
+
+
 def test_policies_have_no_exploration_settings():
     policy = greedy_policy(QTableScalar(2))
     for name, value in (("kind", "epsilon-greedy"), ("epsilon", 0.5)):
@@ -243,6 +265,17 @@ def test_evaluation_matches_dynamic_programming_on_deterministic_envs(env, gamma
     for policy, exact in deterministic_policies(env, gamma):
         value = evaluate_policy(env, policy, 3, gamma, 0)
         np.testing.assert_allclose(value, exact, rtol=0, atol=1e-12)
+
+
+def test_a_deterministic_env_walks_one_episode_for_any_count(monkeypatch):
+    """All episodes coincide, so one is walked: its return, with no mean that
+    could round (three returns of 0.1 average to 0.10000000000000002)."""
+    r = lambda *v: np.array(v, dtype=float)  # noqa: E731
+    env = Momdp(1, 1, 2, [[[(1.0, 0, r(0.1, 0.7), True)]]], [1.0], max_episode_steps=1)
+    walked, walk = [], momdp.rollout
+    monkeypatch.setattr(momdp, "rollout", lambda *a, **k: walked.append(1) or walk(*a, **k))
+    value = evaluate_policy(env, greedy_policy(QTableScalar(1)), 3, 1.0, 0)
+    assert walked == [1] and value.tolist() == [0.1, 0.7]
 
 
 @settings(max_examples=60, deadline=None)

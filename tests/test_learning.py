@@ -5,7 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from paretoq import (
     ExperienceBuffer,
@@ -97,6 +97,43 @@ class TestBuffer:
     def test_sample_empty_buffer_is_an_error(self):
         with pytest.raises(ValueError, match="empty buffer"):
             ExperienceBuffer(capacity=4).sample(1, np.random.default_rng(0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(lengths=st.lists(st.integers(0, 6), min_size=1, max_size=4),
+           batch=st.integers(1, 12), k=st.integers(1, 5), held=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_sample_of_k_batches_equals_k_samples(self, lengths, batch, k, held, seed):
+        """One ``sample(k * b)`` takes the same experiences in the same order as
+        ``k`` calls of ``sample(b)``, and leaves the generator in the same state:
+        with and without ``others``, and from a generator holding a 32-bit half."""
+        assume(any(lengths))
+        bufs = [ExperienceBuffer(capacity=10) for _ in lengths]
+        for j, length in enumerate(lengths):
+            bufs[j].push([exp(state=10 * j + t) for t in range(length)])
+        one, each = np.random.default_rng(seed), np.random.default_rng(seed)
+        if held:
+            one.integers(3), each.integers(3)
+        for own, others in ((bufs[0], bufs[1:]), (max(bufs, key=len), ())):
+            drawn = own.sample(k * batch, one, *others)
+            assert drawn == [e for _ in range(k) for e in own.sample(batch, each, *others)]
+        assert one.bit_generator.state == each.bit_generator.state
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), high=st.one_of(
+               st.integers(1, 50), st.sampled_from([2**31 + 11, 3 * 2**30, 2**32 - 1, 2**32]),
+               st.integers(1, 2**32)),
+           batch=st.integers(1, 40), k=st.integers(1, 6), held=st.booleans())
+    def test_one_draw_of_k_batches_equals_k_draws_below_two_to_the_32(self, seed, high, batch,
+                                                                      k, held):
+        """The index draw under :meth:`ExperienceBuffer.sample`, at bounds no buffer
+        reaches here: numpy takes each 32-bit output from the bit generator's own
+        buffer, so ``k`` draws of ``b`` equal one draw of ``k * b``."""
+        one, each = np.random.default_rng(seed), np.random.default_rng(seed)
+        if held:
+            one.integers(3), each.integers(3)
+        expected = [i for _ in range(k) for i in each.integers(0, high, size=batch).tolist()]
+        assert one.integers(0, high, size=k * batch).tolist() == expected
+        assert one.bit_generator.state == each.bit_generator.state
 
     def test_sampling_is_uniform(self):
         buf = ExperienceBuffer(capacity=16)

@@ -362,6 +362,56 @@ class TestVisibleBuffers:
         assert _episodes([ExperienceBuffer(4), ExperienceBuffer(4)])[1] == 0
 
 
+class TestReplayRound:
+    @pytest.mark.parametrize("learner", ["scalarized-q", "vector-q", "envelope-q"])
+    @pytest.mark.parametrize("cooperation", orchestrator.COOPERATION_MODES)
+    def test_each_round_samples_once_per_subproblem_with_experience(self, cooperation, learner,
+                                                                    monkeypatch):
+        """One ``sample`` of ``batch_size * update_passes`` per subproblem that sees
+        any experience, each followed by one update over the whole draw."""
+        rounds = []
+        improve, sample = orchestrator._improve_all, ExperienceBuffer.sample
+
+        def counted_improve(state):
+            rounds.append((sum(any(map(len, visible)) for visible in state.visible), []))
+            return improve(state)
+
+        def counted_sample(buf, batch, rng, *others):
+            drawn = sample(buf, batch, rng, *others)
+            rounds[-1][1].append(len(drawn))
+            return drawn
+
+        monkeypatch.setattr(orchestrator, "_improve_all", counted_improve)
+        monkeypatch.setattr(ExperienceBuffer, "sample", counted_sample)
+        config = small_config(cooperation=cooperation, learner=learner, total_steps=120,
+                              update_passes=3, batch_size=5)
+        run(config)
+        assert len(rounds) == 20
+        assert {seen for seen, _ in rounds} >= {3}
+        for seen, drawn in rounds:
+            assert drawn == [config.batch_size * config.update_passes] * seen
+
+    def test_a_round_equals_one_batch_and_update_per_pass(self, monkeypatch):
+        """A run whose round samples and updates pass by pass reports the same."""
+        def per_pass(state):
+            cfg = state.config
+            for sp, visible in zip(state.subproblems, state.visible):
+                if any(map(len, visible)):
+                    for _ in range(cfg.update_passes):
+                        batch = visible[0].sample(cfg.batch_size, state.streams.buffer,
+                                                  *visible[1:])
+                        update_scalarized_q(sp.learner, batch, state.scalarization,
+                                            sp.weight, sp.scores)
+
+        config = small_config(cooperation="shared-buffer-neighborhood", total_steps=300)
+        report = run(config)
+        monkeypatch.setattr(orchestrator, "_improve_all", per_pass)
+        expected = run(config)
+        assert [serialize_table(sp.learner) for sp in report.subproblems] == \
+               [serialize_table(sp.learner) for sp in expected.subproblems]
+        assert report.checkpoints == expected.checkpoints
+
+
 class TestEnvelopeImprovement:
     def test_rows_updated_at_once_match_one_step_per_weight(self, monkeypatch):
         def improved(per_weight):
